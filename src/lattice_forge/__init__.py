@@ -37,17 +37,13 @@ from .kernels import (
     feature_map,
     gram_errors,
     inv_normal_cdf,
-    load_data_csv,
     run_kernel_benchmark,
-    save_matrix_csv,
     synthetic_data,
 )
 from .lattice import (
     GeneratingVector,
     SearchResult,
-    explicit_vector,
     find_admissible_n,
-    is_degenerate,
     korobov_search,
     korobov_vector,
     subgroup_generating_vector,
@@ -71,16 +67,15 @@ from .numtheory import (
     PrimeModulus,
     factorize,
     is_prime,
-    mod_pow,
     primitive_root,
 )
 from .pointset import (
     LatticePointSet,
     generate,
-    load_points_csv,
+    load_csv,
     mc_points,
     random_shift,
-    save_points_csv,
+    save_csv,
     shift_by,
 )
 from .sphere import (
@@ -89,12 +84,15 @@ from .sphere import (
     SphericalFrame,
     asymptotic_coherence_bound,
     mutual_coherence,
-    save_frame_csv,
     sphere_frame,
     sphere_index_set,
 )
 
 __version__ = "0.1.0"
+
+# Deprecated alias kept for existing callers; it is not part of the public
+# surface. Write ``GeneratingVector(z, n)`` instead.
+explicit_vector = GeneratingVector
 
 __all__ = [
     "__version__",
@@ -107,7 +105,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "mod_pow",
     "primitive_root",
     # lattice construction
     "GeneratingVector",
@@ -116,8 +113,6 @@ __all__ = [
     "korobov_vector",
     "korobov_search",
     "find_admissible_n",
-    "is_degenerate",
-    "explicit_vector",
     # metrics
     "ToroidalNorm",
     "T1",
@@ -137,8 +132,8 @@ __all__ = [
     "random_shift",
     "shift_by",
     "mc_points",
-    "save_points_csv",
-    "load_points_csv",
+    "save_csv",
+    "load_csv",
     # integration / Boltzmann
     "TestIntegrand",
     "BoltzmannModel",
@@ -165,8 +160,6 @@ __all__ = [
     "approx_gram",
     "gram_errors",
     "synthetic_data",
-    "load_data_csv",
-    "save_matrix_csv",
     "run_kernel_benchmark",
     # spherical frames
     "SphericalFrame",
@@ -176,5 +169,4 @@ __all__ = [
     "sphere_frame",
     "mutual_coherence",
     "asymptotic_coherence_bound",
-    "save_frame_csv",
 ]

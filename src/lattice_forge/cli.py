@@ -6,11 +6,13 @@ Subcommands cover construction/diagnostics (``construct``, ``admissible``,
 or ``--output`` as CSV (default) or JSON; CSV starts with the schema
 comment ``# lattice-forge v1`` and, unless ``--deterministic`` is given,
 a generation timestamp comment. ``--deterministic`` makes output
-byte-identical across reruns with the same flags.
+byte-identical across reruns with the same flags. The matrix files of
+``--points-out``, ``--frame-out`` and ``--data`` use ``pointset.save_csv``.
 
 Exit codes: 0 success; 2 usage errors (argparse); 3 admissibility
 violations (failed divisibility preconditions); 4 numeric domain or
-size-cap errors.
+size-cap errors, including ``--runs`` < 1 and a non-finite ``--b``,
+``--c`` or ``--sigma``.
 
 The environment variable ``LATTICE_FORGE_THREADS`` caps the worker
 threads the Korobov search may use (default 1).
@@ -25,55 +27,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
 from .integration import run_boltzmann_benchmark, run_integration_benchmark
-from .kernels import KernelSpec, load_data_csv, run_kernel_benchmark, synthetic_data
+from .kernels import KernelSpec, run_kernel_benchmark, synthetic_data
 from .lattice import find_admissible_n, korobov_search, subgroup_generating_vector
 from .metrics import lattice_min_distance, min_distance_bounds
-from .pointset import generate, save_points_csv
-from .sphere import asymptotic_coherence_bound, mutual_coherence, save_frame_csv, sphere_frame
+from .pointset import generate, load_csv, save_csv
+from .sphere import asymptotic_coherence_bound, mutual_coherence, sphere_frame
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 SCHEMA = "lattice-forge v1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide settings shared by every subcommand."""
-
-    command: str
-    d: int | None
-    n: int | None
-    method: str | None
-    norm: str
-    seed: int
-    runs: int
-    output: str | None
-    format: str
-    deterministic: bool
-    threads: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            d=getattr(args, "d", None),
-            n=getattr(args, "n", None),
-            method=getattr(args, "method", None),
-            norm=getattr(args, "norm", "l1"),
-            seed=getattr(args, "seed", 0),
-            runs=getattr(args, "runs", 50),
-            output=args.output,
-            format=args.format,
-            deterministic=args.deterministic,
-            threads=_env_threads(),
-        )
 
 
 def _env_threads() -> int:
@@ -121,53 +89,52 @@ def _render_json(rows: list[dict], columns: list[str], deterministic: bool) -> s
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(rows: list[dict], columns: list[str], cfg: RunConfig) -> None:
+def _emit(rows: list[dict], args: argparse.Namespace) -> None:
+    """Render the table; its columns are the keys of the first row."""
+    columns = list(rows[0])
     text = (
-        _render_csv(rows, columns, cfg.deterministic)
-        if cfg.format == "csv"
-        else _render_json(rows, columns, cfg.deterministic)
+        _render_csv(rows, columns, args.deterministic)
+        if args.format == "csv"
+        else _render_json(rows, columns, args.deterministic)
     )
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _append_summaries(rows: list[dict], value_cols: tuple[str, ...]) -> list[dict]:
-    """Add one mean and one std row per method (population std)."""
-    methods: list[str] = []
-    for row in rows:
-        if row["method"] not in methods:
-            methods.append(row["method"])
+def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...]):
+    """Run an estimator driver on ``--method`` (default: subgroup and mc).
+
+    ``run(methods)`` returns the driver's rows. The table appends one mean
+    and one std row (population std) of ``value_cols`` per method.
+    """
+    methods = (args.method,) if args.method else ("subgroup", "mc")
+    rows = run(methods)
     out = list(rows)
     for method in methods:
         sub = [r for r in rows if r["method"] == method]
-        mean_row = dict(sub[0])
-        std_row = dict(sub[0])
-        mean_row["run"] = "mean"
-        std_row["run"] = "std"
-        for col in value_cols:
-            vals = np.array([float(r[col]) for r in sub], dtype=np.float64)
-            mean_row[col] = float(vals.mean())
-            std_row[col] = float(vals.std())
-        out.append(mean_row)
-        out.append(std_row)
+        for stat, fn in (("mean", np.mean), ("std", np.std)):
+            summary = dict(sub[0], run=stat)
+            for col in value_cols:
+                summary[col] = float(fn([r[col] for r in sub]))
+            out.append(summary)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (rows, columns)
+# Subcommand handlers: each returns the table rows
 # ---------------------------------------------------------------------------
 
 
-def _cmd_construct(cfg: RunConfig, args: argparse.Namespace):
+def _cmd_construct(args: argparse.Namespace):
     if args.method == "korobov":
-        res = korobov_search(cfg.d, cfg.n, cfg.norm, threads=cfg.threads)
+        res = korobov_search(args.d, args.n, args.norm, threads=args.threads)
         vec, multiplier = res.vector, res.multiplier
     else:
-        vec, multiplier = subgroup_generating_vector(cfg.d, cfg.n), ""
-    bounds = min_distance_bounds(cfg.d, cfg.n)
+        vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
+    bounds = min_distance_bounds(args.d, args.n)
     rows = []
     for norm in ("l1", "l2"):
         rep = lattice_min_distance(vec, norm)
@@ -195,82 +162,66 @@ def _cmd_construct(cfg: RunConfig, args: argparse.Namespace):
             }
         )
     if args.points_out:
-        save_points_csv(generate(vec), args.points_out)
-    columns = [
-        "method", "d", "n", "norm", "min_distance", "argmin_k",
-        "distinct_distances", "uniform_multiplicity", "bound_lower",
-        "bound_upper", "bound_holds", "multiplier", "z",
-    ]
-    return rows, columns
+        save_csv(generate(vec).points, args.points_out)
+    return rows
 
 
-def _cmd_admissible(cfg: RunConfig, args: argparse.Namespace):
-    moduli = find_admissible_n(cfg.d, args.count, start=args.start)
-    rows = [
-        {"d": cfg.d, "index": i, "n": int(m)} for i, m in enumerate(moduli)
-    ]
-    return rows, ["d", "index", "n"]
+def _cmd_admissible(args: argparse.Namespace):
+    moduli = find_admissible_n(args.d, args.count, start=args.start)
+    return [{"d": args.d, "index": i, "n": int(m)} for i, m in enumerate(moduli)]
 
 
-def _cmd_integrate(cfg: RunConfig, args: argparse.Namespace):
-    methods = (cfg.method,) if cfg.method else ("subgroup", "mc")
-    rows = run_integration_benchmark(
-        cfg.d,
-        cfg.n,
-        b=args.b,
-        c=args.c,
-        runs=cfg.runs,
-        seed=cfg.seed,
-        methods=methods,
-        shifted=not args.no_shift,
+def _cmd_integrate(args: argparse.Namespace):
+    return _estimator_table(
+        args,
+        lambda methods: run_integration_benchmark(
+            args.d, args.n, b=args.b, c=args.c, runs=args.runs, seed=args.seed,
+            methods=methods, shifted=not args.no_shift,
+        ),
+        ("estimate", "rel_error"),
     )
-    rows = _append_summaries(rows, ("estimate", "rel_error"))
-    return rows, ["method", "d", "n", "seed", "run", "estimate", "exact", "rel_error"]
 
 
-def _cmd_boltzmann(cfg: RunConfig, args: argparse.Namespace):
-    methods = (cfg.method,) if cfg.method else ("subgroup", "mc")
-    rows, _ = run_boltzmann_benchmark(
-        cfg.d,
-        cfg.n,
-        runs=cfg.runs,
-        seed=cfg.seed,
-        target=args.target,
-        gt_samples=args.gt_samples,
-        methods=methods,
+def _cmd_boltzmann(args: argparse.Namespace):
+    return _estimator_table(
+        args,
+        lambda methods: run_boltzmann_benchmark(
+            args.d, args.n, runs=args.runs, seed=args.seed, target=args.target,
+            gt_samples=args.gt_samples, methods=methods,
+        )[0],
+        ("estimate", "rel_error"),
     )
-    rows = _append_summaries(rows, ("estimate", "rel_error"))
-    return rows, ["method", "d", "n", "seed", "run", "estimate", "exact", "rel_error"]
 
 
-def _cmd_kernel(cfg: RunConfig, args: argparse.Namespace):
+def _cmd_kernel(args: argparse.Namespace):
     spec = KernelSpec(family=args.kernel, sigma=args.sigma)
     if args.data:
-        data = load_data_csv(args.data)
+        data = load_csv(args.data)
     else:
-        data = synthetic_data(args.samples, args.data_dim, seed=cfg.seed)
-    n = cfg.n if cfg.n else int(find_admissible_n(data.shape[1], 1, start=997)[0])
-    methods = (cfg.method,) if cfg.method else ("subgroup", "mc")
-    rows = run_kernel_benchmark(
-        data, n, spec, runs=cfg.runs, seed=cfg.seed, methods=methods
+        data = synthetic_data(args.samples, args.data_dim, seed=args.seed)
+    n = args.n if args.n else int(find_admissible_n(data.shape[1], 1, start=997)[0])
+    return _estimator_table(
+        args,
+        lambda methods: run_kernel_benchmark(
+            data, n, spec, runs=args.runs, seed=args.seed, methods=methods
+        ),
+        ("rel_frobenius", "rel_max"),
     )
-    rows = _append_summaries(rows, ("rel_frobenius", "rel_max"))
-    return rows, ["method", "d", "n", "seed", "run", "rel_frobenius", "rel_max"]
 
 
-def _cmd_sphere(cfg: RunConfig, args: argparse.Namespace):
-    if cfg.d % 2 != 0:
-        raise AdmissibilityError(f"ambient dimension must be even, got {cfg.d}")
-    m = cfg.d // 2
-    frame = sphere_frame(m, cfg.n)
+def _cmd_sphere(args: argparse.Namespace):
+    if args.d % 2 != 0:
+        raise AdmissibilityError(f"ambient dimension must be even, got {args.d}")
+    m = args.d // 2
+    frame = sphere_frame(m, args.n)
     rep = mutual_coherence(frame, method="character_sum")
-    growth = asymptotic_coherence_bound(m, cfg.n)
+    growth = asymptotic_coherence_bound(m, args.n)
     if args.frame_out:
-        save_frame_csv(frame, args.frame_out)
-    rows = [
+        save_csv(frame.V, args.frame_out)
+    return [
         {
             "m": m,
-            "n": cfg.n,
+            "n": args.n,
             "ambient_dim": frame.ambient_dim,
             "n_vectors": frame.n_vectors,
             "mu": rep.mu,
@@ -280,25 +231,19 @@ def _cmd_sphere(cfg: RunConfig, args: argparse.Namespace):
             "growth_bound_applicable": growth.applicable,
         }
     ]
-    columns = [
-        "m", "n", "ambient_dim", "n_vectors", "mu", "bound", "bound_holds",
-        "growth_bound", "growth_bound_applicable",
-    ]
-    return rows, columns
 
 
-def _cmd_bench_timing(cfg: RunConfig, args: argparse.Namespace):
+def _cmd_bench_timing(args: argparse.Namespace):
     t0 = time.perf_counter()
-    subgroup_generating_vector(cfg.d, cfg.n)
+    subgroup_generating_vector(args.d, args.n)
     t_subgroup = time.perf_counter() - t0
     t0 = time.perf_counter()
-    korobov_search(cfg.d, cfg.n, cfg.norm, threads=cfg.threads)
+    korobov_search(args.d, args.n, args.norm, threads=args.threads)
     t_korobov = time.perf_counter() - t0
-    rows = [
-        {"method": "subgroup", "d": cfg.d, "n": cfg.n, "seconds": t_subgroup},
-        {"method": "korobov", "d": cfg.d, "n": cfg.n, "seconds": t_korobov},
+    return [
+        {"method": "subgroup", "d": args.d, "n": args.n, "seconds": t_subgroup},
+        {"method": "korobov", "d": args.d, "n": args.n, "seconds": t_korobov},
     ]
-    return rows, ["method", "d", "n", "seconds"]
 
 
 _HANDLERS = {
@@ -331,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit the timestamp so identical flags give byte-identical output",
     )
 
+    replicated = argparse.ArgumentParser(add_help=False)
+    replicated.add_argument("--runs", type=int, default=50, help="randomized runs per method, >= 1 (default 50)")
+    replicated.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("construct", parents=[common], help="build a generating vector and report its distance diagnostics")
@@ -345,34 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5, help="how many moduli to list (default 5)")
     p.add_argument("--start", type=int, default=2, help="smallest n to consider (default 2)")
 
-    p = sub.add_parser("integrate", parents=[common], help="randomized integration benchmark with closed-form reference")
+    p = sub.add_parser("integrate", parents=[common, replicated], help="randomized integration benchmark with closed-form reference")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, default=2.0, help="coordinate-decay exponent (default 2)")
     p.add_argument("--c", type=float, default=1.0, help="integrand scale (default 1)")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("subgroup", "korobov", "mc"), help="restrict to one method (default: subgroup and mc)")
     p.add_argument("--no-shift", action="store_true", help="skip the random shift (lattice methods only)")
 
-    p = sub.add_parser("boltzmann", parents=[common], help="partition-function / marginal estimation benchmark")
+    p = sub.add_parser("boltzmann", parents=[common, replicated], help="partition-function / marginal estimation benchmark")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", choices=("partition", "marginal"), default="partition")
     p.add_argument("--gt-samples", type=int, default=10_000_000, help="i.i.d. samples for the pseudo-ground-truth (default 1e7)")
     p.add_argument("--method", choices=("subgroup", "korobov", "mc"), help="restrict to one method")
 
-    p = sub.add_parser("kernel", parents=[common], help="Gram-matrix approximation benchmark (lattice vs MC features)")
+    p = sub.add_parser("kernel", parents=[common, replicated], help="Gram-matrix approximation benchmark (lattice vs MC features)")
     p.add_argument("--kernel", choices=("gaussian", "arccos0", "arccos1"), default="gaussian")
     p.add_argument("--sigma", type=float, default=15.0, help="Gaussian bandwidth (default 15)")
     p.add_argument("--data", metavar="PATH", help="CSV data matrix, one sample per row (default: synthetic mixture)")
     p.add_argument("--samples", type=int, default=2000, help="synthetic sample count (default 2000)")
     p.add_argument("--data-dim", type=int, default=8, help="synthetic data dimension (default 8)")
     p.add_argument("--n", type=int, help="frequency count (default: first admissible prime >= 997)")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("subgroup", "mc"), help="restrict to one method")
 
     p = sub.add_parser("sphere", parents=[common], help="unit-norm frame construction and mutual coherence")
@@ -395,9 +338,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig.from_args(args)
-        rows, columns = _HANDLERS[args.command](cfg, args)
-        _emit(rows, columns, cfg)
+        args.threads = _env_threads()
+        _emit(_HANDLERS[args.command](args), args)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

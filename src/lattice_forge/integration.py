@@ -24,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .lattice import korobov_search, subgroup_generating_vector
-from .pointset import LatticePointSet, generate, mc_points, random_shift
+from .pointset import LatticePointSet, _replicate
 
 __all__ = [
     "TestIntegrand",
@@ -56,6 +55,8 @@ class TestIntegrand:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise DomainError(f"d must be >= 1, got {self.d}")
+        if not (math.isfinite(self.b) and math.isfinite(self.c)):
+            raise DomainError(f"b and c must be finite, got b={self.b}, c={self.c}")
         if self.c == 0.0:
             raise DomainError("c must be nonzero (c = 0 degenerates to f == 1)")
 
@@ -102,16 +103,13 @@ def test_integral_exact(spec: TestIntegrand) -> float:
 def qmc_estimate(points: LatticePointSet, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Equal-weight cubature: mean of f over the point set.
 
-    ``f`` should map an (n, d) batch to an (n,) vector; a scalar-only
-    callable is detected and applied row by row.
+    ``f`` is called once on the (n, d) batch and must return an (n,)
+    vector; any other shape raises ``DomainError``. Errors raised by
+    ``f`` propagate unchanged.
     """
-    pts = points.points
-    try:
-        vals = np.asarray(f(pts), dtype=np.float64)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != (pts.shape[0],):
-        vals = np.array([float(f(row)) for row in pts], dtype=np.float64)
+    vals = np.asarray(f(points.points), dtype=np.float64)
+    if vals.shape != (points.n,):
+        raise DomainError(f"integrand must return shape ({points.n},), got {vals.shape}")
     return float(vals.mean())
 
 
@@ -295,23 +293,9 @@ def mc_marginal(
 # Benchmark drivers
 # ---------------------------------------------------------------------------
 
-_KNOWN_METHODS = ("subgroup", "korobov", "mc")
-
-
-def _method_seeds(seed: int, runs: int) -> np.ndarray:
-    """(runs, 3) int64 seed matrix derived from one master seed."""
-    master = np.random.default_rng(seed)
-    return master.integers(0, 2**63 - 1, size=(runs, 3), dtype=np.int64)
-
-
-def _check_methods(methods: "tuple[str, ...] | list[str]") -> tuple[str, ...]:
-    methods = tuple(methods)
-    unknown = [m for m in methods if m not in _KNOWN_METHODS]
-    if unknown:
-        raise DomainError(f"unknown methods {unknown}; choose from {_KNOWN_METHODS}")
-    if not methods:
-        raise DomainError("need at least one method")
-    return methods
+# Seed-matrix column of each method; fixed, so a method's rows do not depend
+# on which other methods run.
+_SEED_COLUMNS = ("subgroup", "korobov", "mc")
 
 
 def run_integration_benchmark(
@@ -327,45 +311,25 @@ def run_integration_benchmark(
 ) -> list[dict]:
     """Repeated randomized integration runs for each method.
 
-    Each run r draws fresh seeds (shift for lattices, sample seed for
-    MC) from one master generator, so the whole table is reproducible
-    from ``seed``. Returns one row dict per (run, method) with the
-    estimate, the closed-form reference, and the relative error.
+    Methods are "subgroup", "korobov" (shifted lattices) and "mc"
+    (i.i.d. uniform); ``runs`` must be >= 1. Each run r draws fresh
+    seeds (shift for lattices, sample seed for MC) from one master
+    generator, one fixed column per method, so the whole table is
+    reproducible from ``seed`` and a method's rows do not depend on the
+    other methods listed. Returns one row dict per (run, method) with
+    the estimate, the closed-form reference, and the relative error.
     """
-    methods = _check_methods(methods)
     spec = TestIntegrand(d=d, b=b, c=c)
     exact = test_integral_exact(spec)
-    f = lambda X: test_integrand(X, spec)  # noqa: E731
 
-    bases: dict[str, LatticePointSet] = {}
-    if "subgroup" in methods:
-        bases["subgroup"] = generate(subgroup_generating_vector(d, n))
-    if "korobov" in methods:
-        bases["korobov"] = generate(korobov_search(d, n, "l1").vector)
+    def score(ps: LatticePointSet) -> dict:
+        est = qmc_estimate(ps, lambda X: test_integrand(X, spec))
+        return {"estimate": est, "exact": exact, "rel_error": relative_error(est, exact)}
 
-    seeds = _method_seeds(seed, runs)
-    rows: list[dict] = []
-    for r in range(runs):
-        for col, method in enumerate(methods):
-            if method == "mc":
-                ps = mc_points(n, d, int(seeds[r, 2]))
-            else:
-                base = bases[method]
-                ps = random_shift(base, int(seeds[r, col])) if shifted else base
-            est = qmc_estimate(ps, f)
-            rows.append(
-                {
-                    "method": method,
-                    "d": d,
-                    "n": n,
-                    "seed": seed,
-                    "run": r,
-                    "estimate": est,
-                    "exact": exact,
-                    "rel_error": relative_error(est, exact),
-                }
-            )
-    return rows
+    return _replicate(
+        d, n, methods, score,
+        columns=_SEED_COLUMNS, runs=runs, seed=seed, seed_source=seed, shifted=shifted,
+    )
 
 
 def run_boltzmann_benchmark(
@@ -382,52 +346,31 @@ def run_boltzmann_benchmark(
     pseudo-ground-truth.
 
     The ground truth is computed once with ``gt_samples`` i.i.d. draws;
-    every method row carries its relative error against it. Returns
+    every method row carries its relative error against it. Methods
+    and seeding are as in ``run_integration_benchmark``. Returns
     (rows, ground_truth).
     """
-    methods = _check_methods(methods)
     if target not in ("partition", "marginal"):
         raise DomainError(f"target must be 'partition' or 'marginal', got {target!r}")
 
     ss = np.random.SeedSequence(seed)
     s_model, s_obs, s_gt, s_gt2, s_runs = ss.spawn(5)
     model = random_boltzmann_model(d, s_model)
-    seeds = np.random.default_rng(s_runs).integers(0, 2**63 - 1, size=(runs, 3), dtype=np.int64)
 
-    if target == "partition":
-        ground_truth = mc_partition(model, gt_samples, s_gt)
-    else:
+    ground_truth = Z = mc_partition(model, gt_samples, s_gt)
+    if target == "marginal":
         v = np.random.default_rng(s_obs).random(d)
-        Z = mc_partition(model, gt_samples, s_gt)
         ground_truth = mc_marginal(v, model, Z, gt_samples, s_gt2)
 
-    bases: dict[str, LatticePointSet] = {}
-    if "subgroup" in methods:
-        bases["subgroup"] = generate(subgroup_generating_vector(d, n))
-    if "korobov" in methods:
-        bases["korobov"] = generate(korobov_search(d, n, "l1").vector)
+    def score(ps: LatticePointSet) -> dict:
+        if target == "partition":
+            est = estimate_partition(ps, model)
+        else:
+            est = estimate_marginal(v, ps, model, Z)
+        return {"estimate": est, "exact": ground_truth, "rel_error": relative_error(est, ground_truth)}
 
-    rows: list[dict] = []
-    for r in range(runs):
-        for col, method in enumerate(methods):
-            if method == "mc":
-                ps = mc_points(n, d, int(seeds[r, 2]))
-            else:
-                ps = random_shift(bases[method], int(seeds[r, col]))
-            if target == "partition":
-                est = estimate_partition(ps, model)
-            else:
-                est = estimate_marginal(v, ps, model, Z)
-            rows.append(
-                {
-                    "method": method,
-                    "d": d,
-                    "n": n,
-                    "seed": seed,
-                    "run": r,
-                    "estimate": est,
-                    "exact": ground_truth,
-                    "rel_error": relative_error(est, ground_truth),
-                }
-            )
+    rows = _replicate(
+        d, n, methods, score,
+        columns=_SEED_COLUMNS, runs=runs, seed=seed, seed_source=s_runs,
+    )
     return rows, ground_truth

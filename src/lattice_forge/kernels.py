@@ -13,20 +13,21 @@ features; arc-cosine kernels of order 0/1 use step/relu features.
 Frequencies come from ``inv_normal_cdf`` applied to the point set, so a
 randomly shifted lattice yields structured (low-discrepancy) spectral
 samples, and plain MC points recover classical random Fourier features.
+
+Data matrices are read with ``pointset.load_csv``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DomainError
-from .lattice import subgroup_generating_vector
-from .pointset import LatticePointSet, generate, mc_points, random_shift
+from .pointset import LatticePointSet, _replicate
 
 __all__ = [
     "KernelSpec",
@@ -39,8 +40,6 @@ __all__ = [
     "approx_gram",
     "gram_errors",
     "synthetic_data",
-    "load_data_csv",
-    "save_matrix_csv",
     "run_kernel_benchmark",
 ]
 
@@ -65,8 +64,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DomainError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,16 +251,6 @@ def synthetic_data(
     return means[labels] + rng.normal(0.0, component_scale, size=(n_samples, dim))
 
 
-def load_data_csv(path_or_file: "str | IO[str]") -> np.ndarray:
-    """Read a samples-by-rows CSV matrix (no header)."""
-    return np.loadtxt(path_or_file, delimiter=",", ndmin=2)
-
-
-def save_matrix_csv(matrix: np.ndarray, path_or_file: "str | IO[str]") -> None:
-    """Write a float matrix as CSV with %.17g round-trip formatting."""
-    np.savetxt(path_or_file, np.asarray(matrix), fmt="%.17g", delimiter=",")
-
-
 def run_kernel_benchmark(
     data: np.ndarray,
     n: int,
@@ -274,42 +263,19 @@ def run_kernel_benchmark(
     """Gram-approximation error of lattice vs. MC features, repeated.
 
     The exact Gram matrix is computed once; each run redraws the random
-    shift (lattice) or the sample (MC) from seeds derived from ``seed``
-    and records relative Frobenius / max errors. One row dict per
-    (run, method).
+    shift (lattice) or the sample (MC) from seeds derived from ``seed``,
+    one fixed column per method, and records relative Frobenius / max
+    errors. Methods are "subgroup" and "mc"; ``runs`` must be >= 1. One
+    row dict per (run, method).
     """
-    methods = tuple(methods)
-    unknown = [m for m in methods if m not in ("subgroup", "mc")]
-    if unknown:
-        raise DomainError(f"unknown methods {unknown}; choose from ('subgroup', 'mc')")
     X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DomainError(f"data must be (N, d), got shape {X.shape}")
-    dim = X.shape[1]
-    K = exact_gram(X, spec)
+    K = exact_gram(X, spec)  # also rejects data that is not (N, d)
 
-    base = None
-    if "subgroup" in methods:
-        base = generate(subgroup_generating_vector(dim, n))
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(runs, 2), dtype=np.int64)
+    def score(ps: LatticePointSet) -> dict:
+        errs = gram_errors(K, approx_gram(feature_map(X, ps, spec)))
+        return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
-    rows: list[dict] = []
-    for r in range(runs):
-        for method in methods:
-            if method == "subgroup":
-                ps = random_shift(base, int(seeds[r, 0]))
-            else:
-                ps = mc_points(n, dim, int(seeds[r, 1]))
-            errs = gram_errors(K, approx_gram(feature_map(X, ps, spec)))
-            rows.append(
-                {
-                    "method": method,
-                    "d": dim,
-                    "n": n,
-                    "seed": seed,
-                    "run": r,
-                    "rel_frobenius": errs.rel_frobenius,
-                    "rel_max": errs.rel_max,
-                }
-            )
-    return rows
+    return _replicate(
+        X.shape[1], n, methods, score,
+        columns=("subgroup", "mc"), runs=runs, seed=seed, seed_source=seed,
+    )

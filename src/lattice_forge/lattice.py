@@ -39,8 +39,6 @@ __all__ = [
     "korobov_vector",
     "korobov_search",
     "find_admissible_n",
-    "is_degenerate",
-    "explicit_vector",
 ]
 
 _METHODS = ("subgroup", "korobov", "explicit")
@@ -49,6 +47,9 @@ _METHODS = ("subgroup", "korobov", "explicit")
 @dataclass(frozen=True)
 class GeneratingVector:
     """Integer generating vector of a rank-1 lattice.
+
+    ``GeneratingVector(z, n)`` validates user-supplied components (any
+    sequence of ints) and tags them with method "explicit".
 
     Attributes
     ----------
@@ -162,11 +163,6 @@ def korobov_vector(alpha: int, d: int, n: int | PrimeModulus) -> GeneratingVecto
         raise DomainError(f"alpha must lie in 1..n-1, got {alpha}")
     z = tuple(pow(alpha, k, n_int) for k in range(d))
     return GeneratingVector(z=z, n=n_int, method="korobov")
-
-
-def explicit_vector(z: "list[int] | tuple[int, ...]", n: int | PrimeModulus) -> GeneratingVector:
-    """Wrap user-supplied components as a validated generating vector."""
-    return GeneratingVector(z=tuple(z), n=operator.index(n), method="explicit")
 
 
 def _weight_table(n: int, p: int) -> np.ndarray:
@@ -294,12 +290,3 @@ def find_admissible_n(d: int, count: int, start: int = 2) -> list[PrimeModulus]:
             out.append(PrimeModulus(candidate))
         candidate += step
     return out
-
-
-def is_degenerate(z: GeneratingVector) -> bool:
-    """True iff the vector has repeated components.
-
-    A repeated component collapses two coordinates of every lattice
-    point; the minimum-distance lower bounds assume this does not happen.
-    """
-    return len(set(z.z)) < z.d

@@ -9,7 +9,7 @@ whole unsigned 64-bit range.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import DomainError
 
@@ -18,7 +18,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "mod_pow",
     "primitive_root",
 ]
 
@@ -84,7 +83,6 @@ class PrimeModulus:
     """
 
     n: int
-    certified_prime: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
         n = operator.index(self.n)
@@ -111,16 +109,6 @@ class Factorization:
 
     base: int
     factors: tuple[tuple[int, int], ...]
-
-    def expand(self) -> int:
-        """Recombine the factorization; always equals ``base``."""
-        out = 1
-        for p, m in self.factors:
-            out *= p**m
-        return out
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
     def primes(self) -> tuple[int, ...]:
         """Distinct prime divisors, ascending."""
@@ -154,25 +142,6 @@ def factorize(n: int) -> Factorization:
     if rem > 1:
         factors.append((rem, 1))
     return Factorization(base=n, factors=tuple(factors))
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """``base**exponent mod modulus`` by square-and-multiply.
-
-    Delegates to Python's built-in three-argument ``pow``, which performs
-    the reduction at every step on arbitrary-precision integers, so there
-    is no overflow for any 64-bit input.
-    """
-    base = operator.index(base)
-    exponent = operator.index(exponent)
-    modulus = operator.index(modulus)
-    if modulus < 1:
-        raise DomainError(f"modulus must be >= 1, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    if not 0 <= base < modulus:
-        raise DomainError(f"base must satisfy 0 <= base < modulus, got {base}")
-    return pow(base, exponent, modulus)
 
 
 def primitive_root(p: int | PrimeModulus) -> int:

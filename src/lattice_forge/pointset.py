@@ -7,18 +7,21 @@ correctly rounded values of the exact rationals i*z_j mod n / n.
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
 reproducible bit-for-bit on any platform with the same numpy.
+
+``save_csv`` / ``load_csv`` are the package's CSV format for float
+matrices: point sets, frame matrices, data.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
 from .exceptions import DomainError
-from .lattice import GeneratingVector
+from .lattice import GeneratingVector, korobov_search, subgroup_generating_vector
 
 __all__ = [
     "LatticePointSet",
@@ -26,8 +29,8 @@ __all__ = [
     "random_shift",
     "shift_by",
     "mc_points",
-    "save_points_csv",
-    "load_points_csv",
+    "save_csv",
+    "load_csv",
 ]
 
 
@@ -120,15 +123,64 @@ def mc_points(n: int, d: int, seed: int) -> LatticePointSet:
     return LatticePointSet(points=pts, source="monte_carlo", shift=None, seed=int(seed))
 
 
-def save_points_csv(ps: LatticePointSet, path_or_file: "str | IO[str]") -> None:
-    """Write the point matrix as CSV, one point per row, no header.
+def save_csv(matrix: np.ndarray, path_or_file: "str | IO[str]") -> None:
+    """Write a float matrix as CSV, one row per line, no header.
 
-    Uses %.17g formatting so a round trip through ``load_points_csv``
-    reproduces every float64 coordinate exactly.
+    Uses %.17g formatting so a round trip through ``load_csv`` reproduces
+    every float64 entry exactly.
     """
-    np.savetxt(path_or_file, ps.points, fmt="%.17g", delimiter=",")
+    np.savetxt(path_or_file, np.asarray(matrix), fmt="%.17g", delimiter=",")
 
 
-def load_points_csv(path_or_file: "str | IO[str]") -> np.ndarray:
-    """Read a CSV point matrix written by ``save_points_csv``."""
+def load_csv(path_or_file: "str | IO[str]") -> np.ndarray:
+    """Read a headerless CSV matrix, such as one written by ``save_csv``."""
     return np.loadtxt(path_or_file, delimiter=",", ndmin=2)
+
+
+def _replicate(
+    d: int,
+    n: int,
+    methods: "tuple[str, ...] | list[str]",
+    score: Callable[[LatticePointSet], dict],
+    *,
+    columns: tuple[str, ...],
+    runs: int,
+    seed: int,
+    seed_source: "int | np.random.SeedSequence",
+    shifted: bool = True,
+) -> list[dict]:
+    """Seeded replicate runner shared by the benchmark drivers.
+
+    ``columns`` lists the methods the caller accepts. Run r of method
+    ``columns[c]`` draws its shift ("subgroup", "korobov" lattices) or
+    sample ("mc") from entry (r, c) of a seed matrix generated from
+    ``seed_source``, so a method's rows do not depend on the other
+    methods. Returns rows of method, d, n, seed, run, **score(points).
+    """
+    methods = tuple(methods)
+    unknown = [m for m in methods if m not in columns]
+    if unknown:
+        raise DomainError(f"unknown methods {unknown}; choose from {columns}")
+    if not methods:
+        raise DomainError("need at least one method")
+    if operator.index(runs) < 1:
+        raise DomainError(f"runs must be >= 1, got {runs}")
+    seeds = np.random.default_rng(seed_source).integers(
+        0, 2**63 - 1, size=(runs, len(columns)), dtype=np.int64
+    )
+    bases = {}
+    if "subgroup" in methods:
+        bases["subgroup"] = generate(subgroup_generating_vector(d, n))
+    if "korobov" in methods:
+        bases["korobov"] = generate(korobov_search(d, n, "l1").vector)
+
+    rows: list[dict] = []
+    for r in range(runs):
+        for method in methods:
+            s = int(seeds[r, columns.index(method)])
+            if method == "mc":
+                ps = mc_points(n, d, s)
+            else:
+                ps = random_shift(bases[method], s) if shifted else bases[method]
+            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r, **score(ps)})
+    return rows

@@ -12,6 +12,8 @@ gives 2n unit vectors in dimension 2m whose pairwise inner products are
 controlled by the character sums S_t = sum_{k in Lambda} e^(2 pi i k t / n):
 the mutual coherence is  mu = max_t max(|Re S_t|, |Im S_t|) / m  over
 t = 1..n-1, and it never exceeds sqrt(n)/m.
+
+Write a frame matrix with ``pointset.save_csv(frame.V, path)``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "sphere_frame",
     "mutual_coherence",
     "asymptotic_coherence_bound",
-    "save_frame_csv",
 ]
 
 
@@ -169,8 +169,3 @@ def asymptotic_coherence_bound(m: int, n: int | PrimeModulus) -> AsymptoticCoher
         raise DomainError(f"n must be >= 2, got {n_int}")
     value = 0.0 if m == 1 else m ** (-0.5) * n_int ** (1.0 / 6.0) * math.log(m) ** (1.0 / 6.0)
     return AsymptoticCoherenceBound(value=value, applicable=m**3 <= n_int**2)
-
-
-def save_frame_csv(frame: SphericalFrame, path_or_file: "str | IO[str]") -> None:
-    """Write the frame matrix V as CSV (%.17g, no header)."""
-    np.savetxt(path_or_file, frame.V, fmt="%.17g", delimiter=",")

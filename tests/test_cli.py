@@ -54,6 +54,29 @@ def test_exit_four_on_domain_errors(capsys):
     code, _, err = _run(capsys, "construct", "--d", "2", "--n", "9")
     assert code == 4
     assert "prime" in err
+    for argv in (
+        ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "inf"),
+        ("integrate", "--d", "2", "--n", "13", "--runs", "1", "--c", "nan"),
+        ("integrate", "--d", "2", "--n", "13", "--runs", "1", "--b", "inf"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--d", "2", "--n", "13"),
+        ("boltzmann", "--d", "2", "--n", "13", "--gt-samples", "100"),
+        ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13"),
+    ],
+)
+def test_exit_four_on_nonpositive_runs(capsys, argv, runs):
+    code, out, err = _run(capsys, *argv, "--runs", runs, "--deterministic")
+    assert (code, out) == (4, "")
+    assert err == f"error: runs must be >= 1, got {runs}\n"
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ Closed forms are recomputed inline (independent arithmetic) wherever a
 value is asserted; estimator convergence is checked on seeded runs.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,11 @@ def test_integrand_validation():
         integ.TestIntegrand(d=0)
     with pytest.raises(DomainError):
         integ.TestIntegrand(d=2, c=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            integ.TestIntegrand(d=2, c=bad)
+        with pytest.raises(DomainError):
+            integ.TestIntegrand(d=2, b=bad)
     spec = integ.TestIntegrand(d=2)
     with pytest.raises(DomainError):
         integ.test_integrand(np.zeros(3), spec)
@@ -65,14 +71,26 @@ def test_exact_integral_log_space_branch_continuous():
 def test_qmc_estimate_constant_and_riemann():
     ps = mc_points(100, 3, seed=0)
     assert integ.qmc_estimate(ps, lambda X: np.full(X.shape[0], 7.0)) == 7.0
-    # scalar-only callables are applied row by row
-    assert integ.qmc_estimate(ps, lambda row: 7.0) == 7.0
+    # f is called once on the batch; a scalar result is not an (n,) vector
+    with pytest.raises(DomainError):
+        integ.qmc_estimate(ps, lambda row: 7.0)
     # d=1 unshifted lattice = left Riemann sum of e^x
     vec = subgroup_generating_vector(1, 10007)
     est = integ.qmc_estimate(
         generate(vec), lambda X: integ.test_integrand(X, integ.TestIntegrand(d=1))
     )
     assert est == pytest.approx(math.e - 1, abs=1e-3)
+
+
+def test_qmc_estimate_propagates_integrand_errors():
+    def f(X):
+        # fails on the batch; a row-by-row retry would succeed and hide it
+        if X.ndim == 2:
+            raise ValueError("integrand failed")
+        return 1.0
+
+    with pytest.raises(ValueError, match="integrand failed"):
+        integ.qmc_estimate(mc_points(10, 2, seed=0), f)
 
 
 def test_relative_error():
@@ -226,3 +244,37 @@ def test_benchmark_method_validation():
         integ.run_integration_benchmark(2, 13, runs=1, methods=("bogus",))
     with pytest.raises(DomainError):
         integ.run_boltzmann_benchmark(2, 13, runs=1, target="junk")
+    for bad in ({"methods": ()}, {"runs": 0}, {"runs": -1}):
+        kwargs = {"runs": 1, **bad}
+        with pytest.raises(DomainError):
+            integ.run_integration_benchmark(2, 13, **kwargs)
+        with pytest.raises(DomainError):
+            integ.run_boltzmann_benchmark(2, 13, gt_samples=100, **kwargs)
+
+
+def _method_subsets(methods):
+    for k in range(1, len(methods) + 1):
+        for combo in itertools.permutations(methods, k):
+            yield combo
+
+
+def _rows_by_method(rows):
+    out = {}
+    for r in rows:
+        out.setdefault(r["method"], []).append(r)
+    return out
+
+
+@pytest.mark.parametrize("driver", ["integration", "boltzmann"])
+def test_method_rows_do_not_depend_on_other_methods(driver):
+    def run(methods):
+        if driver == "integration":
+            return integ.run_integration_benchmark(5, 11, runs=2, seed=3, methods=methods)
+        return integ.run_boltzmann_benchmark(
+            5, 11, runs=2, seed=3, gt_samples=2_000, methods=methods
+        )[0]
+
+    alone = {m: run((m,)) for m in ("subgroup", "korobov", "mc")}
+    for methods in _method_subsets(("subgroup", "korobov", "mc")):
+        for method, rows in _rows_by_method(run(methods)).items():
+            assert rows == alone[method], (methods, method)

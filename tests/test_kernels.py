@@ -15,7 +15,7 @@ import pytest
 from lattice_forge import kernels as ker
 from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
-from lattice_forge.pointset import generate, mc_points, random_shift
+from lattice_forge.pointset import generate, load_csv, mc_points, random_shift, save_csv
 
 # ---------------------------------------------------------------------------
 # inverse normal CDF
@@ -110,6 +110,14 @@ def test_exact_gram_matches_pairwise_kernel():
                 assert G[i, j] == pytest.approx(
                     ker.exact_kernel(X[i], X[j], spec), abs=1e-12
                 )
+
+
+def test_kernel_spec_validation():
+    with pytest.raises(DomainError):
+        ker.KernelSpec("laplace")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ker.KernelSpec("gaussian", sigma=bad)
 
 
 def test_arccos_rejects_zero_rows():
@@ -245,8 +253,8 @@ def test_synthetic_data_seeded():
 def test_matrix_csv_round_trip(tmp_path):
     m = np.random.default_rng(0).normal(size=(5, 3))
     path = tmp_path / "m.csv"
-    ker.save_matrix_csv(m, str(path))
-    back = ker.load_data_csv(str(path))
+    save_csv(m, str(path))
+    back = load_csv(str(path))
     np.testing.assert_array_equal(back, m)
 
 
@@ -259,3 +267,17 @@ def test_kernel_benchmark_rows():
     assert rows == again
     with pytest.raises(DomainError):
         ker.run_kernel_benchmark(data, 13, ker.KernelSpec("gaussian"), runs=1, methods=("bogus",))
+    for bad in ({"methods": ()}, {"methods": ("korobov",)}, {"runs": 0}, {"runs": -1}):
+        kwargs = {"runs": 1, **bad}
+        with pytest.raises(DomainError):
+            ker.run_kernel_benchmark(data, 13, ker.KernelSpec("gaussian"), **kwargs)
+    # a method's rows do not depend on which other methods run
+    for method in ("subgroup", "mc"):
+        alone = ker.run_kernel_benchmark(
+            data, 13, ker.KernelSpec("gaussian"), runs=2, seed=1, methods=(method,)
+        )
+        for methods in (("subgroup", "mc"), ("mc", "subgroup")):
+            both = ker.run_kernel_benchmark(
+                data, 13, ker.KernelSpec("gaussian"), runs=2, seed=1, methods=methods
+            )
+            assert [r for r in both if r["method"] == method] == alone

@@ -12,15 +12,13 @@ import pytest
 from lattice_forge.exceptions import AdmissibilityError, DomainError
 from lattice_forge.lattice import (
     GeneratingVector,
-    explicit_vector,
     find_admissible_n,
-    is_degenerate,
     korobov_search,
     korobov_vector,
     subgroup_generating_vector,
 )
 from lattice_forge.metrics import lattice_min_distance
-from lattice_forge.numtheory import is_prime
+from lattice_forge.numtheory import PrimeModulus, is_prime
 
 
 def _admissible_pairs(n_max):
@@ -76,7 +74,7 @@ def test_subgroup_rejects_bad_d():
 def test_subgroup_closure_and_nondegeneracy_all_admissible_to_500():
     for d, n in _admissible_pairs(500):
         vec = subgroup_generating_vector(d, n)
-        assert not is_degenerate(vec), (d, n)
+        assert len(set(vec.z)) == d, (d, n)  # no repeated component
         # {z, -z} is a multiplicative subgroup of order 2d
         h = set(vec.z) | {n - c for c in vec.z}
         assert len(h) == 2 * d, (d, n)
@@ -170,7 +168,7 @@ def test_find_admissible_respects_start():
 
 def test_find_admissible_returns_certified_primes():
     for m in find_admissible_n(7, 5):
-        assert m.certified_prime
+        assert isinstance(m, PrimeModulus) and is_prime(int(m))
         assert (int(m) - 1) % 14 == 0
         assert int(m) >= 15
 
@@ -188,21 +186,16 @@ def test_find_admissible_validation():
 
 
 def test_explicit_vector_and_validation():
-    vec = explicit_vector([1, 3], 7)
+    vec = GeneratingVector([1, 3], 7)
     assert vec.method == "explicit"
+    assert vec.z == (1, 3)
     assert vec.as_array().dtype == np.int64
     with pytest.raises(DomainError):
-        explicit_vector([0, 3], 7)  # component out of range
+        GeneratingVector([0, 3], 7)  # component out of range
     with pytest.raises(DomainError):
-        explicit_vector([1, 3], 8)  # composite n
+        GeneratingVector([1, 3], 8)  # composite n
     with pytest.raises(DomainError):
-        explicit_vector([], 7)
-
-
-def test_degeneracy_flag():
-    assert is_degenerate(explicit_vector([2, 2], 7))
-    assert not is_degenerate(explicit_vector([2, 3], 7))
-    assert is_degenerate(korobov_vector(1, 4, 5))
+        GeneratingVector([], 7)
 
 
 def test_generating_vector_is_hashable_value_object():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
-from lattice_forge.lattice import explicit_vector, subgroup_generating_vector
+from lattice_forge.lattice import GeneratingVector, subgroup_generating_vector
 from lattice_forge.numtheory import is_prime
 from lattice_forge.metrics import (
     T1,
@@ -94,7 +94,7 @@ def test_toroidal_distance_symmetry_and_shift_invariance(pts, norm):
 
 def test_census_hand_enumerated_n5():
     # z = (1, 2), n = 5: every k = 1..4 gives wrapped residues {1, 2}
-    rep = lattice_min_distance(explicit_vector([1, 2], 5), T1)
+    rep = lattice_min_distance(GeneratingVector([1, 2], 5), T1)
     assert rep.census == ((0.6, 4),)
     assert rep.distinct_count == 1
     assert rep.min_key == 3
@@ -156,7 +156,7 @@ def test_min_distance_matches_brute_force_oracle():
         n = int(rng.choice([13, 29, 61, 101, 127]))
         d = int(rng.integers(1, 7))
         z = rng.choice(np.arange(1, n), size=d, replace=False).tolist()
-        vec = explicit_vector(z, n)
+        vec = GeneratingVector(z, n)
         pts = generate(vec)
         for norm in ("l1", "l2"):
             fast = lattice_min_distance(vec, norm).min_distance
@@ -225,14 +225,14 @@ def test_lower_bound_needs_sign_distinct_components():
     z = (1, 2, 4, 7, 10, 11, 22, 24, 25, 26, 28)
     d, n = len(z), 29
     assert len(set(z)) == d  # distinct, yet sign-paired
-    rep = lattice_min_distance(explicit_vector(list(z), n), T1)
+    rep = lattice_min_distance(GeneratingVector(list(z), n), T1)
     b = min_distance_bounds(d, n)
     assert rep.min_distance < b.l1_lower
     assert rep.min_distance <= b.l1_upper + 1e-12
     # restoring sign-distinctness restores the sandwich
     sign_distinct = (1, 2, 26, 4, 24, 6, 7, 21, 9, 19, 11)
     assert len({min(c, n - c) for c in sign_distinct}) == d
-    rep2 = lattice_min_distance(explicit_vector(list(sign_distinct), n), T1)
+    rep2 = lattice_min_distance(GeneratingVector(list(sign_distinct), n), T1)
     assert b.l1_lower <= rep2.min_distance <= b.l1_upper + 1e-12
 
 

@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from lattice_forge.exceptions import DomainError
-from lattice_forge.lattice import explicit_vector, subgroup_generating_vector
+from lattice_forge.lattice import GeneratingVector, subgroup_generating_vector
 from lattice_forge.metrics import brute_force_min_distance
 from lattice_forge.pointset import (
     generate,
-    load_points_csv,
+    load_csv,
     mc_points,
     random_shift,
-    save_points_csv,
+    save_csv,
     shift_by,
 )
 
 
 def test_generate_rows_are_exact_rationals():
-    vec = explicit_vector([1, 2], 5)
+    vec = GeneratingVector([1, 2], 5)
     ps = generate(vec)
     assert ps.points.shape == (5, 2)
     for i in range(5):
@@ -38,19 +38,19 @@ def test_generate_first_row_is_origin():
 
 
 def test_shift_by_zero_is_identity():
-    ps = generate(explicit_vector([1, 3], 7))
+    ps = generate(GeneratingVector([1, 3], 7))
     shifted = shift_by(ps, np.zeros(2))
     np.testing.assert_array_equal(shifted.points, ps.points)
 
 
 def test_shift_by_wraps():
-    ps = generate(explicit_vector([1], 2))  # points {0, 0.5}
+    ps = generate(GeneratingVector([1], 2))  # points {0, 0.5}
     shifted = shift_by(ps, np.array([0.75]))
     np.testing.assert_allclose(shifted.points.ravel(), [0.75, 0.25], atol=1e-15)
 
 
 def test_shift_by_validation():
-    ps = generate(explicit_vector([1, 3], 7))
+    ps = generate(GeneratingVector([1, 3], 7))
     with pytest.raises(DomainError):
         shift_by(ps, np.array([0.5]))  # wrong shape
     with pytest.raises(DomainError):
@@ -99,7 +99,7 @@ def test_mc_points_validation():
 def test_csv_round_trip_is_exact():
     ps = random_shift(generate(subgroup_generating_vector(4, 17)), 9)
     buf = io.StringIO()
-    save_points_csv(ps, buf)
+    save_csv(ps.points, buf)
     buf.seek(0)
-    back = load_points_csv(buf)
+    back = load_csv(buf)
     np.testing.assert_array_equal(back, ps.points)

@@ -14,10 +14,10 @@ import pytest
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError
 from lattice_forge.numtheory import is_prime
+from lattice_forge.pointset import load_csv, save_csv
 from lattice_forge.sphere import (
     asymptotic_coherence_bound,
     mutual_coherence,
-    save_frame_csv,
     sphere_frame,
     sphere_index_set,
 )
@@ -140,7 +140,7 @@ def test_asymptotic_bound_edge_cases():
 def test_frame_csv_round_trip():
     frame = sphere_frame(2, 13)
     buf = io.StringIO()
-    save_frame_csv(frame, buf)
+    save_csv(frame.V, buf)
     buf.seek(0)
-    back = np.loadtxt(buf, delimiter=",")
+    back = load_csv(buf)
     np.testing.assert_array_equal(back, frame.V)
