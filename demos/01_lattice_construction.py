@@ -35,9 +35,9 @@ b = min_distance_bounds(3, 13)
 print(f"  l1 bounds [{b.l1_lower:.4f}, {b.l1_upper:.4f}], "
       f"l2 bounds [{b.l2_lower:.4f}, {b.l2_upper:.4f}]")
 
-# The classical alternative scans every multiplier a and scores the vector
-# [1, a, a^2, ...] mod n. Same quality here, but O(n^2 d) work instead of a
-# handful of modular exponentiations.
+# The classical alternative scores every multiplier a by the vector
+# [1, a, a^2, ...] mod n. Same quality here, but even the exact discrete-log
+# search is O(n^2) work instead of a handful of modular exponentiations.
 print("\nd=50, n=101 -- closed form against the full scan")
 t0 = time.perf_counter()
 vec50 = subgroup_generating_vector(50, 101)

@@ -9,13 +9,16 @@ a generation timestamp comment. ``--deterministic`` makes output
 byte-identical across reruns with the same flags. The matrix files of
 ``--points-out``, ``--frame-out`` and ``--data`` use ``pointset.save_csv``.
 
-Exit codes: 0 success; 2 usage errors (argparse); 3 admissibility
-violations (failed divisibility preconditions); 4 numeric domain or
-size-cap errors, including ``--runs`` < 1 and a non-finite ``--b``,
-``--c`` or ``--sigma``.
+Exit codes: 0 success; 2 usage errors (argparse) and paths that cannot
+be read or written (``--data``, ``--output``, ``--points-out``,
+``--frame-out``); 3 admissibility violations (failed divisibility
+preconditions); 4 numeric domain or size-cap errors, including
+``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``, and a
+``--data`` file that is not a non-empty matrix of finite numbers.
+Every error exit prints one ``error:`` line to stderr.
 
-The environment variable ``LATTICE_FORGE_THREADS`` caps the worker
-threads the Korobov search may use (default 1).
+``construct --method korobov`` and ``bench-timing`` run the library's
+exact O(n^2) Korobov search.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,17 +45,6 @@ from .sphere import asymptotic_coherence_bound, mutual_coherence, sphere_frame
 __all__ = ["main", "build_parser"]
 
 SCHEMA = "lattice-forge v1"
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("LATTICE_FORGE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise DomainError(f"LATTICE_FORGE_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise DomainError(f"LATTICE_FORGE_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +122,7 @@ def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...])
 
 def _cmd_construct(args: argparse.Namespace):
     if args.method == "korobov":
-        res = korobov_search(args.d, args.n, args.norm, threads=args.threads)
+        res = korobov_search(args.d, args.n, args.norm)
         vec, multiplier = res.vector, res.multiplier
     else:
         vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
@@ -193,10 +185,23 @@ def _cmd_boltzmann(args: argparse.Namespace):
     )
 
 
+def _load_data(path: str) -> np.ndarray:
+    """Read ``--data``; a malformed, empty or non-finite matrix is a DomainError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns about an empty file
+        try:
+            data = load_csv(path)
+        except ValueError as exc:
+            raise DomainError(f"--data {path}: {' '.join(str(exc).split())}") from None
+    if data.size == 0 or not np.isfinite(data).all():
+        raise DomainError(f"--data {path} must be a non-empty matrix of finite numbers")
+    return data
+
+
 def _cmd_kernel(args: argparse.Namespace):
     spec = KernelSpec(family=args.kernel, sigma=args.sigma)
     if args.data:
-        data = load_csv(args.data)
+        data = _load_data(args.data)
     else:
         data = synthetic_data(args.samples, args.data_dim, seed=args.seed)
     n = args.n if args.n else int(find_admissible_n(data.shape[1], 1, start=997)[0])
@@ -238,7 +243,7 @@ def _cmd_bench_timing(args: argparse.Namespace):
     subgroup_generating_vector(args.d, args.n)
     t_subgroup = time.perf_counter() - t0
     t0 = time.perf_counter()
-    korobov_search(args.d, args.n, args.norm, threads=args.threads)
+    korobov_search(args.d, args.n, args.norm)
     t_korobov = time.perf_counter() - t0
     return [
         {"method": "subgroup", "d": args.d, "n": args.n, "seconds": t_subgroup},
@@ -338,8 +343,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.threads = _env_threads()
         _emit(_HANDLERS[args.command](args), args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

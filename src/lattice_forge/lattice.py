@@ -13,24 +13,25 @@ constructions are provided:
   multiplicity is a multiple of 2d (distinct cosets can tie; generically
   they do not). Construction costs O(d log n) modular exponentiations --
   no search.
-* ``korobov_search`` -- the classical exhaustive baseline. Scans every
-  multiplier a in 1..n-1, scores the vector [1, a, a^2, ..., a^(d-1)]
-  mod n by its minimum toroidal distance, and keeps the best (ties break
-  to the smallest multiplier). O(n^2 d) work, organized in integer block
-  arithmetic so scores are exact.
+* ``korobov_search`` -- the classical exhaustive baseline. Scores every
+  multiplier a in 1..n-1 by the minimum toroidal distance of the vector
+  [1, a, a^2, ..., a^(d-1)] mod n and keeps the best (ties break to the
+  smallest multiplier). Exact O(n^2) via discrete logs (Nuyens & Cools
+  2006): in the exponents of a primitive root every score is a minimum
+  of cyclic window sums, read off integer prefix sums for any d.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError
 from .metrics import ToroidalNorm, norm_exponent
-from .numtheory import PrimeModulus, is_prime, primitive_root
+from .numtheory import PrimeModulus, _subgroup, is_prime
 
 __all__ = [
     "GeneratingVector",
@@ -144,9 +145,7 @@ def subgroup_generating_vector(d: int, n: int | PrimeModulus) -> GeneratingVecto
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n_int})")
     if not is_prime(n_int):
         raise DomainError(f"n must be prime, got {n_int}")
-    g = primitive_root(n_int)
-    e = (n_int - 1) // (2 * d)
-    z = tuple(pow(g, k * e, n_int) for k in range(d))
+    z = tuple(_subgroup(2 * d, n_int)[:d])
     return GeneratingVector(z=z, n=n_int, method="subgroup")
 
 
@@ -172,43 +171,53 @@ def _weight_table(n: int, p: int) -> np.ndarray:
     return w * w if p == 2 else w
 
 
-def _search_block(alphas: np.ndarray, d: int, n: int, w: np.ndarray) -> tuple[int, int]:
-    """Best (integer score, multiplier) over one block of candidates.
+def _korobov_keys(d: int, n: int, w: np.ndarray) -> np.ndarray:
+    """Integer score of every multiplier a, indexed by a (entry 0 is -1).
 
-    For each candidate a, the score is min over k = 1..n-1 of
-    sum_{j=0}^{d-1} w[(k * a^j) mod n]; ties break to the smallest a
-    (alphas is ascending and argmax returns the first maximum).
+    With g the smallest primitive root, k = g^u and a = g^v, the score
+    min over k of sum_{j<d} w[k a^j mod n] becomes
+    min_u sum_{j<d} W[(u + v j) mod N] with N = n - 1 and
+    W[x] = w[g^x mod n]. For each v the progression u, u + v, ... splits
+    into c = gcd(v, N) cycles of length L = N / c, so a window of d
+    steps is floor(d / L) whole cycles plus a cyclic window of d mod L
+    steps, read off an int64 prefix sum. That is O(N) work per v, for
+    any d.
     """
-    a_count = alphas.shape[0]
-    k = np.arange(1, n, dtype=np.int64)
-    idx = np.broadcast_to(k, (a_count, n - 1)).copy()
-    acc = np.broadcast_to(w[1:], (a_count, n - 1)).copy()  # j = 0 term: w[k]
-    gathered = np.empty_like(idx)
-    col = alphas[:, None]
-    for _ in range(d - 1):
-        np.multiply(idx, col, out=idx)
-        np.mod(idx, n, out=idx)
-        np.take(w, idx, out=gathered)
-        np.add(acc, gathered, out=acc)
-    scores = acc.min(axis=1)
-    pos = int(np.argmax(scores))
-    return int(scores[pos]), int(alphas[pos])
+    N = n - 1
+    powers = np.asarray(_subgroup(N, n), dtype=np.int64)  # powers[v] = g^v mod n
+    W = w[powers]
+    steps = np.arange(N, dtype=np.int64)
+    keys = np.empty(N, dtype=np.int64)
+    for v in range(N):
+        c = math.gcd(v, N)
+        L = N // c
+        turns, s = divmod(d, L)
+        # row r of the c x L table walks the cycle r, r + v, r + 2v, ...
+        cycles = W[steps[:c, None] + (v * steps[:L]) % N]
+        best = turns * cycles.sum(axis=1)
+        if s:
+            prefix = np.zeros((c, L + s), dtype=np.int64)
+            np.cumsum(cycles, axis=1, out=prefix[:, 1 : L + 1])
+            prefix[:, L + 1 :] = prefix[:, L, None] + prefix[:, 1:s]
+            best = best + (prefix[:, s:] - prefix[:, :L]).min(axis=1)
+        keys[v] = best.min()
+    by_multiplier = np.full(n, -1, dtype=np.int64)
+    by_multiplier[powers] = keys
+    return by_multiplier
 
 
 def korobov_search(
     d: int,
     n: int | PrimeModulus,
     norm: ToroidalNorm | int | str = "l1",
-    *,
-    threads: int = 1,
-    block_size: int = 256,
 ) -> SearchResult:
     """Exhaustive Korobov multiplier search under a toroidal norm.
 
-    Evaluates all n-1 multipliers, maximizing the minimum toroidal
+    Scores all n-1 multipliers, maximizing the minimum toroidal
     distance of the lattice; ties break to the smallest multiplier.
     Scores are compared as exact integers (scaled by n for l1, by n^2
-    for l2), so the tie-breaking is exact.
+    for l2), so the tie-breaking is exact. The search is exact O(n^2)
+    via discrete logs: see ``_korobov_keys``.
 
     Parameters
     ----------
@@ -216,12 +225,6 @@ def korobov_search(
         Dimension >= 1 and prime point count with n >= 2d + 1.
     norm : ToroidalNorm | int | str
         Norm to optimize (default l1).
-    threads : int
-        Worker threads over candidate blocks. The reduction (max score,
-        then min multiplier) is associative and commutative, so the
-        result does not depend on the thread count.
-    block_size : int
-        Candidates per vectorized block.
 
     Examples
     --------
@@ -238,23 +241,10 @@ def korobov_search(
         raise DomainError(f"n must be prime, got {n_int}")
     if n_int < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n_int}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    if block_size < 1:
-        raise DomainError(f"block_size must be >= 1, got {block_size}")
 
-    w = _weight_table(n_int, p)
-    blocks = [
-        np.arange(lo, min(lo + block_size, n_int), dtype=np.int64)
-        for lo in range(1, n_int, block_size)
-    ]
-    if threads == 1 or len(blocks) == 1:
-        results = [_search_block(b, d, n_int, w) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _search_block(b, d, n_int, w), blocks))
-
-    best_key, best_alpha = max(results, key=lambda t: (t[0], -t[1]))
+    keys = _korobov_keys(d, n_int, _weight_table(n_int, p))
+    best_alpha = int(np.argmax(keys))  # first maximum: the smallest multiplier
+    best_key = int(keys[best_alpha])
     score = best_key / n_int if p == 1 else float(np.sqrt(best_key)) / n_int
     return SearchResult(
         vector=korobov_vector(best_alpha, d, n_int),

@@ -50,6 +50,8 @@ __all__ = [
 # Brute-force pairwise enumeration refuses point sets larger than this.
 BRUTE_FORCE_CAP = 10_000
 
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ToroidalNorm:
@@ -197,7 +199,9 @@ def lattice_min_distance(
 
     Runs in O(nd) by scanning k = 1..n-1 instead of all point pairs.
     The census accumulates on exact integer keys, so distances that are
-    equal as rationals are counted together exactly.
+    equal as rationals are counted together exactly. Raises
+    ``SizeLimitError`` before scanning when an int64 product k * z_j or
+    an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too big.
 
     Parameters
     ----------
@@ -211,6 +215,12 @@ def lattice_min_distance(
     z_arr = z.as_array()
     if n < 2:
         raise DomainError(f"need n >= 2 lattice points, got n={n}")
+    if (n - 1) ** 2 > _INT64_MAX:
+        raise SizeLimitError(f"k * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
+    if p == 2 and z.d * ((n - 1) // 2) ** 2 > _INT64_MAX:
+        raise SizeLimitError(
+            f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
+        )
 
     counts: dict[int, int] = {}
     min_key: int | None = None

@@ -162,3 +162,18 @@ def primitive_root(p: int | PrimeModulus) -> int:
         if all(pow(g, phi // q, p) != 1 for q in prime_divisors):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")
+
+
+def _subgroup(order: int, n: int) -> list[int]:
+    """The order-``order`` subgroup of the nonzero residues mod prime n.
+
+    Returns ``[g**(k*(n-1)//order) % n for k in range(order)]`` with g
+    the smallest primitive root, so entry k is h**k for the generator
+    h = g**((n-1)//order). Callers check that n is prime and that
+    ``order`` divides n - 1.
+    """
+    h = pow(primitive_root(n), (n - 1) // order, n)
+    out = [1] * order
+    for k in range(1, order):
+        out[k] = out[k - 1] * h % n
+    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError
-from .numtheory import PrimeModulus, is_prime, primitive_root
+from .numtheory import PrimeModulus, _subgroup, is_prime
 
 __all__ = [
     "SphericalFrame",
@@ -98,9 +98,7 @@ def sphere_index_set(m: int, n: int | PrimeModulus) -> tuple[int, ...]:
         raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n_int})")
     if not is_prime(n_int):
         raise DomainError(f"n must be prime, got {n_int}")
-    g = primitive_root(n_int)
-    e = (n_int - 1) // m
-    return tuple(pow(g, k * e, n_int) for k in range(m))
+    return tuple(_subgroup(m, n_int))
 
 
 def sphere_frame(m: int, n: int | PrimeModulus) -> SphericalFrame:

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, schema headers, determinism, formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_forge.cli import main
 from lattice_forge.metrics import lattice_min_distance
@@ -81,6 +84,46 @@ def test_exit_four_on_nonpositive_runs(capsys, argv, runs):
 
 def test_help_exits_zero(capsys):
     assert _run(capsys, "--help")[0] == 0
+
+
+def _assert_one_error_line(code, out, err, expect):
+    assert (code, out) == (expect, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_KERNEL = ("kernel", "--n", "13", "--runs", "1", "--deterministic")
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+def test_exit_two_on_unreadable_data(capsys, tmp_path, name):
+    code, out, err = _run(capsys, *_KERNEL, "--data", str(tmp_path / name))
+    _assert_one_error_line(code, out, err, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("admissible", "--d", "2", "--count", "2", "-o"),
+        ("construct", "--d", "2", "--n", "5", "--points-out"),
+        ("sphere", "--d", "4", "--n", "5", "--frame-out"),
+    ],
+    ids=["output", "points-out", "frame-out"],
+)
+def test_exit_two_on_unwritable_output(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, *argv, str(tmp_path / "no-such-dir" / "x.csv"), "--deterministic")
+    _assert_one_error_line(code, out, err, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1,2\nx,4\n", "", "1,2\n3,4,5\n", "1,2\nnan,4\n"],
+    ids=["non-numeric", "empty", "ragged", "nan"],
+)
+def test_exit_four_on_malformed_data(capsys, tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code, out, err = _run(capsys, *_KERNEL, "--data", str(path))
+    _assert_one_error_line(code, out, err, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +282,6 @@ def test_bench_timing_rows(capsys):
     assert all(float(r["seconds"]) >= 0 for r in rows)
 
 
-def test_threads_env_does_not_change_results(capsys, monkeypatch):
-    args = ("construct", "--d", "3", "--n", "13", "--method", "korobov", "--deterministic")
-    monkeypatch.setenv("LATTICE_FORGE_THREADS", "1")
-    _, out1, _ = _run(capsys, *args)
-    monkeypatch.setenv("LATTICE_FORGE_THREADS", "4")
-    _, out2, _ = _run(capsys, *args)
-    assert out1 == out2
-    monkeypatch.setenv("LATTICE_FORGE_THREADS", "zero")
-    assert _run(capsys, *args)[0] == 4
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lattice_forge.cli", "admissible", "--d", "2",
@@ -259,3 +291,60 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# lattice-forge v1\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any small or invalid input exits 0, 2, 3 or 4 without a traceback
+# ---------------------------------------------------------------------------
+
+# half the draws are admissible (d, n) pairs, so successful runs are covered too
+_small = st.integers(-3, 30).map(str)
+_dims = st.one_of(st.integers(-3, 30), st.integers(1, 3)).map(str)
+_moduli = st.one_of(st.integers(-3, 30), st.sampled_from([7, 13, 37, 41])).map(str)
+_bad_paths = st.sampled_from(["{dir}/missing.csv", "{dir}", "{dir}/no-such-dir/x.csv"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    cmd = draw(
+        st.sampled_from(["construct", "admissible", "sphere", "integrate", "bench-timing", "kernel"])
+    )
+    if cmd == "admissible":
+        argv = ["admissible", "--d", draw(_small), "--count", draw(st.integers(-1, 3).map(str)),
+                "--start", draw(_small)]
+    elif cmd == "kernel":
+        argv = ["kernel", "--samples", draw(st.integers(-1, 12).map(str)), "--data-dim",
+                draw(st.integers(-1, 3).map(str)), "--n", draw(_moduli),
+                "--runs", draw(st.integers(-1, 2).map(str))]
+        if draw(st.booleans()):
+            argv += ["--data", draw(_bad_paths)]
+    elif cmd == "integrate":
+        argv = ["integrate", "--d", draw(_dims), "--n", draw(_moduli),
+                "--runs", draw(st.integers(-1, 2).map(str))]
+    else:
+        argv = [cmd, "--d", draw(_dims), "--n", draw(_moduli)]
+    if cmd in ("construct", "bench-timing") and draw(st.booleans()):
+        argv += ["--norm", draw(st.sampled_from(["l1", "l2"]))]
+    if cmd == "construct" and draw(st.booleans()):
+        argv += ["--method", "korobov"]
+    if cmd in ("construct", "sphere") and draw(st.booleans()):
+        argv += ["--points-out" if cmd == "construct" else "--frame-out", draw(_bad_paths)]
+    if draw(st.booleans()):
+        argv += ["-o", draw(_bad_paths)]
+    return argv + ["--deterministic"]
+
+
+@given(_fuzz_argv())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_exit_codes_and_no_traceback(tmp_path_factory, argv):
+    # bad paths live in an empty directory: "{dir}" itself is a directory,
+    # the other paths do not exist
+    empty = str(tmp_path_factory.mktemp("fuzz"))
+    argv = [a.replace("{dir}", empty) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code not in (0, 2):  # argparse prints usage plus one error line
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -1,23 +1,28 @@
 """Generating-vector construction and search tests.
 
 The Korobov search is validated against an independent per-multiplier
-rescan with ``lattice_min_distance``, and the subgroup construction's
-group structure (closure of {z, -z} under multiplication mod n) is
-checked for every admissible pair with n <= 500.
+rescan with ``lattice_min_distance`` (a hypothesis property over small
+primes, both norms and every d up to (n-1)/2), and the subgroup
+construction's group structure (closure of {z, -z} under multiplication
+mod n) is checked for every admissible pair with n <= 500.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError
 from lattice_forge.lattice import (
     GeneratingVector,
+    _korobov_keys,
+    _weight_table,
     find_admissible_n,
     korobov_search,
     korobov_vector,
     subgroup_generating_vector,
 )
-from lattice_forge.metrics import lattice_min_distance
+from lattice_forge.metrics import lattice_min_distance, norm_exponent
 from lattice_forge.numtheory import PrimeModulus, is_prime
 
 
@@ -117,27 +122,43 @@ def test_korobov_search_example():
     assert res.vector.method == "korobov"
 
 
-def test_korobov_search_exhaustive_oracle():
+_SMALL_PRIMES = [n for n in range(3, 200) if is_prime(n)]
+
+
+@st.composite
+def _search_cases(draw):
+    """(d, n, norm) with n a prime below 200 and 1 <= d <= (n-1)/2.
+
+    Most d exceed the cycle lengths 1 and 2 of the multipliers a = 1 and
+    a = n-1, so whole turns plus a partial window are exercised.
+    """
+    n = draw(st.sampled_from(_SMALL_PRIMES))
+    d = draw(st.integers(1, (n - 1) // 2))
+    return d, n, draw(st.sampled_from(["l1", "l2"]))
+
+
+@given(_search_cases())
+@settings(max_examples=100, deadline=None)
+@example((2, 13, "l1"))
+@example((3, 13, "l2"))
+@example((2, 29, "l1"))
+@example((5, 31, "l2"))
+@example((1, 3, "l1"))
+@example((99, 199, "l2"))
+def test_korobov_search_exhaustive_oracle(case):
     # independent rescan: evaluate every multiplier with the census path
-    for d, n, norm in [(2, 13, "l1"), (3, 13, "l2"), (2, 29, "l1"), (5, 31, "l2")]:
-        res = korobov_search(d, n, norm)
-        best = max(
-            range(1, n),
-            key=lambda a: (lattice_min_distance(korobov_vector(a, d, n), norm).min_key, -a),
-        )
-        oracle = lattice_min_distance(korobov_vector(best, d, n), norm)
-        assert res.multiplier == best
-        assert res.score == pytest.approx(oracle.min_distance, abs=1e-15)
-        # no candidate beats the winner
-        for a in range(1, n):
-            rep = lattice_min_distance(korobov_vector(a, d, n), norm)
-            assert rep.min_key <= oracle.min_key
-
-
-def test_korobov_search_threads_agree():
-    seq = korobov_search(4, 73, "l2", threads=1, block_size=7)
-    par = korobov_search(4, 73, "l2", threads=4, block_size=7)
-    assert seq == par
+    d, n, norm = case
+    res = korobov_search(d, n, norm)
+    keys = {a: lattice_min_distance(korobov_vector(a, d, n), norm).min_key for a in range(1, n)}
+    # every multiplier's key, not only the winner's
+    fast = _korobov_keys(d, n, _weight_table(n, norm_exponent(norm)))
+    assert fast[1:].tolist() == [keys[a] for a in range(1, n)]
+    best = max(keys, key=lambda a: (keys[a], -a))
+    oracle = lattice_min_distance(korobov_vector(best, d, n), norm)
+    assert res.multiplier == best
+    assert res.score == oracle.min_distance
+    assert res.vector == korobov_vector(best, d, n)
+    assert (res.candidates_evaluated, res.norm) == (n - 1, norm)
 
 
 def test_korobov_search_validation():

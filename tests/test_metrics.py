@@ -186,6 +186,29 @@ def test_blocked_census_equals_unblocked():
     assert len(set(rep.multiplicities())) == 1
 
 
+class _NoScan:
+    """Stands in for numpy inside ``metrics``: any use means a scan started."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the census started scanning")
+
+
+def test_census_refuses_int64_overflow_before_scanning(monkeypatch):
+    # without the guard these censuses would scan billions of points
+    monkeypatch.setattr("lattice_forge.metrics.np", _NoScan())
+    # l2 keys: 50 * ((2**31 - 2) // 2)**2 ~ 5.8e19 > 2**63 - 1, while k * z fits
+    with pytest.raises(SizeLimitError, match="l2 keys"):
+        lattice_min_distance(GeneratingVector(tuple(range(1, 51)), 2**31 - 1), "l2")
+    # k * z: the first prime n with (n - 1)**2 >= 2**63, even at d = 1
+    n = math.isqrt(2**63 - 1) + 2
+    while not is_prime(n):
+        n += 1
+    assert (n - 1) ** 2 > 2**63 - 1 >= (math.isqrt(2**63 - 1)) ** 2
+    for norm in ("l1", "l2"):
+        with pytest.raises(SizeLimitError, match="k \\* z"):
+            lattice_min_distance(GeneratingVector((1,), n), norm)
+
+
 # ---------------------------------------------------------------------------
 # bounds and the equidistant optimum
 # ---------------------------------------------------------------------------
