@@ -5,14 +5,17 @@ generating vector z through x_i = (i * z mod n) / n, i = 0..n-1. Two
 constructions are provided:
 
 * ``subgroup_generating_vector`` -- closed form. For prime n with
-  2d | n - 1 it places the components on the index-2d multiplicative
+  2d | n - 1 it places the components on the order-2d multiplicative
   subgroup of the nonzero residues: z = [g^0, g^e, ..., g^((d-1)e)] mod n
-  with e = (n-1)/(2d) and g a primitive root. Pairwise toroidal distances
-  are then constant on cosets of the order-2d subgroup {+-z_j}, so the
-  lattice has at most (n-1)/(2d) distinct distance values and every
-  multiplicity is a multiple of 2d (distinct cosets can tie; generically
-  they do not). Construction costs O(d log n) modular exponentiations --
-  no search.
+  with e = (n-1)/(2d) and g the smallest primitive root. Pairwise
+  toroidal distances are then constant on cosets of the order-2d subgroup
+  {+-z_j}, so the lattice has at most (n-1)/(2d) distinct distance values
+  and every multiplicity is a multiple of 2d (distinct cosets can tie;
+  generically they do not). There is no search: finding g factors n - 1
+  (trial division by the primes below 1000, then Pollard-Brent rho;
+  milliseconds typically, a fraction of a second at worst, for n < 2^64)
+  and tests a few small candidates with one modular exponentiation per
+  prime factor of n - 1; z then takes O(d) modular multiplications.
 * ``korobov_search`` -- the classical exhaustive baseline. Scores every
   multiplier a in 1..n-1 by the minimum toroidal distance of the vector
   [1, a, a^2, ..., a^(d-1)] mod n and keeps the best (ties break to the
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError
-from .metrics import ToroidalNorm, norm_exponent
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError
+from .metrics import _INT64_MAX, ToroidalNorm, norm_exponent
 from .numtheory import PrimeModulus, _subgroup, is_prime
 
 __all__ = [
@@ -217,7 +220,12 @@ def korobov_search(
     distance of the lattice; ties break to the smallest multiplier.
     Scores are compared as exact integers (scaled by n for l1, by n^2
     for l2), so the tie-breaking is exact. The search is exact O(n^2)
-    via discrete logs: see ``_korobov_keys``.
+    via discrete logs: see ``_korobov_keys``. Every int64 intermediate
+    there (index products, prefix sums) is below (n-1) * max(n-1, w),
+    w the largest weight: (n-1)//2 for l1, its square for l2. When that
+    bound exceeds 2**63 - 1 -- l2 from n = 3329023, l1 from
+    n = 3037000501 -- ``SizeLimitError`` is raised before any table is
+    built.
 
     Parameters
     ----------
@@ -241,6 +249,10 @@ def korobov_search(
         raise DomainError(f"n must be prime, got {n_int}")
     if n_int < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n_int}")
+    half = (n_int - 1) // 2
+    max_w = half if p == 1 else half * half
+    if (n_int - 1) * max(n_int - 1, max_w) > _INT64_MAX:
+        raise SizeLimitError(f"korobov_search overflows int64 for n={n_int}, l{p} norm")
 
     keys = _korobov_keys(d, n_int, _weight_table(n_int, p))
     best_alpha = int(np.argmax(keys))  # first maximum: the smallest multiplier

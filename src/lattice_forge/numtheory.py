@@ -4,10 +4,19 @@ Everything here runs on plain Python integers (arbitrary precision), so no
 intermediate product can overflow, and everything is deterministic -- the
 Miller-Rabin test uses a fixed witness set that is provably correct for the
 whole unsigned 64-bit range.
+
+``factorize`` covers the same range, 2 <= n < 2**64: trial division by the
+primes below 1000, then deterministic Miller-Rabin plus Pollard-Brent rho
+(Brent 1980) on the cofactor. Rho splits a 64-bit number with two ~2**31
+prime factors in tens of milliseconds (a fraction of a second at worst),
+where trial division needs minutes, so ``primitive_root`` -- and every
+subgroup construction built on it -- stays fast at 64-bit moduli.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -28,6 +37,22 @@ _U64_MAX = 2**64 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """Primes p < limit by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(i for i, f in enumerate(flags) if f)
+
+
+_TRIAL_PRIMES = _primes_below(1000)
+
+# Steps of the rho walk whose differences share one gcd.
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
@@ -115,33 +140,72 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Pollard-Brent rho).
+
+    Brent's cycle search on x -> x**2 + c mod n from x = 2, multiplying
+    ``_RHO_BATCH`` differences before each gcd and replaying the last
+    batch one step at a time if that gcd hits n. The constants
+    c = 1, 2, ... are tried in order, so the result is deterministic.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> Factorization:
-    """Factor ``n >= 2`` by trial division (2, 3, then 6k +/- 1)."""
+    """Prime factorization of ``2 <= n < 2**64``.
+
+    Trial division by the primes below 1000 stops once p**2 exceeds the
+    remaining cofactor. A cofactor left over is split by deterministic
+    Miller-Rabin (``is_prime``) and Pollard-Brent rho until every part
+    is prime, so the result is exact; the 2**64 limit is the range
+    ``is_prime`` certifies. Raises ``DomainError`` outside it.
+
+    Examples
+    --------
+    >>> factorize(2**64 - 1).primes()
+    (3, 5, 17, 257, 641, 65537, 6700417)
+    """
     n = operator.index(n)
-    if n < 2:
-        raise DomainError(f"factorize expects n >= 2, got {n}")
+    if n < 2 or n > _U64_MAX:
+        raise DomainError(f"factorize expects 2 <= n < 2**64, got {n}")
+    counts: dict[int, int] = {}
     rem = n
-    factors: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if rem % p == 0:
-            m = 0
-            while rem % p == 0:
-                rem //= p
-                m += 1
-            factors.append((p, m))
-    f = 5
-    while f * f <= rem:
-        for p in (f, f + 2):
-            if rem % p == 0:
-                m = 0
-                while rem % p == 0:
-                    rem //= p
-                    m += 1
-                factors.append((p, m))
-        f += 6
-    if rem > 1:
-        factors.append((rem, 1))
-    return Factorization(base=n, factors=tuple(factors))
+    for p in _TRIAL_PRIMES:
+        if p * p > rem:
+            break
+        while rem % p == 0:
+            rem //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [rem] if rem > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            pending += (f, m // f)
+    return Factorization(base=n, factors=tuple(sorted(counts.items())))
 
 
 def primitive_root(p: int | PrimeModulus) -> int:

@@ -20,8 +20,9 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, SizeLimitError
 from .lattice import GeneratingVector, korobov_search, subgroup_generating_vector
+from .metrics import _INT64_MAX
 
 __all__ = [
     "LatticePointSet",
@@ -67,11 +68,16 @@ class LatticePointSet:
 def generate(z: GeneratingVector) -> LatticePointSet:
     """Materialize the n x d point matrix of a rank-1 lattice.
 
+    Raises ``SizeLimitError`` before allocating when the int64 product
+    i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2 does.
+
     Examples
     --------
     >>> generate(GeneratingVector(z=(1, 2), n=5)).points[1]
     array([0.2, 0.4])
     """
+    if (z.n - 1) ** 2 > _INT64_MAX:
+        raise SizeLimitError(f"i * z overflows int64 for n={z.n}; need (n-1)**2 < 2**63")
     z_arr = z.as_array()
     i = np.arange(z.n, dtype=np.int64)[:, None]
     pts = ((i * z_arr[None, :]) % z.n) / float(z.n)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_forge.exceptions import AdmissibilityError, DomainError
+from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
     _korobov_keys,
@@ -23,7 +23,7 @@ from lattice_forge.lattice import (
     subgroup_generating_vector,
 )
 from lattice_forge.metrics import lattice_min_distance, norm_exponent
-from lattice_forge.numtheory import PrimeModulus, is_prime
+from lattice_forge.numtheory import PrimeModulus, is_prime, primitive_root
 
 
 def _admissible_pairs(n_max):
@@ -86,6 +86,19 @@ def test_subgroup_closure_and_nondegeneracy_all_admissible_to_500():
         for a in vec.z:
             for b in vec.z:
                 assert (a * b) % n in h, (d, n, a, b)
+
+
+def test_subgroup_at_64_bits_is_an_order_2d_subgroup():
+    # n - 1 = 2**2 * 5**2 * q * r with q ~ 2**28, r ~ 2**29: trial division
+    # runs to q (seconds), Pollard-Brent rho splits q * r in milliseconds
+    q, r = 268435399, 536870401
+    n = 100 * q * r + 1
+    assert is_prime(q) and is_prime(r) and is_prime(n) and n < 2**64
+    vec = subgroup_generating_vector(50, n)
+    h = pow(primitive_root(n), (n - 1) // 100, n)
+    assert vec.z == tuple(pow(h, j, n) for j in range(50))
+    assert all(pow(c, 100, n) == 1 for c in vec.z)
+    assert len(set(vec.z) | {n - c for c in vec.z}) == 100
 
 
 def test_subgroup_deterministic():
@@ -168,6 +181,37 @@ def test_korobov_search_validation():
         korobov_search(3, 5, "l1")  # n < 2d + 1
     with pytest.raises(DomainError):
         korobov_search(2, 5, "l3")
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_korobov_search_refuses_int64_overflow_before_building_tables(
+    no_numpy, monkeypatch
+):
+    # the bound (n-1) * ((n-1)//2)**2 on l2 prefix sums passes 2**63 - 1 at
+    # n = 3329023, a prime; (n-1)**2 on index products at n = 3037000501
+    no_numpy("lattice_forge.lattice")
+
+    def no_table(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("lattice_forge.lattice._subgroup", no_table)
+    assert is_prime(3329023) and is_prime(3037000507)
+    for n, norm in ((3329023, "l2"), (3037000507, "l1"), (3037000507, "l2")):
+        with pytest.raises(SizeLimitError, match="overflows int64"):
+            korobov_search(1, n, norm)
+    # just below each threshold the guard lets the search start
+    for n, norm in (
+        (_prime_at_most(3329022), "l2"),
+        (3329023, "l1"),
+        (_prime_at_most(3037000500), "l1"),
+    ):
+        with pytest.raises(AssertionError, match="scan started"):
+            korobov_search(1, n, norm)
 
 
 # ---------------------------------------------------------------------------

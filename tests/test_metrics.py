@@ -186,16 +186,9 @@ def test_blocked_census_equals_unblocked():
     assert len(set(rep.multiplicities())) == 1
 
 
-class _NoScan:
-    """Stands in for numpy inside ``metrics``: any use means a scan started."""
-
-    def __getattr__(self, name):
-        raise AssertionError("the census started scanning")
-
-
-def test_census_refuses_int64_overflow_before_scanning(monkeypatch):
+def test_census_refuses_int64_overflow_before_scanning(no_numpy):
     # without the guard these censuses would scan billions of points
-    monkeypatch.setattr("lattice_forge.metrics.np", _NoScan())
+    no_numpy("lattice_forge.metrics")
     # l2 keys: 50 * ((2**31 - 2) // 2)**2 ~ 5.8e19 > 2**63 - 1, while k * z fits
     with pytest.raises(SizeLimitError, match="l2 keys"):
         lattice_min_distance(GeneratingVector(tuple(range(1, 51)), 2**31 - 1), "l2")
@@ -207,6 +200,28 @@ def test_census_refuses_int64_overflow_before_scanning(monkeypatch):
     for norm in ("l1", "l2"):
         with pytest.raises(SizeLimitError, match="k \\* z"):
             lattice_min_distance(GeneratingVector((1,), n), norm)
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_census_accepts_sizes_just_below_int64_limits(no_numpy):
+    # the largest primes under each threshold pass the guard and start scanning
+    no_numpy("lattice_forge.metrics")
+    n_l2 = _prime_at_most(2 * math.isqrt((2**63 - 1) // 50) + 1)
+    assert 50 * ((n_l2 - 1) // 2) ** 2 <= 2**63 - 1
+    n_kz = _prime_at_most(math.isqrt(2**63 - 1) + 1)
+    assert (n_kz - 1) ** 2 <= 2**63 - 1
+    for z, norm in (
+        (GeneratingVector(tuple(range(1, 51)), n_l2), "l2"),
+        (GeneratingVector((1,), n_kz), "l1"),
+        (GeneratingVector((1,), n_kz), "l2"),
+    ):
+        with pytest.raises(AssertionError, match="scan started"):
+            lattice_min_distance(z, norm)
 
 
 # ---------------------------------------------------------------------------

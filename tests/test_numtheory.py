@@ -3,11 +3,17 @@
 The primitive-root checks are oracle-based: for every prime up to 10^4
 the returned generator's multiplicative order is recomputed by direct
 cycle enumeration, independently of the fast exponentiation path.
+``factorize`` (trial division plus Pollard-Brent rho) is checked against
+plain trial division, kept here as the oracle, on hypothesis draws below
+2**40, and on hard 64-bit cases against factorizations known by
+construction.
 """
 
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lattice_forge.exceptions import DomainError
 from lattice_forge.numtheory import (
@@ -65,6 +71,31 @@ def test_is_prime_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 
+def _trial_division(n):
+    """Oracle: factor n >= 2 by trial division (2, 3, then 6k +/- 1)."""
+    factors = []
+    for p in (2, 3):
+        if n % p == 0:
+            m = 0
+            while n % p == 0:
+                n //= p
+                m += 1
+            factors.append((p, m))
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            if n % p == 0:
+                m = 0
+                while n % p == 0:
+                    n //= p
+                    m += 1
+                factors.append((p, m))
+        f += 6
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 def test_factorize_examples():
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert factorize(100).factors == ((2, 2), (5, 2))
@@ -73,10 +104,11 @@ def test_factorize_examples():
 
 
 def test_factorize_roundtrip_full_range():
-    # recombination is the identity on all of [2, 1e5]
+    # recombination is the identity on all of [2, 1e5], and trial division agrees
     for n in range(2, 100_001):
         f = factorize(n)
         assert math.prod(p**m for p, m in f.factors) == n
+        assert f.factors == _trial_division(n), n
 
 
 def test_factorize_factors_are_prime_and_sorted():
@@ -93,6 +125,52 @@ def test_factorize_rejects_small():
         factorize(1)
     with pytest.raises(DomainError):
         factorize(0)
+
+
+def test_factorize_rejects_above_64_bits():
+    # the range is_prime certifies; factorize(2**64 - 1) is a hard case below
+    with pytest.raises(DomainError, match="2\\*\\*64"):
+        factorize(2**64)
+
+
+@given(st.integers(min_value=2, max_value=2**40 - 1))
+@settings(max_examples=300, deadline=None)
+@example(997 * 997)  # the largest trial prime, squared
+@example(1009**2)  # the smallest cofactor rho has to split
+@example(1009 * 1013)
+@example(2**40 - 87)  # the largest prime below 2**40
+def test_factorize_matches_trial_division(n):
+    f = factorize(n)
+    assert f.base == n
+    assert f.factors == _trial_division(n)
+    primes = f.primes()
+    assert list(primes) == sorted(set(primes))
+    assert all(is_prime(p) for p in primes)
+    assert math.prod(p**m for p, m in f.factors) == n
+
+
+# the prime 2**31 - 1 and the largest prime r < 2**31 - 1 with 2*q*r + 1 prime
+_Q31, _R31 = 2**31 - 1, 2147482763
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (2 * _Q31 * _R31, ((2, 1), (_R31, 1), (_Q31, 1))),
+        (4294967291**2, ((4294967291, 2),)),  # the largest prime below 2**32
+        (2**63, ((2, 63),)),
+        (
+            2**64 - 1,
+            tuple((p, 1) for p in (3, 5, 17, 257, 641, 65537, 6700417)),
+        ),
+        (561, ((3, 1), (11, 1), (17, 1))),  # Carmichael numbers
+        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+    ],
+)
+def test_factorize_hard_cases(n, factors):
+    assert all(is_prime(p) for p, _ in factors)
+    assert math.prod(p**m for p, m in factors) == n
+    assert factorize(n).factors == factors
 
 
 def test_factorization_dataclass_fields():
@@ -140,6 +218,18 @@ def test_primitive_root_halfway_power_is_minus_one():
     for p in (5, 13, 101, 401, 601, 3001):
         g = primitive_root(p)
         assert pow(g, (p - 1) // 2, p) == p - 1
+
+
+def test_primitive_root_at_64_bits():
+    # p - 1 = 2 * q * r with q, r ~ 2**31, so trial division would need
+    # minutes; the check below uses the known factorization, not factorize
+    p = 2 * _Q31 * _R31 + 1
+    assert is_prime(p) and p.bit_length() == 63
+    cofactors = [(p - 1) // q for q in (2, _R31, _Q31)]
+    g = primitive_root(p)
+    assert all(pow(g, e, p) != 1 for e in cofactors)
+    for h in range(2, g):
+        assert any(pow(h, e, p) == 1 for e in cofactors), h
 
 
 def test_primitive_root_is_smallest():

@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from lattice_forge.exceptions import DomainError
+from lattice_forge.exceptions import DomainError, SizeLimitError
 from lattice_forge.lattice import GeneratingVector, subgroup_generating_vector
 from lattice_forge.metrics import brute_force_min_distance
+from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import (
     generate,
     load_csv,
@@ -35,6 +36,19 @@ def test_generate_first_row_is_origin():
     assert (ps.points[0] == 0.0).all()
     assert ps.points.min() >= 0.0
     assert ps.points.max() < 1.0
+
+
+def test_generate_refuses_int64_overflow_before_allocating(no_numpy):
+    # i * z_j wraps in int64 once (n - 1)**2 > 2**63 - 1, from n = 3037000501
+    no_numpy("lattice_forge.pointset")
+    with pytest.raises(SizeLimitError, match="i \\* z"):
+        generate(GeneratingVector((1,), 3037000507))
+    # the largest prime below the threshold passes the guard and starts work
+    n = 3037000500
+    while not is_prime(n):
+        n -= 1
+    with pytest.raises(AssertionError, match="scan started"):
+        generate(GeneratingVector((1,), n))
 
 
 def test_shift_by_zero_is_identity():
