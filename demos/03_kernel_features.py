@@ -31,7 +31,7 @@ print(f"data {data.shape}, exact Gram {K.shape}, K[0, :4] = {K[0, :4].round(4)}"
 # Frequencies are built by pushing lattice points through the inverse normal
 # CDF; each lattice point becomes one cos/sin feature pair. The shift keeps
 # the point set away from the origin row (u = 0 has no Gaussian preimage).
-n = int(find_admissible_n(8, 1, start=400)[0])
+n = find_admissible_n(8, 1, start=400)[0]
 pts = random_shift(generate(subgroup_generating_vector(8, n)), seed=7)
 feats = feature_map(data, pts, spec)
 err = gram_errors(K, feats.features @ feats.features.T)

@@ -36,7 +36,6 @@ from .kernels import (
     exact_kernel,
     feature_map,
     gram_errors,
-    inv_normal_cdf,
     run_kernel_benchmark,
     synthetic_data,
 )
@@ -49,22 +48,16 @@ from .lattice import (
     subgroup_generating_vector,
 )
 from .metrics import (
-    T1,
-    T2,
     DistanceBounds,
     DistanceReport,
     OptimalDistances,
-    ToroidalNorm,
     brute_force_min_distance,
     lattice_min_distance,
     min_distance_bounds,
-    norm_exponent,
     optimal_distances,
     toroidal_distance,
 )
 from .numtheory import (
-    Factorization,
-    PrimeModulus,
     factorize,
     is_prime,
     primitive_root,
@@ -101,8 +94,6 @@ __all__ = [
     "DomainError",
     "SizeLimitError",
     # number theory
-    "PrimeModulus",
-    "Factorization",
     "is_prime",
     "factorize",
     "primitive_root",
@@ -114,10 +105,6 @@ __all__ = [
     "korobov_search",
     "find_admissible_n",
     # metrics
-    "ToroidalNorm",
-    "T1",
-    "T2",
-    "norm_exponent",
     "DistanceReport",
     "DistanceBounds",
     "OptimalDistances",
@@ -153,7 +140,6 @@ __all__ = [
     "KernelSpec",
     "FeatureMatrix",
     "GramErrors",
-    "inv_normal_cdf",
     "exact_kernel",
     "exact_gram",
     "feature_map",

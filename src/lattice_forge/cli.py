@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -160,7 +161,7 @@ def _cmd_construct(args: argparse.Namespace):
 
 def _cmd_admissible(args: argparse.Namespace):
     moduli = find_admissible_n(args.d, args.count, start=args.start)
-    return [{"d": args.d, "index": i, "n": int(m)} for i, m in enumerate(moduli)]
+    return [{"d": args.d, "index": i, "n": m} for i, m in enumerate(moduli)]
 
 
 def _cmd_integrate(args: argparse.Namespace):
@@ -204,7 +205,7 @@ def _cmd_kernel(args: argparse.Namespace):
         data = _load_data(args.data)
     else:
         data = synthetic_data(args.samples, args.data_dim, seed=args.seed)
-    n = args.n if args.n else int(find_admissible_n(data.shape[1], 1, start=997)[0])
+    n = find_admissible_n(data.shape[1], 1, start=997)[0] if args.n is None else args.n
     return _estimator_table(
         args,
         lambda methods: run_kernel_benchmark(
@@ -336,10 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built once per process."""
+    return build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

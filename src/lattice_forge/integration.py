@@ -124,6 +124,10 @@ def relative_error(estimate: float, exact: float) -> float:
 # Boltzmann machine on the unit cube
 # ---------------------------------------------------------------------------
 
+# Samples per block of the i.i.d. estimators ``mc_partition``/``mc_marginal``;
+# bounds their memory at about _MC_BLOCK * d floats.
+_MC_BLOCK = 1_000_000
+
 
 @dataclass(frozen=True)
 class BoltzmannModel:
@@ -166,17 +170,11 @@ class BoltzmannModel:
         return self.W_v is not None and self.W_h is not None and self.b_v is not None
 
 
-def random_boltzmann_model(
-    d: int,
-    seed: "int | np.random.SeedSequence",
-    *,
-    include_inference: bool = True,
-) -> BoltzmannModel:
+def random_boltzmann_model(d: int, seed: "int | np.random.SeedSequence") -> BoltzmannModel:
     """Standard-normal model parameters from one seeded generator.
 
-    A single seed fixes W, b and (optionally) the visible/hidden
-    parameters, so all estimators compared on the model see identical
-    coefficients.
+    A single seed fixes W, b and the visible/hidden parameters, so all
+    estimators compared on the model see identical coefficients.
     """
     d = operator.index(d)
     if d < 1:
@@ -184,11 +182,9 @@ def random_boltzmann_model(
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((d, d))
     b = rng.standard_normal(d)
-    W_v = W_h = b_v = None
-    if include_inference:
-        W_v = rng.standard_normal((d, d))
-        W_h = rng.standard_normal((d, d))
-        b_v = rng.standard_normal(d)
+    W_v = rng.standard_normal((d, d))
+    W_h = rng.standard_normal((d, d))
+    b_v = rng.standard_normal(d)
     seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
     return BoltzmannModel(W=W, b=b, W_v=W_v, W_h=W_h, b_v=b_v, seed=seed_val)
 
@@ -241,8 +237,6 @@ def mc_partition(
     model: BoltzmannModel,
     n_samples: int,
     seed: "int | np.random.SeedSequence",
-    *,
-    block: int = 1_000_000,
 ) -> float:
     """i.i.d. Monte Carlo partition estimate, blocked for memory.
 
@@ -256,7 +250,7 @@ def mc_partition(
     total = 0.0
     done = 0
     while done < n_samples:
-        take = min(block, n_samples - done)
+        take = min(_MC_BLOCK, n_samples - done)
         X = rng.random((take, model.d))
         e = boltzmann_energy(X, model)
         total += float(np.exp(-e).sum())
@@ -270,8 +264,6 @@ def mc_marginal(
     Z: float,
     n_samples: int,
     seed: "int | np.random.SeedSequence",
-    *,
-    block: int = 1_000_000,
 ) -> float:
     """i.i.d. Monte Carlo estimate of the marginal of v (see above)."""
     n_samples = operator.index(n_samples)
@@ -281,7 +273,7 @@ def mc_marginal(
     total = 0.0
     done = 0
     while done < n_samples:
-        take = min(block, n_samples - done)
+        take = min(_MC_BLOCK, n_samples - done)
         H = rng.random((take, model.d))
         ps = LatticePointSet(points=H, source="monte_carlo", seed=None)
         total += estimate_marginal(v, ps, model, Z) * take

@@ -10,9 +10,10 @@ average over a point set (lattice or MC) gives an explicit feature map
 whose Gram matrix approximates K. Gaussian kernels use paired cos/sin
 features; arc-cosine kernels of order 0/1 use step/relu features.
 
-Frequencies come from ``inv_normal_cdf`` applied to the point set, so a
-randomly shifted lattice yields structured (low-discrepancy) spectral
-samples, and plain MC points recover classical random Fourier features.
+Frequencies come from the normal quantile (``scipy.special.ndtri``)
+applied to the point set, so a randomly shifted lattice yields
+structured (low-discrepancy) spectral samples, and plain MC points
+recover classical random Fourier features.
 
 Data matrices are read with ``pointset.load_csv``.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "KernelSpec",
     "FeatureMatrix",
     "GramErrors",
-    "inv_normal_cdf",
     "exact_kernel",
     "exact_gram",
     "feature_map",
@@ -48,6 +48,12 @@ _FAMILIES = ("gaussian", "arccos0", "arccos1")
 # Quantile clamp: points are kept strictly inside (0, 1) so the normal
 # quantile stays finite even if a coordinate lands exactly on 0.
 _EPS_CLAMP = 1e-10
+
+# ``synthetic_data`` mixture: component count, spread of the component
+# means, and spread of the points around their mean.
+_COMPONENTS = 10
+_MEAN_STD = 6.0
+_POINT_STD = 1.0
 
 
 @dataclass(frozen=True)
@@ -92,21 +98,6 @@ class GramErrors:
 
     rel_frobenius: float
     rel_max: float
-
-
-def inv_normal_cdf(u: "float | np.ndarray") -> "float | np.ndarray":
-    """Standard normal quantile Phi^{-1}(u), elementwise, for u in (0, 1).
-
-    Examples
-    --------
-    >>> round(float(inv_normal_cdf(0.841344746)), 6)
-    1.0
-    """
-    ua = np.asarray(u, dtype=np.float64)
-    if ua.size and (ua.min() <= 0.0 or ua.max() >= 1.0):
-        raise DomainError("inv_normal_cdf requires 0 < u < 1")
-    out = ndtri(ua)
-    return float(out) if np.isscalar(u) or ua.ndim == 0 else out
 
 
 def _pair_angle_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -224,31 +215,21 @@ def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
     )
 
 
-def synthetic_data(
-    n_samples: int,
-    dim: int,
-    seed: int,
-    *,
-    n_components: int = 10,
-    center_scale: float = 6.0,
-    component_scale: float = 1.0,
-) -> np.ndarray:
+def synthetic_data(n_samples: int, dim: int, seed: int) -> np.ndarray:
     """Seeded Gaussian-mixture sample matrix (n_samples, dim).
 
-    Component means are N(0, center_scale^2) and points scatter around
-    them with component_scale; the defaults give pairwise distances on
-    the scale the default Gaussian bandwidth (sigma = 15) resolves well.
+    Ten component means are N(0, 6^2) and points scatter around them
+    with unit standard deviation, which gives pairwise distances on the
+    scale the default Gaussian bandwidth (sigma = 15) resolves well.
     """
     n_samples = operator.index(n_samples)
     dim = operator.index(dim)
     if n_samples < 1 or dim < 1:
         raise DomainError(f"need n_samples >= 1 and dim >= 1, got {n_samples}, {dim}")
-    if n_components < 1:
-        raise DomainError(f"n_components must be >= 1, got {n_components}")
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, center_scale, size=(n_components, dim))
-    labels = rng.integers(0, n_components, size=n_samples)
-    return means[labels] + rng.normal(0.0, component_scale, size=(n_samples, dim))
+    means = rng.normal(0.0, _MEAN_STD, size=(_COMPONENTS, dim))
+    labels = rng.integers(0, _COMPONENTS, size=n_samples)
+    return means[labels] + rng.normal(0.0, _POINT_STD, size=(n_samples, dim))
 
 
 def run_kernel_benchmark(

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
-from .metrics import _INT64_MAX, ToroidalNorm, norm_exponent
-from .numtheory import PrimeModulus, _subgroup, is_prime
+from .metrics import _INT64_MAX, _norm_exponent
+from .numtheory import _subgroup, is_prime
 
 __all__ = [
     "GeneratingVector",
@@ -110,14 +110,14 @@ class SearchResult:
     norm: str
 
 
-def subgroup_generating_vector(d: int, n: int | PrimeModulus) -> GeneratingVector:
+def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     """Closed-form generating vector on a multiplicative subgroup.
 
     Parameters
     ----------
     d : int
         Dimension, >= 1.
-    n : int or PrimeModulus
+    n : int
         Point count; must be prime with 2d | n - 1.
 
     Returns
@@ -141,30 +141,30 @@ def subgroup_generating_vector(d: int, n: int | PrimeModulus) -> GeneratingVecto
     (1, 4, 3)
     """
     d = operator.index(d)
-    n_int = operator.index(n)
+    n = operator.index(n)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if (n_int - 1) % (2 * d) != 0:
-        raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n_int})")
-    if not is_prime(n_int):
-        raise DomainError(f"n must be prime, got {n_int}")
-    z = tuple(_subgroup(2 * d, n_int)[:d])
-    return GeneratingVector(z=z, n=n_int, method="subgroup")
+    if (n - 1) % (2 * d) != 0:
+        raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
+    if not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    z = tuple(_subgroup(2 * d, n)[:d])
+    return GeneratingVector(z=z, n=n, method="subgroup")
 
 
-def korobov_vector(alpha: int, d: int, n: int | PrimeModulus) -> GeneratingVector:
+def korobov_vector(alpha: int, d: int, n: int) -> GeneratingVector:
     """Korobov vector [1, alpha, alpha^2, ..., alpha^(d-1)] mod n."""
     alpha = operator.index(alpha)
     d = operator.index(d)
-    n_int = operator.index(n)
+    n = operator.index(n)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n_int):
-        raise DomainError(f"n must be prime, got {n_int}")
-    if not 1 <= alpha <= n_int - 1:
+    if not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    if not 1 <= alpha <= n - 1:
         raise DomainError(f"alpha must lie in 1..n-1, got {alpha}")
-    z = tuple(pow(alpha, k, n_int) for k in range(d))
-    return GeneratingVector(z=z, n=n_int, method="korobov")
+    z = tuple(pow(alpha, k, n) for k in range(d))
+    return GeneratingVector(z=z, n=n, method="korobov")
 
 
 def _weight_table(n: int, p: int) -> np.ndarray:
@@ -209,11 +209,7 @@ def _korobov_keys(d: int, n: int, w: np.ndarray) -> np.ndarray:
     return by_multiplier
 
 
-def korobov_search(
-    d: int,
-    n: int | PrimeModulus,
-    norm: ToroidalNorm | int | str = "l1",
-) -> SearchResult:
+def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     """Exhaustive Korobov multiplier search under a toroidal norm.
 
     Scores all n-1 multipliers, maximizing the minimum toroidal
@@ -231,8 +227,8 @@ def korobov_search(
     ----------
     d, n : int
         Dimension >= 1 and prime point count with n >= 2d + 1.
-    norm : ToroidalNorm | int | str
-        Norm to optimize (default l1).
+    norm : str
+        Norm to optimize, "l1" (default) or "l2".
 
     Examples
     --------
@@ -241,38 +237,38 @@ def korobov_search(
     (2, 0.6)
     """
     d = operator.index(d)
-    n_int = operator.index(n)
-    p = norm_exponent(norm)
+    n = operator.index(n)
+    p = _norm_exponent(norm)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n_int):
-        raise DomainError(f"n must be prime, got {n_int}")
-    if n_int < 2 * d + 1:
-        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n_int}")
-    half = (n_int - 1) // 2
+    if not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    if n < 2 * d + 1:
+        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    half = (n - 1) // 2
     max_w = half if p == 1 else half * half
-    if (n_int - 1) * max(n_int - 1, max_w) > _INT64_MAX:
-        raise SizeLimitError(f"korobov_search overflows int64 for n={n_int}, l{p} norm")
+    if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
+        raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
 
-    keys = _korobov_keys(d, n_int, _weight_table(n_int, p))
+    keys = _korobov_keys(d, n, _weight_table(n, p))
     best_alpha = int(np.argmax(keys))  # first maximum: the smallest multiplier
     best_key = int(keys[best_alpha])
-    score = best_key / n_int if p == 1 else float(np.sqrt(best_key)) / n_int
+    score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
     return SearchResult(
-        vector=korobov_vector(best_alpha, d, n_int),
+        vector=korobov_vector(best_alpha, d, n),
         score=score,
         multiplier=best_alpha,
-        candidates_evaluated=n_int - 1,
-        norm="l1" if p == 1 else "l2",
+        candidates_evaluated=n - 1,
+        norm=norm,
     )
 
 
-def find_admissible_n(d: int, count: int, start: int = 2) -> list[PrimeModulus]:
+def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:
     """First ``count`` primes n >= start with 2d | n - 1 (and n >= 2d+1).
 
     Examples
     --------
-    >>> [int(m) for m in find_admissible_n(50, 3)]
+    >>> find_admissible_n(50, 3)
     [101, 401, 601]
     """
     d = operator.index(d)
@@ -286,9 +282,9 @@ def find_admissible_n(d: int, count: int, start: int = 2) -> list[PrimeModulus]:
     first = max(start, step + 1)
     t = -(-(first - 1) // step)  # ceil((first-1)/step)
     candidate = step * t + 1
-    out: list[PrimeModulus] = []
+    out: list[int] = []
     while len(out) < count:
         if is_prime(candidate):
-            out.append(PrimeModulus(candidate))
+            out.append(candidate)
         candidate += step
     return out

@@ -26,17 +26,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
-from .numtheory import PrimeModulus, is_prime
+from .numtheory import is_prime
 
 if TYPE_CHECKING:  # import for annotations only; no runtime dependency
     from .lattice import GeneratingVector
     from .pointset import LatticePointSet
 
 __all__ = [
-    "ToroidalNorm",
-    "T1",
-    "T2",
-    "norm_exponent",
     "DistanceReport",
     "DistanceBounds",
     "OptimalDistances",
@@ -53,44 +49,11 @@ BRUTE_FORCE_CAP = 10_000
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ToroidalNorm:
-    """Toroidal l_p norm tag; only p = 1 and p = 2 are supported."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p not in (1, 2):
-            raise DomainError(f"only p in {{1, 2}} is supported, got p={self.p}")
-
-
-T1 = ToroidalNorm(1)
-T2 = ToroidalNorm(2)
-
-
-def norm_exponent(norm: ToroidalNorm | int | str) -> int:
-    """Normalize a norm designator to its exponent, 1 or 2.
-
-    Accepts ``ToroidalNorm``, the integers 1/2, or the strings
-    "l1"/"l2"/"t1"/"t2" (case-insensitive).
-    """
-    if isinstance(norm, ToroidalNorm):
-        return norm.p
-    if isinstance(norm, int) and not isinstance(norm, bool):
-        if norm in (1, 2):
-            return norm
-        raise DomainError(f"only p in {{1, 2}} is supported, got p={norm}")
-    if isinstance(norm, str):
-        tag = norm.strip().lower()
-        if tag in ("l1", "t1", "1"):
-            return 1
-        if tag in ("l2", "t2", "2"):
-            return 2
-    raise DomainError(f"unrecognized norm designator: {norm!r}")
-
-
-def _norm_tag(p: int) -> str:
-    return "l1" if p == 1 else "l2"
+def _norm_exponent(norm: str) -> int:
+    """The exponent p of the toroidal norm "l1" (1) or "l2" (2)."""
+    if norm not in ("l1", "l2"):
+        raise DomainError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    return 1 if norm == "l1" else 2
 
 
 @dataclass(frozen=True)
@@ -155,27 +118,25 @@ class OptimalDistances:
 
     l1: float
     l2: float
-    n: PrimeModulus
+    n: int
 
 
-def toroidal_distance(
-    x: np.ndarray, y: np.ndarray, norm: ToroidalNorm | int | str
-) -> float:
+def toroidal_distance(x: np.ndarray, y: np.ndarray, norm: str) -> float:
     """l_p distance between two points on the unit torus.
 
     Parameters
     ----------
     x, y : array_like, shape (d,)
         Points with coordinates in [0, 1].
-    norm : ToroidalNorm | int | str
-        Which norm; p = 1 or p = 2.
+    norm : str
+        "l1" or "l2".
 
     Returns
     -------
     float
         ``( sum_j min(|x_j-y_j|, 1-|x_j-y_j|)**p )**(1/p)``.
     """
-    p = norm_exponent(norm)
+    p = _norm_exponent(norm)
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -192,9 +153,7 @@ def toroidal_distance(
     return float(math.sqrt(float((wrap * wrap).sum())))
 
 
-def lattice_min_distance(
-    z: "GeneratingVector", norm: ToroidalNorm | int | str
-) -> DistanceReport:
+def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     """Minimum toroidal distance and distance census of a rank-1 lattice.
 
     Runs in O(nd) by scanning k = 1..n-1 instead of all point pairs.
@@ -207,10 +166,10 @@ def lattice_min_distance(
     ----------
     z : GeneratingVector
         Generating vector (defines points x_i = (i * z mod n) / n).
-    norm : ToroidalNorm | int | str
-        p = 1 or p = 2.
+    norm : str
+        "l1" or "l2".
     """
-    p = norm_exponent(norm)
+    p = _norm_exponent(norm)
     n = z.n
     z_arr = z.as_array()
     if n < 2:
@@ -254,12 +213,12 @@ def lattice_min_distance(
         distinct_count=len(census),
         min_key=min_key,
         census_keys=tuple(keys_sorted),
-        norm=_norm_tag(p),
+        norm=norm,
         n=n,
     )
 
 
-def min_distance_bounds(d: int, n: int | PrimeModulus) -> DistanceBounds:
+def min_distance_bounds(d: int, n: int) -> DistanceBounds:
     """Two-sided minimum-distance bounds for non-degenerate vectors.
 
     For prime n >= 2d + 1 and any generating vector whose components are
@@ -280,20 +239,20 @@ def min_distance_bounds(d: int, n: int | PrimeModulus) -> DistanceBounds:
     subgroup.
     """
     d = operator.index(d)
-    n_int = operator.index(n)
+    n = operator.index(n)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n_int):
-        raise DomainError(f"n must be prime, got {n_int}")
-    if n_int < 2 * d + 1:
-        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n_int}")
+    if not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    if n < 2 * d + 1:
+        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
     return DistanceBounds(
         d=d,
-        n=n_int,
-        l1_lower=d * (d + 1) / (2 * n_int),
-        l1_upper=(n_int + 1) * d / (4 * n_int),
-        l2_lower=math.sqrt(6 * d * (d + 1) * (2 * d + 1)) / (6 * n_int),
-        l2_upper=math.sqrt((n_int + 1) * d / (12 * n_int)),
+        n=n,
+        l1_lower=d * (d + 1) / (2 * n),
+        l1_upper=(n + 1) * d / (4 * n),
+        l2_lower=math.sqrt(6 * d * (d + 1) * (2 * d + 1)) / (6 * n),
+        l2_upper=math.sqrt((n + 1) * d / (12 * n)),
     )
 
 
@@ -313,20 +272,18 @@ def optimal_distances(d: int) -> OptimalDistances:
     return OptimalDistances(
         l1=(n + 1) * d / (4 * n),
         l2=math.sqrt((n + 1) * d / (12 * n)),
-        n=PrimeModulus(n),
+        n=n,
     )
 
 
-def brute_force_min_distance(
-    points: "LatticePointSet | np.ndarray", norm: ToroidalNorm | int | str
-) -> float:
+def brute_force_min_distance(points: "LatticePointSet | np.ndarray", norm: str) -> float:
     """Minimum pairwise toroidal distance by O(n^2 d) enumeration.
 
     Reference oracle for ``lattice_min_distance``; works on any point set
     (shifted, Monte Carlo, ...). Refuses more than ``BRUTE_FORCE_CAP``
     points.
     """
-    p = norm_exponent(norm)
+    p = _norm_exponent(norm)
     pts = points.points if hasattr(points, "points") else np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DomainError(f"expected an (n, d) point array, got shape {pts.shape}")

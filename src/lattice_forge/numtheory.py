@@ -18,13 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .exceptions import DomainError
 
 __all__ = [
-    "PrimeModulus",
-    "Factorization",
     "is_prime",
     "factorize",
     "primitive_root",
@@ -97,49 +94,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A positive integer certified prime at construction time.
-
-    Construction runs the deterministic primality test and raises
-    ``DomainError`` on a composite, so any live instance is a certificate.
-    ``__index__`` lets instances stand in for plain ints (``range``, numpy,
-    ``%``, ...).
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        object.__setattr__(self, "n", n)
-        if not is_prime(n):
-            raise DomainError(f"{n} is not prime")
-
-    def __index__(self) -> int:
-        return self.n
-
-    def __int__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"PrimeModulus({self.n})"
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ``base = prod(p**m for p, m in factors)``.
-
-    ``factors`` is sorted by prime and each multiplicity is >= 1.
-    """
-
-    base: int
-    factors: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        """Distinct prime divisors, ascending."""
-        return tuple(p for p, _ in self.factors)
-
-
 def _rho(n: int) -> int:
     """A nontrivial factor of an odd composite n (Pollard-Brent rho).
 
@@ -172,19 +126,22 @@ def _rho(n: int) -> int:
             return g
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of ``2 <= n < 2**64``.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of ``2 <= n < 2**64`` as ``((p, m), ...)``.
 
-    Trial division by the primes below 1000 stops once p**2 exceeds the
-    remaining cofactor. A cofactor left over is split by deterministic
+    The primes p ascend and each multiplicity m is >= 1. Trial division
+    by the primes below 1000 stops once p**2 exceeds the remaining
+    cofactor. A cofactor left over is split by deterministic
     Miller-Rabin (``is_prime``) and Pollard-Brent rho until every part
     is prime, so the result is exact; the 2**64 limit is the range
     ``is_prime`` certifies. Raises ``DomainError`` outside it.
 
     Examples
     --------
-    >>> factorize(2**64 - 1).primes()
-    (3, 5, 17, 257, 641, 65537, 6700417)
+    >>> factorize(3000)
+    ((2, 3), (3, 1), (5, 3))
+    >>> [p for p, _ in factorize(2**64 - 1)]
+    [3, 5, 17, 257, 641, 65537, 6700417]
     """
     n = operator.index(n)
     if n < 2 or n > _U64_MAX:
@@ -205,10 +162,10 @@ def factorize(n: int) -> Factorization:
         else:
             f = _rho(m)
             pending += (f, m // f)
-    return Factorization(base=n, factors=tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
-def primitive_root(p: int | PrimeModulus) -> int:
+def primitive_root(p: int) -> int:
     """Smallest primitive root modulo a prime ``p``.
 
     Returns the least ``g in {2, ..., p-1}`` with ``g**((p-1)/q) != 1
@@ -221,7 +178,7 @@ def primitive_root(p: int | PrimeModulus) -> int:
     if p == 2:
         return 1
     phi = p - 1
-    prime_divisors = factorize(phi).primes()
+    prime_divisors = [q for q, _ in factorize(phi)]
     for g in range(2, p):
         if all(pow(g, phi // q, p) != 1 for q in prime_divisors):
             return g

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError
-from .numtheory import PrimeModulus, _subgroup, is_prime
+from .numtheory import _subgroup, is_prime
 
 __all__ = [
     "SphericalFrame",
@@ -82,7 +82,7 @@ class AsymptoticCoherenceBound:
     applicable: bool
 
 
-def sphere_index_set(m: int, n: int | PrimeModulus) -> tuple[int, ...]:
+def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     """The order-m multiplicative subgroup of the nonzero residues mod n.
 
     Examples
@@ -91,31 +91,31 @@ def sphere_index_set(m: int, n: int | PrimeModulus) -> tuple[int, ...]:
     [1, 4]
     """
     m = operator.index(m)
-    n_int = operator.index(n)
+    n = operator.index(n)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if (n_int - 1) % m != 0:
-        raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n_int})")
-    if not is_prime(n_int):
-        raise DomainError(f"n must be prime, got {n_int}")
-    return tuple(_subgroup(m, n_int))
+    if (n - 1) % m != 0:
+        raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
+    if not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    return tuple(_subgroup(m, n))
 
 
-def sphere_frame(m: int, n: int | PrimeModulus) -> SphericalFrame:
+def sphere_frame(m: int, n: int) -> SphericalFrame:
     """Build the 2m x 2n frame from the order-m subgroup rows.
 
     Columns j and j + n are orthogonal by construction, and every
     column has unit norm.
     """
     idx = sphere_index_set(m, n)
-    n_int = operator.index(n)
+    n = operator.index(n)
     lam = np.asarray(idx, dtype=np.int64)
-    j = np.arange(1, n_int + 1, dtype=np.int64)
-    ang = 2.0 * np.pi * ((lam[:, None] * j[None, :]) % n_int) / n_int
+    j = np.arange(1, n + 1, dtype=np.int64)
+    ang = 2.0 * np.pi * ((lam[:, None] * j[None, :]) % n) / n
     c = np.cos(ang)
     s = np.sin(ang)
     V = np.block([[c, -s], [s, c]]) / math.sqrt(m)
-    return SphericalFrame(V=V, m=m, n=n_int, index_set=idx)
+    return SphericalFrame(V=V, m=m, n=n, index_set=idx)
 
 
 def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> CoherenceReport:
@@ -151,7 +151,7 @@ def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> Co
     return CoherenceReport(mu=mu, bound=bound, bound_holds=mu <= bound + 1e-12)
 
 
-def asymptotic_coherence_bound(m: int, n: int | PrimeModulus) -> AsymptoticCoherenceBound:
+def asymptotic_coherence_bound(m: int, n: int) -> AsymptoticCoherenceBound:
     """Evaluate m^(-1/2) n^(1/6) (ln m)^(1/6) and its applicability.
 
     Examples
@@ -160,10 +160,10 @@ def asymptotic_coherence_bound(m: int, n: int | PrimeModulus) -> AsymptoticCoher
     0.0
     """
     m = operator.index(m)
-    n_int = operator.index(n)
+    n = operator.index(n)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if n_int < 2:
-        raise DomainError(f"n must be >= 2, got {n_int}")
-    value = 0.0 if m == 1 else m ** (-0.5) * n_int ** (1.0 / 6.0) * math.log(m) ** (1.0 / 6.0)
-    return AsymptoticCoherenceBound(value=value, applicable=m**3 <= n_int**2)
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
+    value = 0.0 if m == 1 else m ** (-0.5) * n ** (1.0 / 6.0) * math.log(m) ** (1.0 / 6.0)
+    return AsymptoticCoherenceBound(value=value, applicable=m**3 <= n**2)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_forge import cli
 from lattice_forge.cli import main
 from lattice_forge.metrics import lattice_min_distance
 from lattice_forge.lattice import subgroup_generating_vector
@@ -51,6 +52,10 @@ def test_exit_three_on_admissibility(capsys):
     assert code == 3
     assert "2d does not divide n-1" in err
     assert _run(capsys, "sphere", "--d", "7", "--n", "29")[0] == 3
+    # an explicit --n 0 is used, not replaced by the default prime
+    code, out, err = _run(capsys, "kernel", "--samples", "20", "--data-dim", "2", "--n", "0", "--runs", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: 2d does not divide n-1 (d=2, n=0)\n"
 
 
 def test_exit_four_on_domain_errors(capsys):
@@ -280,6 +285,28 @@ def test_bench_timing_rows(capsys):
     rows = _parse_csv(out)
     assert [r["method"] for r in rows] == ["subgroup", "korobov"]
     assert all(float(r["seconds"]) >= 0 for r in rows)
+
+
+def test_parser_is_built_once_and_reuse_leaks_no_state(capsys, monkeypatch):
+    # one process: construct, admissible, a usage error, the construct again;
+    # each call must print what a fresh process prints for the same argv
+    build, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    construct = ["construct", "--d", "4", "--n", "41", "--method", "korobov", "--norm", "l2",
+                 "--deterministic"]
+    calls = [
+        construct,
+        ["admissible", "--d", "3", "--count", "4", "--format", "json", "--deterministic"],
+        ["construct", "--d", "2", "--format", "xml"],
+        construct,
+    ]
+    for argv in calls:
+        got = _run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "lattice_forge.cli", *argv],
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(builds) == 1
 
 
 def test_console_entry_point_runs():

@@ -1,0 +1,65 @@
+"""Golden sha256 digests of ``--deterministic`` output of the exact subcommands.
+
+``construct`` and ``admissible`` compute with exact integers only, so their
+``--deterministic`` output is a fixed byte string for fixed flags. Each
+digest below covers stdout followed by the ``--points-out`` file, if any.
+A change that moves a vector, a census, a float repr or the table layout
+changes a digest; such a change must say why and update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from lattice_forge.cli import main
+
+_CASES = {
+    "subgroup": (
+        ["construct", "--d", "50", "--n", "101"],
+        "cb17d62ab35c06bf7d831475895e9a4f3e12dc140ce1c58422a4d895767e0889",
+    ),
+    "korobov-l1": (
+        ["construct", "--d", "8", "--n", "881", "--method", "korobov"],
+        "83064cf172dd5eba001a95686224dffd96ce2649b351967f0e61043adc393dfc",
+    ),
+    "korobov-l2": (
+        ["construct", "--d", "14", "--n", "1409", "--method", "korobov", "--norm", "l2"],
+        "d876172f574fc27f6c097d8b2999509653018e0b6cb57dea7fb41f80638cbbb2",
+    ),
+    "json": (
+        ["construct", "--d", "4", "--n", "41", "--format", "json"],
+        "a3d3ee1827e41901446e68622c92a0e851bfd55fc5351ee8908e9cb23ca26a32",
+    ),
+    "points-out": (
+        ["construct", "--d", "4", "--n", "41", "--points-out", "{pts}"],
+        "060a7a5be3b718a81f29ee11af6f4525e53c175ef0eede7f353b3dcc778d150d",
+    ),
+    "korobov-points-out": (
+        ["construct", "--d", "3", "--n", "13", "--method", "korobov", "--points-out", "{pts}"],
+        "787695d36dc835d7722bc527d801188a324ed3d657f4c17b135440f3d93b8bfe",
+    ),
+    "admissible-csv": (
+        ["admissible", "--d", "100", "--count", "3"],
+        "574f77e28d0b6c5f1294e96b06f85fbd414d6157724fd5bd7fdcc6a70e47e30a",
+    ),
+    "admissible-start-csv": (
+        ["admissible", "--d", "7", "--count", "5", "--start", "1000"],
+        "ba0108ec68eb35f5c07bc0d534cffd89eafa21d79c48ee4376ca1e93fc4da3fd",
+    ),
+    "admissible-json": (
+        ["admissible", "--d", "3", "--count", "4", "--format", "json"],
+        "5b3132253ade4a6f91f54b9b0dee69ef7f640741ac4f6c7ef1bdb043b666959d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", list(_CASES.values()), ids=list(_CASES))
+def test_deterministic_output_digest(capsys, tmp_path, argv, digest):
+    pts = tmp_path / "pts.csv"
+    code = main([a.replace("{pts}", str(pts)) for a in argv] + ["--deterministic"])
+    out = capsys.readouterr().out
+    assert code == 0
+    h = hashlib.sha256(out.encode())
+    if "{pts}" in argv:
+        h.update(pts.read_bytes())
+    assert h.hexdigest() == digest

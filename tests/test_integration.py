@@ -152,9 +152,7 @@ def test_random_model_seeded():
     np.testing.assert_array_equal(a.W_h, b.W_h)
     assert a.seed == 3
     assert a.has_inference_params()
-    bare = integ.random_boltzmann_model(5, seed=3, include_inference=False)
-    assert not bare.has_inference_params()
-    np.testing.assert_array_equal(bare.W, a.W)
+    assert not integ.BoltzmannModel(a.W, a.b).has_inference_params()
 
 
 def test_marginal_separates_when_cross_term_vanishes():
@@ -179,19 +177,21 @@ def test_marginal_separates_when_cross_term_vanishes():
 
 def test_marginal_validation():
     d = 3
-    model = integ.random_boltzmann_model(d, seed=0, include_inference=False)
+    full = integ.random_boltzmann_model(d, seed=0)
+    model = integ.BoltzmannModel(full.W, full.b)
     ps = mc_points(10, d, seed=0)
     with pytest.raises(DomainError):
         integ.estimate_marginal(np.zeros(d), ps, model, 1.0)
-    full = integ.random_boltzmann_model(d, seed=0)
     with pytest.raises(DomainError):
         integ.estimate_marginal(np.zeros(d), ps, full, 0.0)
 
 
-def test_mc_partition_blocking_invariant():
+def test_mc_partition_blocking_invariant(monkeypatch):
     model = integ.random_boltzmann_model(3, seed=5)
-    whole = integ.mc_partition(model, 4000, seed=9, block=4000)
-    split = integ.mc_partition(model, 4000, seed=9, block=1000)
+    monkeypatch.setattr(integ, "_MC_BLOCK", 4000)
+    whole = integ.mc_partition(model, 4000, seed=9)
+    monkeypatch.setattr(integ, "_MC_BLOCK", 1000)
+    split = integ.mc_partition(model, 4000, seed=9)
     # same generator stream, different block boundaries
     assert whole == pytest.approx(split, rel=1e-12)
 

@@ -1,10 +1,11 @@
 """Kernel feature-map tests.
 
-``inv_normal_cdf`` is checked against an independent bisection of the
-erf-based normal CDF; the arc-cosine order-0 kernel is checked against a
-dense-grid Gaussian quadrature of the defining expectation; Gaussian
-feature Gram matrices are checked for the algebraic identities the
-cos/sin pairing guarantees.
+The normal quantile inside ``feature_map`` is checked against an
+independent bisection of the erf-based normal CDF, read back from
+arc-cosine order-1 features of the data rows +-e_j; the arc-cosine
+order-0 kernel is checked against a dense-grid Gaussian quadrature of the
+defining expectation; Gaussian feature Gram matrices are checked for the
+algebraic identities the cos/sin pairing guarantees.
 """
 
 import math
@@ -15,10 +16,17 @@ import pytest
 from lattice_forge import kernels as ker
 from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
-from lattice_forge.pointset import generate, load_csv, mc_points, random_shift, save_csv
+from lattice_forge.pointset import (
+    LatticePointSet,
+    generate,
+    load_csv,
+    mc_points,
+    random_shift,
+    save_csv,
+)
 
 # ---------------------------------------------------------------------------
-# inverse normal CDF
+# normal quantile of the spectral samples
 # ---------------------------------------------------------------------------
 
 
@@ -40,32 +48,47 @@ def _quantile_by_bisection(u, iters=200):
     return 0.5 * (lo + hi)
 
 
-def test_inv_normal_cdf_examples():
-    assert float(ker.inv_normal_cdf(0.841344746)) == pytest.approx(1.0, abs=1e-6)
-    assert float(ker.inv_normal_cdf(0.975)) == pytest.approx(1.959964, abs=1e-5)
-    assert float(ker.inv_normal_cdf(0.5)) == 0.0
+def _frequencies(eps):
+    """The frequencies W = Phi^{-1}(eps) that ``feature_map`` draws from eps.
+
+    With arccos1 features, data row e_j maps to sqrt(2/n) relu(W[:, j])
+    and row -e_j to sqrt(2/n) relu(-W[:, j]), so their difference is
+    sqrt(2/n) W[:, j] whatever the sign.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    n, d = eps.shape
+    X = np.vstack([np.eye(d), -np.eye(d)])
+    ps = LatticePointSet(points=eps, source="monte_carlo")
+    F = ker.feature_map(X, ps, ker.KernelSpec("arccos1")).features
+    return ((F[:d] - F[d:]) / math.sqrt(2.0 / n)).T
 
 
-def test_inv_normal_cdf_against_bisection_oracle():
-    for u in (1e-9, 1e-4, 0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 1 - 1e-9):
-        assert float(ker.inv_normal_cdf(u)) == pytest.approx(
-            _quantile_by_bisection(u), abs=1e-9
-        )
+def test_feature_map_quantile_known_values():
+    W = _frequencies([[0.841344746], [0.975], [0.5]])[:, 0]
+    assert W[0] == pytest.approx(1.0, abs=1e-6)
+    assert W[1] == pytest.approx(1.959964, abs=1e-5)
+    assert W[2] == 0.0
 
 
-def test_inv_normal_cdf_symmetry_and_vector():
-    u = np.array([0.2, 0.4, 0.6, 0.8])
-    out = ker.inv_normal_cdf(u)
-    np.testing.assert_allclose(out, -ker.inv_normal_cdf(1.0 - u), atol=1e-12)
-    assert out.shape == (4,)
+def test_feature_map_quantile_against_bisection_oracle():
+    us = (1e-9, 1e-4, 0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 1 - 1e-9)
+    W = _frequencies([[u] for u in us])[:, 0]
+    for u, w in zip(us, W):
+        assert w == pytest.approx(_quantile_by_bisection(u), abs=1e-9), u
 
 
-def test_inv_normal_cdf_rejects_boundary():
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
-            ker.inv_normal_cdf(bad)
-    with pytest.raises(DomainError):
-        ker.inv_normal_cdf(np.array([0.5, 1.0]))
+def test_feature_map_quantile_symmetry():
+    u = np.array([[0.2, 0.4], [0.6, 0.8], [0.1, 0.9]])
+    np.testing.assert_allclose(_frequencies(u), -_frequencies(1.0 - u), atol=1e-12)
+
+
+def test_feature_map_clamps_boundary_coordinates():
+    # a coordinate exactly 0 (not a whole origin row) is clamped to 1e-10,
+    # so its frequency is the finite quantile Phi^{-1}(1e-10)
+    W = _frequencies([[0.0, 0.5], [0.5, 0.0]])
+    assert np.isfinite(W).all()
+    assert W[0, 0] == W[1, 1] == pytest.approx(_quantile_by_bisection(1e-10), abs=1e-9)
+    assert W[0, 1] == W[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------

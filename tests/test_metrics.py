@@ -13,16 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
-from lattice_forge.lattice import GeneratingVector, subgroup_generating_vector
+from lattice_forge.lattice import GeneratingVector, korobov_search, subgroup_generating_vector
 from lattice_forge.numtheory import is_prime
 from lattice_forge.metrics import (
-    T1,
-    T2,
-    ToroidalNorm,
     brute_force_min_distance,
     lattice_min_distance,
     min_distance_bounds,
-    norm_exponent,
     optimal_distances,
     toroidal_distance,
 )
@@ -34,32 +30,38 @@ from lattice_forge.pointset import generate
 
 
 def test_toroidal_distance_wraps():
-    assert toroidal_distance([0.1], [0.9], T1) == pytest.approx(0.2, abs=1e-15)
-    assert toroidal_distance([0.0, 0.0], [0.5, 0.5], T1) == pytest.approx(1.0, abs=1e-15)
-    assert toroidal_distance([0.0, 0.0], [0.5, 0.5], T2) == pytest.approx(
+    assert toroidal_distance([0.1], [0.9], "l1") == pytest.approx(0.2, abs=1e-15)
+    assert toroidal_distance([0.0, 0.0], [0.5, 0.5], "l1") == pytest.approx(1.0, abs=1e-15)
+    assert toroidal_distance([0.0, 0.0], [0.5, 0.5], "l2") == pytest.approx(
         math.sqrt(0.5), abs=1e-15
     )
 
 
 def test_toroidal_distance_identity_and_range_checks():
-    assert toroidal_distance([0.3, 0.7], [0.3, 0.7], T1) == 0.0
+    assert toroidal_distance([0.3, 0.7], [0.3, 0.7], "l1") == 0.0
     with pytest.raises(DomainError):
-        toroidal_distance([1.2], [0.5], T1)
+        toroidal_distance([1.2], [0.5], "l1")
     with pytest.raises(DomainError):
-        toroidal_distance([0.5], [-0.1], T2)
+        toroidal_distance([0.5], [-0.1], "l2")
     with pytest.raises(DomainError):
-        toroidal_distance([0.5, 0.5], [0.5], T1)
+        toroidal_distance([0.5, 0.5], [0.5], "l1")
 
 
 def test_norm_designators():
-    assert norm_exponent(T1) == 1
-    assert norm_exponent("l2") == 2
-    assert norm_exponent(1) == 1
-    assert norm_exponent("T2") == 2
-    with pytest.raises(DomainError):
-        norm_exponent("l3")
-    with pytest.raises(DomainError):
-        ToroidalNorm(3)
+    # exactly "l1" and "l2"; no case, whitespace, integer or alias variants
+    vec = GeneratingVector([1, 2], 5)
+    calls = (
+        lambda norm: toroidal_distance([0.1], [0.9], norm),
+        lambda norm: lattice_min_distance(vec, norm),
+        lambda norm: brute_force_min_distance(generate(vec), norm),
+        lambda norm: korobov_search(2, 5, norm),
+    )
+    for call in calls:
+        call("l1")
+        call("l2")
+        for bad in ("L1", " l2", "l1 ", "t1", "1", 1, 2, True, None, "l3"):
+            with pytest.raises(DomainError, match="norm must be 'l1' or 'l2'"):
+                call(bad)
 
 
 @st.composite
@@ -94,7 +96,7 @@ def test_toroidal_distance_symmetry_and_shift_invariance(pts, norm):
 
 def test_census_hand_enumerated_n5():
     # z = (1, 2), n = 5: every k = 1..4 gives wrapped residues {1, 2}
-    rep = lattice_min_distance(GeneratingVector([1, 2], 5), T1)
+    rep = lattice_min_distance(GeneratingVector([1, 2], 5), "l1")
     assert rep.census == ((0.6, 4),)
     assert rep.distinct_count == 1
     assert rep.min_key == 3
@@ -103,19 +105,19 @@ def test_census_hand_enumerated_n5():
 
 
 def test_census_collapse_d3_n13():
-    rep = lattice_min_distance(subgroup_generating_vector(3, 13), T1)
+    rep = lattice_min_distance(subgroup_generating_vector(3, 13), "l1")
     assert rep.distinct_count == 2
     assert rep.census[0] == (pytest.approx(8 / 13, abs=1e-15), 6)
     assert rep.census[1] == (pytest.approx(1.0, abs=1e-15), 6)
     assert rep.census_keys == (8, 13)
-    rep2 = lattice_min_distance(subgroup_generating_vector(3, 13), T2)
+    rep2 = lattice_min_distance(subgroup_generating_vector(3, 13), "l2")
     assert rep2.distinct_count == 2
     assert sum(rep2.multiplicities()) == 12
 
 
 def test_census_multiplicities_sum_to_n_minus_1():
     for d, n in [(2, 13), (5, 31), (8, 97), (10, 101)]:
-        for norm in (T1, T2):
+        for norm in ("l1", "l2"):
             rep = lattice_min_distance(subgroup_generating_vector(d, n), norm)
             assert sum(rep.multiplicities()) == n - 1
 
@@ -129,7 +131,7 @@ def test_census_coset_structure_all_admissible():
             if (n - 1) % (2 * d):
                 continue
             vec = subgroup_generating_vector(d, n)
-            for norm in (T1, T2):
+            for norm in ("l1", "l2"):
                 rep = lattice_min_distance(vec, norm)
                 assert rep.distinct_count <= (n - 1) // (2 * d)
                 assert sum(rep.multiplicities()) == n - 1
@@ -140,11 +142,11 @@ def test_census_coset_ties():
     # distinct cosets can share a distance value: at (d=6, n=37) the cosets
     # of k=1 and k=4 both have l1 key 50, so the l1 census collapses to two
     # values while the l2 census keeps all three
-    rep1 = lattice_min_distance(subgroup_generating_vector(6, 37), T1)
+    rep1 = lattice_min_distance(subgroup_generating_vector(6, 37), "l1")
     assert rep1.distinct_count == 2
     assert rep1.census_keys == (50, 71)
     assert rep1.multiplicities() == (24, 12)
-    rep2 = lattice_min_distance(subgroup_generating_vector(6, 37), T2)
+    rep2 = lattice_min_distance(subgroup_generating_vector(6, 37), "l2")
     assert rep2.distinct_count == 3
     assert rep2.census_keys == (518, 592, 999)
     assert set(rep2.multiplicities()) == {12}
@@ -166,7 +168,7 @@ def test_min_distance_matches_brute_force_oracle():
 
 def test_argmin_k_is_smallest_attaining_k():
     vec = subgroup_generating_vector(3, 13)
-    rep = lattice_min_distance(vec, T1)
+    rep = lattice_min_distance(vec, "l1")
     z = np.asarray(vec.z)
     keys = []
     for k in range(1, 13):
@@ -180,7 +182,7 @@ def test_argmin_k_is_smallest_attaining_k():
 def test_blocked_census_equals_unblocked():
     # d large enough to force several k-blocks at the 2^21 element budget
     vec = subgroup_generating_vector(250, 3001)
-    rep = lattice_min_distance(vec, T2)
+    rep = lattice_min_distance(vec, "l2")
     assert sum(rep.multiplicities()) == 3000
     assert rep.distinct_count == (3001 - 1) // (2 * 250)
     assert len(set(rep.multiplicities())) == 1
@@ -241,8 +243,8 @@ def test_bounds_examples():
 def test_bounds_are_a_sandwich_for_subgroup_vectors():
     for d, n in [(2, 13), (3, 13), (5, 31), (8, 97), (50, 401)]:
         b = min_distance_bounds(d, n)
-        r1 = lattice_min_distance(subgroup_generating_vector(d, n), T1)
-        r2 = lattice_min_distance(subgroup_generating_vector(d, n), T2)
+        r1 = lattice_min_distance(subgroup_generating_vector(d, n), "l1")
+        r2 = lattice_min_distance(subgroup_generating_vector(d, n), "l2")
         assert b.l1_lower - 1e-12 <= r1.min_distance <= b.l1_upper + 1e-12
         assert b.l2_lower - 1e-12 <= r2.min_distance <= b.l2_upper + 1e-12
 
@@ -263,20 +265,20 @@ def test_lower_bound_needs_sign_distinct_components():
     z = (1, 2, 4, 7, 10, 11, 22, 24, 25, 26, 28)
     d, n = len(z), 29
     assert len(set(z)) == d  # distinct, yet sign-paired
-    rep = lattice_min_distance(GeneratingVector(list(z), n), T1)
+    rep = lattice_min_distance(GeneratingVector(list(z), n), "l1")
     b = min_distance_bounds(d, n)
     assert rep.min_distance < b.l1_lower
     assert rep.min_distance <= b.l1_upper + 1e-12
     # restoring sign-distinctness restores the sandwich
     sign_distinct = (1, 2, 26, 4, 24, 6, 7, 21, 9, 19, 11)
     assert len({min(c, n - c) for c in sign_distinct}) == d
-    rep2 = lattice_min_distance(GeneratingVector(list(sign_distinct), n), T1)
+    rep2 = lattice_min_distance(GeneratingVector(list(sign_distinct), n), "l1")
     assert b.l1_lower <= rep2.min_distance <= b.l1_upper + 1e-12
 
 
 def test_optimal_distances_examples():
     opt = optimal_distances(2)
-    assert int(opt.n) == 5
+    assert opt.n == 5 and type(opt.n) is int
     assert opt.l1 == pytest.approx(0.6, abs=1e-15)
     assert opt.l2 == pytest.approx(math.sqrt(6 * 2 / 60), abs=1e-15)
     opt50 = optimal_distances(50)
@@ -298,18 +300,18 @@ def test_optimal_distances_rejects_composite_2d_plus_1():
 
 def test_brute_force_duplicate_points_and_cap():
     pts = np.array([[0.25, 0.75], [0.25, 0.75], [0.5, 0.5]])
-    assert brute_force_min_distance(pts, T1) == 0.0
+    assert brute_force_min_distance(pts, "l1") == 0.0
     with pytest.raises(SizeLimitError):
-        brute_force_min_distance(np.zeros((10_001, 2)), T1)
+        brute_force_min_distance(np.zeros((10_001, 2)), "l1")
     with pytest.raises(DomainError):
-        brute_force_min_distance(np.zeros((1, 2)), T1)
+        brute_force_min_distance(np.zeros((1, 2)), "l1")
 
 
 def test_brute_force_blocking_seam():
     # point count above one block so the cross-block pair path runs
     rng = np.random.default_rng(3)
     pts = rng.random((700, 9))
-    best = brute_force_min_distance(pts, T2)
+    best = brute_force_min_distance(pts, "l2")
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
     wrap = np.minimum(diff, 1.0 - diff)
     dist = np.sqrt((wrap**2).sum(-1))

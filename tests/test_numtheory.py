@@ -16,13 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_forge.exceptions import DomainError
-from lattice_forge.numtheory import (
-    Factorization,
-    PrimeModulus,
-    factorize,
-    is_prime,
-    primitive_root,
-)
+from lattice_forge.numtheory import factorize, is_prime, primitive_root
 
 
 def _sieve(limit):
@@ -97,27 +91,27 @@ def _trial_division(n):
 
 
 def test_factorize_examples():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(100).factors == ((2, 2), (5, 2))
-    assert factorize(3000).factors == ((2, 3), (3, 1), (5, 3))
-    assert factorize(13).factors == ((13, 1),)
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(100) == ((2, 2), (5, 2))
+    assert factorize(3000) == ((2, 3), (3, 1), (5, 3))
+    assert factorize(13) == ((13, 1),)
 
 
 def test_factorize_roundtrip_full_range():
     # recombination is the identity on all of [2, 1e5], and trial division agrees
     for n in range(2, 100_001):
         f = factorize(n)
-        assert math.prod(p**m for p, m in f.factors) == n
-        assert f.factors == _trial_division(n), n
+        assert math.prod(p**m for p, m in f) == n
+        assert f == _trial_division(n), n
 
 
 def test_factorize_factors_are_prime_and_sorted():
     for n in (2, 97, 1024, 30030, 99991, 65536, 2 * 3 * 5 * 7 * 11 * 13):
         f = factorize(n)
-        primes = f.primes()
-        assert list(primes) == sorted(primes)
+        primes = [p for p, _ in f]
+        assert primes == sorted(primes)
         assert all(is_prime(p) for p in primes)
-        assert all(m >= 1 for _, m in f.factors)
+        assert all(m >= 1 for _, m in f)
 
 
 def test_factorize_rejects_small():
@@ -141,12 +135,11 @@ def test_factorize_rejects_above_64_bits():
 @example(2**40 - 87)  # the largest prime below 2**40
 def test_factorize_matches_trial_division(n):
     f = factorize(n)
-    assert f.base == n
-    assert f.factors == _trial_division(n)
-    primes = f.primes()
-    assert list(primes) == sorted(set(primes))
+    assert f == _trial_division(n)
+    primes = [p for p, _ in f]
+    assert primes == sorted(set(primes))
     assert all(is_prime(p) for p in primes)
-    assert math.prod(p**m for p, m in f.factors) == n
+    assert math.prod(p**m for p, m in f) == n
 
 
 # the prime 2**31 - 1 and the largest prime r < 2**31 - 1 with 2*q*r + 1 prime
@@ -170,14 +163,14 @@ _Q31, _R31 = 2**31 - 1, 2147482763
 def test_factorize_hard_cases(n, factors):
     assert all(is_prime(p) for p, _ in factors)
     assert math.prod(p**m for p, m in factors) == n
-    assert factorize(n).factors == factors
+    assert factorize(n) == factors
 
 
-def test_factorization_dataclass_fields():
+def test_factorize_returns_plain_int_pairs():
     f = factorize(3000)
-    assert isinstance(f, Factorization)
-    assert f.base == 3000
-    assert f.factors == ((2, 3), (3, 1), (5, 3))
+    assert f == ((2, 3), (3, 1), (5, 3))
+    assert type(f) is tuple
+    assert all(type(pair) is tuple and all(type(x) is int for x in pair) for pair in f)
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +236,3 @@ def test_primitive_root_is_smallest():
                 x = (x * cand) % p
                 order += 1
             assert order < p - 1, (p, cand)
-
-
-# ---------------------------------------------------------------------------
-# PrimeModulus
-# ---------------------------------------------------------------------------
-
-
-def test_prime_modulus_certifies():
-    m = PrimeModulus(101)
-    assert int(m) == 101
-    assert range(int(m))[-1] == 100  # __index__ usable as an int
-
-
-def test_prime_modulus_rejects_composite():
-    with pytest.raises(DomainError):
-        PrimeModulus(100)
-    with pytest.raises(DomainError):
-        PrimeModulus(1)
