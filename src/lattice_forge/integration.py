@@ -148,7 +148,6 @@ class BoltzmannModel:
     W_v: np.ndarray | None = None
     W_h: np.ndarray | None = None
     b_v: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         W = np.asarray(self.W, dtype=np.float64)
@@ -185,8 +184,7 @@ def random_boltzmann_model(d: int, seed: "int | np.random.SeedSequence") -> Bolt
     W_v = rng.standard_normal((d, d))
     W_h = rng.standard_normal((d, d))
     b_v = rng.standard_normal(d)
-    seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return BoltzmannModel(W=W, b=b, W_v=W_v, W_h=W_h, b_v=b_v, seed=seed_val)
+    return BoltzmannModel(W=W, b=b, W_v=W_v, W_h=W_h, b_v=b_v)
 
 
 def boltzmann_energy(x: np.ndarray, model: BoltzmannModel) -> "float | np.ndarray":
@@ -233,6 +231,31 @@ def estimate_marginal(
     return float(np.mean(np.exp(-f_vals - e_vals))) / Z
 
 
+def _mc_mean(
+    d: int,
+    n_samples: int,
+    seed: "int | np.random.SeedSequence",
+    block_sum: Callable[[np.ndarray], float],
+) -> float:
+    """Mean of an integrand over n_samples i.i.d. uniform points in [0, 1)^d.
+
+    The points come from one seeded generator in blocks of at most
+    ``_MC_BLOCK`` rows; ``block_sum(X)`` returns the integrand's sum over
+    block X.
+    """
+    n_samples = operator.index(n_samples)
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    done = 0
+    while done < n_samples:
+        take = min(_MC_BLOCK, n_samples - done)
+        total += block_sum(rng.random((take, d)))
+        done += take
+    return total / n_samples
+
+
 def mc_partition(
     model: BoltzmannModel,
     n_samples: int,
@@ -243,19 +266,10 @@ def mc_partition(
     With n_samples ~ 1e7 this serves as a pseudo-ground-truth against
     which lattice and small-sample MC estimates are scored.
     """
-    n_samples = operator.index(n_samples)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_MC_BLOCK, n_samples - done)
-        X = rng.random((take, model.d))
-        e = boltzmann_energy(X, model)
-        total += float(np.exp(-e).sum())
-        done += take
-    return total / n_samples
+    return _mc_mean(
+        model.d, n_samples, seed,
+        lambda X: float(np.exp(-boltzmann_energy(X, model)).sum()),
+    )
 
 
 def mc_marginal(
@@ -266,19 +280,10 @@ def mc_marginal(
     seed: "int | np.random.SeedSequence",
 ) -> float:
     """i.i.d. Monte Carlo estimate of the marginal of v (see above)."""
-    n_samples = operator.index(n_samples)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_MC_BLOCK, n_samples - done)
-        H = rng.random((take, model.d))
-        ps = LatticePointSet(points=H, source="monte_carlo", seed=None)
-        total += estimate_marginal(v, ps, model, Z) * take
-        done += take
-    return total / n_samples
+    return _mc_mean(
+        model.d, n_samples, seed,
+        lambda H: estimate_marginal(v, LatticePointSet(H), model, Z) * len(H),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     Raises
     ------
     AdmissibilityError
-        If 2d does not divide n - 1.
+        If n >= 2 and 2d does not divide n - 1.
     DomainError
-        If d < 1 or n is not prime.
+        If d < 1 or n is not prime (n < 2 is checked first).
 
     Examples
     --------
@@ -144,6 +144,8 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     n = operator.index(n)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
+    if n < 2:
+        raise DomainError(f"n must be prime, got {n}")
     if (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
     if not is_prime(n):

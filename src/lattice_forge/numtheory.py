@@ -30,10 +30,9 @@ __all__ = [
 _U64_MAX = 2**64 - 1
 
 # Sufficient deterministic witness set for every n < 3.317e24 (Sorenson &
-# Webster), which covers the full 64-bit range this module accepts.
+# Webster), which covers the full 64-bit range this module accepts. These
+# are the first 12 primes, so ``is_prime`` also trial-divides by them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -70,7 +69,7 @@ def is_prime(n: int) -> bool:
         raise DomainError(f"is_prime expects 0 <= n < 2**64, got {n}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

@@ -37,24 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LatticePointSet:
-    """An (n, d) array of points in [0, 1)^d plus provenance.
-
-    Attributes
-    ----------
-    points : numpy.ndarray
-        Shape (n, d), float64, all entries in [0, 1).
-    source : GeneratingVector or str
-        The generating vector, or "monte_carlo" for i.i.d. uniform draws.
-    shift : numpy.ndarray or None
-        The most recently applied shift vector, if any.
-    seed : int or None
-        Seed of the generator that produced ``shift`` or the MC draws.
-    """
+    """An (n, d) float64 array ``points`` with every entry in [0, 1)."""
 
     points: np.ndarray
-    source: GeneratingVector | str
-    shift: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -81,12 +66,10 @@ def generate(z: GeneratingVector) -> LatticePointSet:
     z_arr = z.as_array()
     i = np.arange(z.n, dtype=np.int64)[:, None]
     pts = ((i * z_arr[None, :]) % z.n) / float(z.n)
-    return LatticePointSet(points=pts, source=z, shift=None, seed=None)
+    return LatticePointSet(pts)
 
 
-def shift_by(
-    ps: LatticePointSet, delta: np.ndarray, *, seed: int | None = None
-) -> LatticePointSet:
+def shift_by(ps: LatticePointSet, delta: np.ndarray) -> LatticePointSet:
     """Translate a point set by ``delta`` modulo 1 (coordinate-wise).
 
     Toroidal distances are invariant under this map, so the separation
@@ -101,10 +84,7 @@ def shift_by(
     pts = (ps.points + delta) % 1.0
     # float wrap can land exactly on 1.0 (e.g. 0.3 + 0.7); fold it back
     pts[pts >= 1.0] = 0.0
-    return LatticePointSet(
-        points=pts, source=ps.source, shift=delta,
-        seed=seed if seed is not None else ps.seed,
-    )
+    return LatticePointSet(pts)
 
 
 def random_shift(ps: LatticePointSet, seed: int) -> LatticePointSet:
@@ -115,7 +95,7 @@ def random_shift(ps: LatticePointSet, seed: int) -> LatticePointSet:
     """
     rng = np.random.default_rng(seed)
     delta = rng.random(ps.d)
-    return shift_by(ps, delta, seed=int(seed))
+    return shift_by(ps, delta)
 
 
 def mc_points(n: int, d: int, seed: int) -> LatticePointSet:
@@ -126,7 +106,7 @@ def mc_points(n: int, d: int, seed: int) -> LatticePointSet:
         raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d))
-    return LatticePointSet(points=pts, source="monte_carlo", shift=None, seed=int(seed))
+    return LatticePointSet(pts)
 
 
 def save_csv(matrix: np.ndarray, path_or_file: "str | IO[str]") -> None:

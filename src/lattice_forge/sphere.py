@@ -94,6 +94,8 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     n = operator.index(n)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    if n < 2:
+        raise DomainError(f"n must be prime, got {n}")
     if (n - 1) % m != 0:
         raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
     if not is_prime(n):

@@ -52,16 +52,21 @@ def test_exit_three_on_admissibility(capsys):
     assert code == 3
     assert "2d does not divide n-1" in err
     assert _run(capsys, "sphere", "--d", "7", "--n", "29")[0] == 3
-    # an explicit --n 0 is used, not replaced by the default prime
-    code, out, err = _run(capsys, "kernel", "--samples", "20", "--data-dim", "2", "--n", "0", "--runs", "1")
-    assert (code, out) == (3, "")
-    assert err == "error: 2d does not divide n-1 (d=2, n=0)\n"
 
 
 def test_exit_four_on_domain_errors(capsys):
     code, _, err = _run(capsys, "construct", "--d", "2", "--n", "9")
     assert code == 4
     assert "prime" in err
+    # n < 2 is rejected as not prime before the divisibility check, and an
+    # explicit kernel --n 0 is used, not replaced by the default prime
+    for argv, n in (
+        (("kernel", "--samples", "20", "--data-dim", "2", "--n", "0", "--runs", "1"), 0),
+        (("construct", "--d", "2", "--n", "0"), 0),
+        (("construct", "--d", "2", "--n", "-7"), -7),
+        (("sphere", "--d", "4", "--n", "0"), 0),
+    ):
+        assert _run(capsys, *argv) == (4, "", f"error: n must be prime, got {n}\n"), argv
     for argv in (
         ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "inf"),
         ("integrate", "--d", "2", "--n", "13", "--runs", "1", "--c", "nan"),

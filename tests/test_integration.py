@@ -13,7 +13,7 @@ import pytest
 from lattice_forge import integration as integ
 from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
-from lattice_forge.pointset import generate, mc_points, random_shift
+from lattice_forge.pointset import LatticePointSet, generate, mc_points, random_shift
 
 # ---------------------------------------------------------------------------
 # integrand and exact integral
@@ -150,7 +150,8 @@ def test_random_model_seeded():
     b = integ.random_boltzmann_model(5, seed=3)
     np.testing.assert_array_equal(a.W, b.W)
     np.testing.assert_array_equal(a.W_h, b.W_h)
-    assert a.seed == 3
+    # W is the seeded generator's first draw
+    np.testing.assert_array_equal(a.W, np.random.default_rng(3).standard_normal((5, 5)))
     assert a.has_inference_params()
     assert not integ.BoltzmannModel(a.W, a.b).has_inference_params()
 
@@ -194,6 +195,39 @@ def test_mc_partition_blocking_invariant(monkeypatch):
     split = integ.mc_partition(model, 4000, seed=9)
     # same generator stream, different block boundaries
     assert whole == pytest.approx(split, rel=1e-12)
+
+
+def _blocked_mc(model, n_samples, seed, block, v=None, Z=None):
+    """Independent copy of the two blocked i.i.d. loops: exp(-E) summed per
+    block for the partition, mean * take per block for the marginal."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    done = 0
+    while done < n_samples:
+        take = min(block, n_samples - done)
+        X = rng.random((take, model.d))
+        if v is None:
+            total += float(np.exp(-integ.boltzmann_energy(X, model)).sum())
+        else:
+            total += integ.estimate_marginal(v, LatticePointSet(X), model, Z) * take
+        done += take
+    return total / n_samples
+
+
+@pytest.mark.parametrize("block", [333, 1000, 1_000_000])
+def test_mc_estimators_match_blocked_loop_bitwise(monkeypatch, block):
+    # 2500 samples: 7 full blocks of 333 and a short one of 169; 2 of 1000
+    # and one of 500; a single short block at the default size. Several
+    # models, since a reordered sum often rounds the same on any one.
+    monkeypatch.setattr(integ, "_MC_BLOCK", block)
+    for s in range(8):
+        d = 3 + s % 5
+        model = integ.random_boltzmann_model(d, seed=s)
+        v = np.random.default_rng(s + 1).random(d)
+        Z = integ.mc_partition(model, 2500, seed=s + 2)
+        assert Z == _blocked_mc(model, 2500, s + 2, block), s
+        got = integ.mc_marginal(v, model, Z, 2500, seed=s + 3)
+        assert got == _blocked_mc(model, 2500, s + 3, block, v=v, Z=Z), s
 
 
 # ---------------------------------------------------------------------------

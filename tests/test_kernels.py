@@ -58,7 +58,7 @@ def _frequencies(eps):
     eps = np.asarray(eps, dtype=np.float64)
     n, d = eps.shape
     X = np.vstack([np.eye(d), -np.eye(d)])
-    ps = LatticePointSet(points=eps, source="monte_carlo")
+    ps = LatticePointSet(eps)
     F = ker.feature_map(X, ps, ker.KernelSpec("arccos1")).features
     return ((F[:d] - F[d:]) / math.sqrt(2.0 / n)).T
 

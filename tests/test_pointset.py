@@ -27,8 +27,6 @@ def test_generate_rows_are_exact_rationals():
         for j, zj in enumerate(vec.z):
             assert ps.points[i, j] == ((i * zj) % 5) / 5
     np.testing.assert_allclose(ps.points[1], [0.2, 0.4], atol=0)
-    assert ps.source is vec
-    assert ps.shift is None
 
 
 def test_generate_first_row_is_origin():
@@ -79,8 +77,9 @@ def test_random_shift_seeded_and_in_range():
     np.testing.assert_array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
     assert a.points.min() >= 0.0 and a.points.max() < 1.0
-    assert a.seed == 42
-    np.testing.assert_array_equal(a.shift, np.random.default_rng(42).random(5))
+    # the shift is the seeded generator's first draw
+    expect = shift_by(ps, np.random.default_rng(42).random(5))
+    np.testing.assert_array_equal(a.points, expect.points)
 
 
 def test_random_shift_preserves_min_distance():
@@ -96,8 +95,7 @@ def test_random_shift_preserves_min_distance():
 
 def test_mc_points_seeded_uniform():
     ps = mc_points(100_000, 2, seed=7)
-    assert ps.source == "monte_carlo"
-    assert ps.points.shape == (100_000, 2)
+    np.testing.assert_array_equal(ps.points, np.random.default_rng(7).random((100_000, 2)))
     assert abs(ps.points.mean() - 0.5) < 0.01
     again = mc_points(100_000, 2, seed=7)
     np.testing.assert_array_equal(ps.points, again.points)
