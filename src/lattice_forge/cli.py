@@ -13,9 +13,9 @@ Exit codes: 0 success; 2 usage errors (argparse) and paths that cannot
 be read or written (``--data``, ``--output``, ``--points-out``,
 ``--frame-out``); 3 admissibility violations (failed divisibility
 preconditions); 4 numeric domain or size-cap errors, including
-``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``, and a
-``--data`` file that is not a non-empty matrix of finite numbers.
-Every error exit prints one ``error:`` line to stderr.
+``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``, a
+``--data`` file that is not a non-empty matrix of finite numbers, and
+running out of memory. Every error exit prints one ``error:`` line to stderr.
 
 ``construct --method korobov`` and ``bench-timing`` run the library's
 exact O(n^2) Korobov search.
@@ -358,6 +358,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 3
     except (DomainError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
     return 0
 

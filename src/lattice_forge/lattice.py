@@ -161,7 +161,7 @@ def korobov_vector(alpha: int, d: int, n: int) -> GeneratingVector:
     n = operator.index(n)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n):
+    if n < 2 or not is_prime(n):
         raise DomainError(f"n must be prime, got {n}")
     if not 1 <= alpha <= n - 1:
         raise DomainError(f"alpha must lie in 1..n-1, got {alpha}")
@@ -243,7 +243,7 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     p = _norm_exponent(norm)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n):
+    if n < 2 or not is_prime(n):
         raise DomainError(f"n must be prime, got {n}")
     if n < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")

@@ -53,8 +53,9 @@ class LatticePointSet:
 def generate(z: GeneratingVector) -> LatticePointSet:
     """Materialize the n x d point matrix of a rank-1 lattice.
 
-    Raises ``SizeLimitError`` before allocating when the int64 product
-    i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2 does.
+    The int64 products i * z_j are reduced mod n in place and divided
+    straight into the float result. Raises ``SizeLimitError`` before
+    allocating when i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2 does.
 
     Examples
     --------
@@ -65,8 +66,9 @@ def generate(z: GeneratingVector) -> LatticePointSet:
         raise SizeLimitError(f"i * z overflows int64 for n={z.n}; need (n-1)**2 < 2**63")
     z_arr = z.as_array()
     i = np.arange(z.n, dtype=np.int64)[:, None]
-    pts = ((i * z_arr[None, :]) % z.n) / float(z.n)
-    return LatticePointSet(pts)
+    num = i * z_arr[None, :]
+    np.remainder(num, z.n, out=num)
+    return LatticePointSet(np.divide(num, float(z.n)))
 
 
 def shift_by(ps: LatticePointSet, delta: np.ndarray) -> LatticePointSet:
@@ -74,17 +76,22 @@ def shift_by(ps: LatticePointSet, delta: np.ndarray) -> LatticePointSet:
 
     Toroidal distances are invariant under this map, so the separation
     structure of a lattice survives shifting. ``delta = 0`` is the
-    identity.
+    identity. The result is a new array; ``ps`` is not modified.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (ps.d,):
         raise DomainError(f"shift must have shape ({ps.d},), got {delta.shape}")
     if delta.size and (delta.min() < 0.0 or delta.max() >= 1.0):
         raise DomainError("shift coordinates must lie in [0, 1)")
-    pts = (ps.points + delta) % 1.0
-    # float wrap can land exactly on 1.0 (e.g. 0.3 + 0.7); fold it back
-    pts[pts >= 1.0] = 0.0
-    return LatticePointSet(pts)
+    if ps.points.size and (ps.points.min() < 0.0 or ps.points.max() >= 1.0):
+        raise DomainError("points must lie in [0, 1)")
+    return LatticePointSet(_add_mod1(ps.points, delta))
+
+
+def _add_mod1(points: np.ndarray, delta: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``(points + delta) % 1.0`` bit for bit for entries in [0, 1): x - 1 is exact on [1, 2)."""
+    out = np.add(points, delta, out=out)
+    return np.subtract(out, out >= 1.0, out=out)
 
 
 def random_shift(ps: LatticePointSet, seed: int) -> LatticePointSet:
@@ -142,6 +149,8 @@ def _replicate(
     sample ("mc") from entry (r, c) of a seed matrix generated from
     ``seed_source``, so a method's rows do not depend on the other
     methods. Returns rows of method, d, n, seed, run, **score(points).
+    Private contract: a method writes all its runs into one n x d buffer,
+    so ``score`` must be done with a point set when it returns.
     """
     methods = tuple(methods)
     unknown = [m for m in methods if m not in columns]
@@ -160,13 +169,20 @@ def _replicate(
     if "korobov" in methods:
         bases["korobov"] = generate(korobov_search(d, n, "l1").vector)
 
+    bufs: dict[str, np.ndarray] = {}
     rows: list[dict] = []
     for r in range(runs):
         for method in methods:
             s = int(seeds[r, columns.index(method)])
-            if method == "mc":
-                ps = mc_points(n, d, s)
+            buf = bufs.get(method)
+            if method == "mc":  # the first run allocates via mc_points, which checks n and d
+                buf = (mc_points(n, d, s).points if buf is None
+                       else np.random.default_rng(s).random((n, d), out=buf))
+            elif shifted:  # random_shift's values, written into the buffer
+                buf = _add_mod1(bases[method].points, np.random.default_rng(s).random(d), buf)
             else:
-                ps = random_shift(bases[method], s) if shifted else bases[method]
-            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r, **score(ps)})
+                buf = bases[method].points
+            bufs[method] = buf
+            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r,
+                         **score(LatticePointSet(buf))})
     return rows

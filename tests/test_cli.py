@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -64,6 +65,8 @@ def test_exit_four_on_domain_errors(capsys):
         (("kernel", "--samples", "20", "--data-dim", "2", "--n", "0", "--runs", "1"), 0),
         (("construct", "--d", "2", "--n", "0"), 0),
         (("construct", "--d", "2", "--n", "-7"), -7),
+        (("construct", "--d", "2", "--n", "-7", "--method", "korobov"), -7),
+        (("construct", "--d", "2", "--n", "1", "--method", "korobov"), 1),
         (("sphere", "--d", "4", "--n", "0"), 0),
     ):
         assert _run(capsys, *argv) == (4, "", f"error: n must be prime, got {n}\n"), argv
@@ -75,6 +78,26 @@ def test_exit_four_on_domain_errors(capsys):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (4, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_exit_four_on_out_of_memory():
+    # the exact Gram matrix of 200000 samples needs 298 GiB; the child's
+    # address space is capped so that the allocation fails on any machine
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_forge.cli", "kernel", "--samples", "200000",
+         "--data-dim", "2", "--n", "5", "--runs", "1"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])

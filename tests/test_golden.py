@@ -5,6 +5,12 @@
 digest below covers stdout followed by the ``--points-out`` file, if any.
 A change that moves a vector, a census, a float repr or the table layout
 changes a digest; such a change must say why and update the digest.
+
+The estimators' float output is not pinned here: BLAS kernels and numpy's
+SIMD ``exp`` may differ in the last bit between CPUs. What they are fed
+is pinned instead: the shifted lattice and MC point sets of a sweep-size
+``integrate`` run are exact lattice rationals, PCG64 draws and correctly
+rounded additions, so their bytes are the same on every platform.
 """
 
 import hashlib
@@ -12,6 +18,8 @@ import hashlib
 import pytest
 
 from lattice_forge.cli import main
+from lattice_forge.integration import _SEED_COLUMNS
+from lattice_forge.pointset import _replicate
 
 _CASES = {
     "subgroup": (
@@ -63,3 +71,17 @@ def test_deterministic_output_digest(capsys, tmp_path, argv, digest):
     if "{pts}" in argv:
         h.update(pts.read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_sweep_point_sets_digest():
+    # the point sets ``integrate --d 32 --n 60161 --runs 16 --seed 1
+    # --method subgroup`` (and ``--method mc``) score, in run order
+    h = hashlib.sha256()
+
+    def score(ps):
+        h.update(ps.points.astype("<f8", copy=False).tobytes())
+        return {}
+
+    _replicate(32, 60161, ("subgroup", "mc"), score,
+               columns=_SEED_COLUMNS, runs=16, seed=1, seed_source=1)
+    assert h.hexdigest() == "14232d708e45b422c4dd96f6f4497eb041f692bba9d8a5674b94b0208425fe4f"

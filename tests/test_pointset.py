@@ -4,12 +4,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lattice_forge.exceptions import DomainError, SizeLimitError
-from lattice_forge.lattice import GeneratingVector, subgroup_generating_vector
+from lattice_forge.lattice import GeneratingVector, korobov_search, subgroup_generating_vector
 from lattice_forge.metrics import brute_force_min_distance
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import (
+    LatticePointSet,
+    _add_mod1,
+    _replicate,
     generate,
     load_csv,
     mc_points,
@@ -61,12 +66,44 @@ def test_shift_by_wraps():
     np.testing.assert_allclose(shifted.points.ravel(), [0.75, 0.25], atol=1e-15)
 
 
+def test_shift_by_leaves_its_input_alone():
+    ps = generate(subgroup_generating_vector(3, 13))
+    before = ps.points.copy()
+    for delta in (np.zeros(3), np.full(3, 0.75)):
+        shifted = shift_by(ps, delta)
+        assert ps.points.tobytes() == before.tobytes()
+        assert not np.shares_memory(shifted.points, ps.points)
+        assert not np.shares_memory(shifted.points, delta)
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(st.lists(st.tuples(_unit, _unit), min_size=1, max_size=40))
+@example([(0.0, 0.0), (0.0, _BELOW_ONE), (_BELOW_ONE, 0.0), (_BELOW_ONE, _BELOW_ONE)])
+@example([(0.3, 0.7), (0.5, 0.5), (0.25, 1.0 - 2.0**-40), (5e-324, _BELOW_ONE)])
+def test_add_mod1_matches_float_mod_bitwise(pairs):
+    # the fold replaces (p + delta) % 1.0; compare the bits, so -0.0 or a
+    # result of 1.0 would not pass for 0.0
+    p, delta = np.array(pairs, dtype=np.float64).T.copy()
+    expect = ((p + delta) % 1.0).view(np.int64)
+    np.testing.assert_array_equal(_add_mod1(p, delta).view(np.int64), expect)
+    buf = np.full_like(p, 7.0)
+    assert _add_mod1(p, delta, buf) is buf
+    np.testing.assert_array_equal(buf.view(np.int64), expect)
+
+
 def test_shift_by_validation():
     ps = generate(GeneratingVector([1, 3], 7))
     with pytest.raises(DomainError):
         shift_by(ps, np.array([0.5]))  # wrong shape
     with pytest.raises(DomainError):
         shift_by(ps, np.array([0.5, 1.0]))  # 1.0 not allowed
+    # the exact fold assumes points in [0, 1), as LatticePointSet states
+    for bad in (1.0, -0.25):
+        with pytest.raises(DomainError, match="points must lie"):
+            shift_by(LatticePointSet(np.array([[0.5, bad]])), np.array([0.5, 0.5]))
 
 
 def test_random_shift_seeded_and_in_range():
@@ -115,3 +152,36 @@ def test_csv_round_trip_is_exact():
     buf.seek(0)
     back = load_csv(buf)
     np.testing.assert_array_equal(back, ps.points)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_replicate_reuses_one_buffer_with_fresh_set_values(shifted):
+    # every run's points equal a fresh random_shift / mc_points for its seed,
+    # and each method writes all its runs into one array
+    d, n, runs, columns = 4, 41, 3, ("subgroup", "korobov", "mc")
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def score(ps):
+        seen.append((ps.points, ps.points.copy()))
+        return {}
+
+    rows = _replicate(d, n, columns, score, columns=columns, runs=runs, seed=9,
+                      seed_source=9, shifted=shifted)
+    seeds = np.random.default_rng(9).integers(0, 2**63 - 1, size=(runs, 3), dtype=np.int64)
+    bases = {"subgroup": generate(subgroup_generating_vector(d, n)),
+             "korobov": generate(korobov_search(d, n, "l1").vector)}
+    arrays = {}
+    for row, (points, copy) in zip(rows, seen, strict=True):
+        s = int(seeds[row["run"], columns.index(row["method"])])
+        if row["method"] == "mc":
+            expect = mc_points(n, d, s)
+        else:
+            expect = random_shift(bases[row["method"]], s) if shifted else bases[row["method"]]
+        assert copy.tobytes() == expect.points.tobytes(), row
+        assert arrays.setdefault(row["method"], points) is points, row
+    assert len(arrays) == 3
+
+
+def test_replicate_mc_keeps_the_size_check():
+    with pytest.raises(DomainError, match="need n >= 1"):
+        _replicate(2, 0, ("mc",), lambda ps: {}, columns=("mc",), runs=1, seed=0, seed_source=0)
