@@ -35,9 +35,10 @@ b = min_distance_bounds(3, 13)
 print(f"  l1 bounds [{b.l1_lower:.4f}, {b.l1_upper:.4f}], "
       f"l2 bounds [{b.l2_lower:.4f}, {b.l2_upper:.4f}]")
 
-# The classical alternative scores every multiplier a by the vector
+# The classical alternative ranks every multiplier a by the vector
 # [1, a, a^2, ...] mod n. Same quality here, but even the exact discrete-log
-# search is O(n^2) work instead of a handful of modular exponentiations.
+# search with early abort is up to O(n^2) work -- here 64d > n - 1, so it
+# scores every multiplier -- instead of a handful of modular exponentiations.
 print("\nd=50, n=101 -- closed form against the full scan")
 t0 = time.perf_counter()
 vec50 = subgroup_generating_vector(50, 101)

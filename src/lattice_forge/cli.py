@@ -18,7 +18,8 @@ preconditions); 4 numeric domain or size-cap errors, including
 running out of memory. Every error exit prints one ``error:`` line to stderr.
 
 ``construct --method korobov`` and ``bench-timing`` run the library's
-exact O(n^2) Korobov search.
+exact Korobov search: early abort over O(n) discrete-log keys, O(n^2)
+at worst.
 """
 
 from __future__ import annotations

@@ -16,12 +16,15 @@ constructions are provided:
   milliseconds typically, a fraction of a second at worst, for n < 2^64)
   and tests a few small candidates with one modular exponentiation per
   prime factor of n - 1; z then takes O(d) modular multiplications.
-* ``korobov_search`` -- the classical exhaustive baseline. Scores every
+* ``korobov_search`` -- the classical exhaustive baseline. Ranks every
   multiplier a in 1..n-1 by the minimum toroidal distance of the vector
   [1, a, a^2, ..., a^(d-1)] mod n and keeps the best (ties break to the
-  smallest multiplier). Exact O(n^2) via discrete logs (Nuyens & Cools
-  2006): in the exponents of a primitive root every score is a minimum
-  of cyclic window sums, read off integer prefix sums for any d.
+  smallest multiplier). An exact score costs O(n) via discrete logs
+  (Nuyens & Cools 2006): in the exponents of a primitive root every
+  score is a minimum of cyclic window sums, read off integer prefix sums
+  for any d. An upper bound from the terms at k = 1..64 lets most
+  multipliers go unscored (early abort, L'Ecuyer & Munger 2016), so the
+  O(n^2) of scoring them all is the worst case, not the rule.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
-from .metrics import _INT64_MAX, _norm_exponent
+from .metrics import _BLOCK, _INT64_MAX, _norm_exponent
 from .numtheory import _subgroup, is_prime
 
 __all__ = [
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 _METHODS = ("subgroup", "korobov", "explicit")
+
+# Korobov scores are bounded by their terms at k = 1.._BOUND_K.
+_BOUND_K = 64
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,8 @@ class SearchResult:
 
     ``score`` is the minimum toroidal distance of ``vector`` under the
     searched norm, derived from an exact integer key.
+    ``candidates_evaluated`` is n - 1: every multiplier is ranked exactly,
+    either by its exact key or by an upper bound below the best key.
     """
 
     vector: GeneratingVector
@@ -176,54 +184,95 @@ def _weight_table(n: int, p: int) -> np.ndarray:
     return w * w if p == 2 else w
 
 
-def _korobov_keys(d: int, n: int, w: np.ndarray) -> np.ndarray:
-    """Integer score of every multiplier a, indexed by a (entry 0 is -1).
+def _exponent_tables(n: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """powers[v] = g^v mod n, W[v] = w[g^v mod n] and steps[v] = v, v < n-1."""
+    powers = np.asarray(_subgroup(n - 1, n), dtype=np.int64)
+    return powers, w[powers], np.arange(n - 1, dtype=np.int64)
 
-    With g the smallest primitive root, k = g^u and a = g^v, the score
-    min over k of sum_{j<d} w[k a^j mod n] becomes
-    min_u sum_{j<d} W[(u + v j) mod N] with N = n - 1 and
-    W[x] = w[g^x mod n]. For each v the progression u, u + v, ... splits
-    into c = gcd(v, N) cycles of length L = N / c, so a window of d
-    steps is floor(d / L) whole cycles plus a cyclic window of d mod L
-    steps, read off an int64 prefix sum. That is O(N) work per v, for
-    any d.
+
+def _korobov_key(v: int, d: int, W: np.ndarray, steps: np.ndarray) -> int:
+    """Integer score of the multiplier a = g^v (tables from ``_exponent_tables``).
+
+    With k = g^u, the score min over k of sum_{j<d} w[k a^j mod n]
+    becomes min_u sum_{j<d} W[(u + v j) mod N], N = n - 1. The progression
+    u, u + v, ... splits into c = gcd(v, N) cycles of length L = N / c,
+    so a window of d steps is floor(d / L) whole cycles plus a cyclic
+    window of d mod L steps, read off an int64 prefix sum. That is O(N)
+    work, for any d.
     """
-    N = n - 1
-    powers = np.asarray(_subgroup(N, n), dtype=np.int64)  # powers[v] = g^v mod n
-    W = w[powers]
-    steps = np.arange(N, dtype=np.int64)
-    keys = np.empty(N, dtype=np.int64)
-    for v in range(N):
-        c = math.gcd(v, N)
-        L = N // c
-        turns, s = divmod(d, L)
-        # row r of the c x L table walks the cycle r, r + v, r + 2v, ...
-        cycles = W[steps[:c, None] + (v * steps[:L]) % N]
-        best = turns * cycles.sum(axis=1)
-        if s:
-            prefix = np.zeros((c, L + s), dtype=np.int64)
-            np.cumsum(cycles, axis=1, out=prefix[:, 1 : L + 1])
-            prefix[:, L + 1 :] = prefix[:, L, None] + prefix[:, 1:s]
-            best = best + (prefix[:, s:] - prefix[:, :L]).min(axis=1)
-        keys[v] = best.min()
+    N = len(W)
+    c = math.gcd(v, N)
+    L = N // c
+    turns, s = divmod(d, L)
+    # row r of the c x L table walks the cycle r, r + v, r + 2v, ...
+    cycles = W[steps[:c, None] + (v * steps[:L]) % N]
+    best = turns * cycles.sum(axis=1) if turns else 0
+    if s:
+        prefix = np.zeros((c, L + s), dtype=np.int64)
+        cycles.cumsum(axis=1, out=prefix[:, 1 : L + 1])
+        prefix[:, L + 1 :] = prefix[:, L, None] + prefix[:, 1:s]
+        best = best + (prefix[:, s:] - prefix[:, :L]).min(axis=1)
+    return int(best.min())
+
+
+def _korobov_keys(d: int, n: int, w: np.ndarray) -> np.ndarray:
+    """Integer score of every multiplier a, indexed by a (entry 0 is -1)."""
+    powers, W, steps = _exponent_tables(n, w)
     by_multiplier = np.full(n, -1, dtype=np.int64)
-    by_multiplier[powers] = keys
+    by_multiplier[powers] = [_korobov_key(v, d, W, steps) for v in range(n - 1)]
     return by_multiplier
+
+
+def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+    """Upper bound on the score of every multiplier a = g^v, indexed by v.
+
+    The score is a minimum over k, so its terms at k = 1.._BOUND_K bound
+    it: sum_{j<d} W[(u_k + v j) mod N] with u_k = dlog[k]. Multipliers go
+    in blocks of at most ``_BLOCK`` (j, v) exponents, read from the
+    doubled table W + W so that u_k + (v j mod N) needs no reduction.
+    That is _BOUND_K * d gathers per multiplier against O(N) work for an
+    exact key, so the bound is formed only when _BOUND_K * d <= N;
+    otherwise every bound is +inf (the int64 maximum) and the search
+    scores every multiplier.
+    """
+    N = len(W)
+    bound = np.full(N, _INT64_MAX, dtype=np.int64)
+    if _BOUND_K * d > N:
+        return bound
+    doubled = np.concatenate((W, W))
+    shifts = dlog[1 : _BOUND_K + 1].tolist()
+    j = np.arange(d, dtype=np.int64)[:, None]
+    cols = max(1, _BLOCK // d)
+    for start in range(0, N, cols):
+        exps = j * np.arange(start, min(start + cols, N), dtype=np.int64) % N
+        out = bound[start : start + exps.shape[1]]
+        for u in shifts:
+            np.minimum(out, doubled[u : u + N].take(exps).sum(axis=0), out=out)
+    return bound
 
 
 def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     """Exhaustive Korobov multiplier search under a toroidal norm.
 
-    Scores all n-1 multipliers, maximizing the minimum toroidal
+    Ranks all n-1 multipliers exactly, maximizing the minimum toroidal
     distance of the lattice; ties break to the smallest multiplier.
     Scores are compared as exact integers (scaled by n for l1, by n^2
-    for l2), so the tie-breaking is exact. The search is exact O(n^2)
-    via discrete logs: see ``_korobov_keys``. Every int64 intermediate
-    there (index products, prefix sums) is below (n-1) * max(n-1, w),
-    w the largest weight: (n-1)//2 for l1, its square for l2. When that
-    bound exceeds 2**63 - 1 -- l2 from n = 3329023, l1 from
-    n = 3037000501 -- ``SizeLimitError`` is raised before any table is
-    built.
+    for l2), so the tie-breaking is exact.
+
+    Each exact score costs O(n) via discrete logs: see ``_korobov_key``.
+    Most multipliers never need one (early abort, as in L'Ecuyer & Munger
+    2016): the score is a minimum over k, so its terms at k = 1..64 bound
+    it from above (``_korobov_bounds``). Multipliers are scored in
+    descending bound order, smallest first among equal bounds, until a
+    bound falls strictly below the best exact score. When 64 d exceeds
+    n - 1 the bound is skipped and every multiplier is scored, so the
+    search is O(n^2) at worst.
+
+    Every int64 intermediate (index products, prefix sums) is below
+    (n-1) * max(n-1, w), w the largest weight: (n-1)//2 for l1, its
+    square for l2. When that bound exceeds 2**63 - 1 -- l2 from
+    n = 3329023, l1 from n = 3037000501 -- ``SizeLimitError`` is raised
+    before any table is built.
 
     Parameters
     ----------
@@ -252,9 +301,19 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
         raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
 
-    keys = _korobov_keys(d, n, _weight_table(n, p))
-    best_alpha = int(np.argmax(keys))  # first maximum: the smallest multiplier
-    best_key = int(keys[best_alpha])
+    powers, W, steps = _exponent_tables(n, _weight_table(n, p))
+    dlog = np.empty(n, dtype=np.int64)
+    dlog[powers] = steps
+    bound = _korobov_bounds(d, W, dlog)
+    order = np.lexsort((powers, -bound))  # descending bound, then smallest a
+    best_key, best_alpha = -1, 0
+    for v, b in zip(order.tolist(), bound[order].tolist()):
+        if b < best_key:
+            break
+        alpha = int(powers[v])
+        key = _korobov_key(v, d, W, steps)
+        if key > best_key or (key == best_key and alpha < best_alpha):
+            best_key, best_alpha = key, alpha
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
     return SearchResult(
         vector=korobov_vector(best_alpha, d, n),

@@ -11,9 +11,12 @@ norms ||x_k||, k = 1..n-1, with
     ||x_k||_p**p = sum_j m_{k,j}**p / n**p,
     m_{k,j} = min(k z_j mod n, n - (k z_j mod n)).
 
-``lattice_min_distance`` exploits this O(nd) reformulation and keeps the
-census on exact integer keys (sum of m for l1, sum of m**2 for l2), so
-equal distances are grouped exactly -- no floating-point aliasing.
+``lattice_min_distance`` exploits this reformulation and keeps the census
+on exact integer keys (sum of m for l1, sum of m**2 for l2), so equal
+distances are grouped exactly -- no floating-point aliasing. Since k and
+n-k share a key it scans k <= (n-1)/2 only, in O(nd); for a subgroup
+vector the key is constant on each coset of {+-z_j}, so it forms the
+(n-1)/(2d) coset keys instead, in O(n).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
-from .numtheory import is_prime
+from .numtheory import is_prime, primitive_root
 
 if TYPE_CHECKING:  # import for annotations only; no runtime dependency
     from .lattice import GeneratingVector
@@ -47,6 +50,10 @@ __all__ = [
 BRUTE_FORCE_CAP = 10_000
 
 _INT64_MAX = 2**63 - 1
+
+# Elements (rows times components) per block of the census scans, and of
+# the Korobov search's bound.
+_BLOCK = 1 << 21
 
 
 def _norm_exponent(norm: str) -> int:
@@ -156,11 +163,23 @@ def toroidal_distance(x: np.ndarray, y: np.ndarray, norm: str) -> float:
 def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     """Minimum toroidal distance and distance census of a rank-1 lattice.
 
-    Runs in O(nd) by scanning k = 1..n-1 instead of all point pairs.
-    The census accumulates on exact integer keys, so distances that are
-    equal as rationals are counted together exactly. Raises
-    ``SizeLimitError`` before scanning when an int64 product k * z_j or
-    an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too big.
+    Works on the n-1 lattice points x_k instead of all point pairs, with
+    two exact integer paths. The census accumulates on exact integer
+    keys, so distances that are equal as rationals are counted together
+    exactly.
+
+    * Subgroup vectors -- {+-z_j} is the order-2d subgroup H of the
+      nonzero residues, detected from z itself (2d | n-1, the 2d residues
+      +-z_j distinct, z_j**(2d) = 1), so the order and signs of z do not
+      matter. The key of k is constant on the coset kH, so only the
+      (n-1)/(2d) coset keys are formed, from (n-1)/2 residues in
+      fixed-size blocks: O(n) work.
+    * Every other vector -- scan k = 1..(n-1)/2 with doubled counts, since
+      k and n-k have the same key: O(nd) work.
+
+    Raises ``SizeLimitError`` before scanning when an int64 product k * z_j
+    or an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too
+    big.
 
     Parameters
     ----------
@@ -171,7 +190,6 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     """
     p = _norm_exponent(norm)
     n = z.n
-    z_arr = z.as_array()
     if n < 2:
         raise DomainError(f"need n >= 2 lattice points, got n={n}")
     if (n - 1) ** 2 > _INT64_MAX:
@@ -180,37 +198,105 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
         raise SizeLimitError(
             f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
         )
+    if _is_subgroup(z.z, n):
+        return _report(_tally(_coset_blocks(z.d, n, p), 2 * z.d), norm, n)
+    half = max(1, (n - 1) // 2)  # n = 2 has the single point k = 1
+    return _report(_tally(_scan_blocks(z.as_array(), n, p, half), (n - 1) // half), norm, n)
 
+
+def _is_subgroup(z: tuple[int, ...], n: int) -> bool:
+    """Whether {+-z_j} is the order-2d subgroup of the nonzero residues mod n.
+
+    That subgroup is {x : x**(2d) = 1}, which has exactly 2d elements
+    when 2d | n-1, so 2d distinct residues +-z_j that solve it are all of it.
+    """
+    two_d = 2 * len(z)
+    return (
+        (n - 1) % two_d == 0
+        and len({r for c in z for r in (c, n - c)}) == two_d
+        and all(pow(c, two_d, n) == 1 for c in z)
+    )
+
+
+def _wrapped_keys(residues: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row keys sum_j m**p of an int64 residue block, and m = min(r, n-r)."""
+    m = np.minimum(residues, n - residues)
+    return (m.sum(axis=1) if p == 1 else (m * m).sum(axis=1)), m
+
+
+def _scan_blocks(z_arr: np.ndarray, n: int, p: int, last: int):
+    """(keys, k) for k = 1..last, in blocks of at most ``_BLOCK`` elements."""
+    rows = max(1, _BLOCK // len(z_arr))
+    for start in range(1, last + 1, rows):
+        k = np.arange(start, min(start + rows, last + 1), dtype=np.int64)
+        yield _wrapped_keys(k[:, None] * z_arr[None, :] % n, n, p)[0], k
+
+
+def _coset_blocks(d: int, n: int, p: int):
+    """(keys, smallest element) of the cosets g^t H, t < (n-1)/(2d), in blocks.
+
+    With g the smallest primitive root and e = (n-1)/(2d), the coset g^t H
+    is {+-g^(t+je) : j < d}, so row t of a block holds g^(t+je) mod n:
+    the powers g^t of the block times the fixed row g^(je).
+    """
+    g = primitive_root(n)
+    e = (n - 1) // (2 * d)
+    h = _powers(pow(g, e, n), d, n)
+    rows = min(e, max(1, _BLOCK // d))
+    g_t = _powers(g, rows, n)
+    for start in range(0, e, rows):
+        row0 = h * pow(g, start, n) % n
+        keys, m = _wrapped_keys(g_t[: e - start, None] * row0[None, :] % n, n, p)
+        yield keys, m.min(axis=1)
+
+
+def _powers(base: int, count: int, n: int) -> np.ndarray:
+    """base**i mod n for i < count, as int64, by repeated doubling."""
+    out = np.ones(count, dtype=np.int64)
+    filled, step = 1, base
+    while filled < count:
+        more = min(filled, count - filled)
+        out[filled : filled + more] = out[:more] * step % n
+        filled += more
+        step = step * step % n
+    return out
+
+
+def _tally(blocks, weight: int) -> tuple[dict[int, int], int, int]:
+    """Census counts (each row counted ``weight`` times), min key and argmin.
+
+    ``blocks`` yields (keys, first): the key of each row and the smallest
+    k that the row stands for.
+    """
     counts: dict[int, int] = {}
     min_key: int | None = None
     argmin_k = -1
-    rows = max(1, (1 << 21) // max(1, z.d))
-    for start in range(1, n, rows):
-        k = np.arange(start, min(start + rows, n), dtype=np.int64)
-        km = (k[:, None] * z_arr[None, :]) % n
-        m = np.minimum(km, n - km)
-        keys = m.sum(axis=1) if p == 1 else (m * m).sum(axis=1)
-        pos = int(np.argmin(keys))
-        block_min = int(keys[pos])
-        if min_key is None or block_min < min_key:
+    for keys, first in blocks:
+        block_min = int(keys.min())
+        if min_key is None or block_min <= min_key:
+            k = int(first[keys == block_min].min())
+            argmin_k = k if min_key is None or block_min < min_key else min(argmin_k, k)
             min_key = block_min
-            argmin_k = int(k[pos])
         uniq, cnt = np.unique(keys, return_counts=True)
         for key, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[key] = counts.get(key, 0) + c
-
+            counts[key] = counts.get(key, 0) + weight * c
     assert min_key is not None
+    return counts, min_key, argmin_k
+
+
+def _report(census: tuple[dict[int, int], int, int], norm: str, n: int) -> DistanceReport:
+    counts, min_key, argmin_k = census
     keys_sorted = sorted(counts)
-    if p == 1:
+    if norm == "l1":
         to_dist = lambda key: key / n  # noqa: E731
     else:
         to_dist = lambda key: math.sqrt(key) / n  # noqa: E731
-    census = tuple((to_dist(key), counts[key]) for key in keys_sorted)
+    census_pairs = tuple((to_dist(key), counts[key]) for key in keys_sorted)
     return DistanceReport(
         min_distance=to_dist(min_key),
         argmin_k=argmin_k,
-        census=census,
-        distinct_count=len(census),
+        census=census_pairs,
+        distinct_count=len(census_pairs),
         min_key=min_key,
         census_keys=tuple(keys_sorted),
         norm=norm,

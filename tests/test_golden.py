@@ -46,6 +46,14 @@ _CASES = {
         ["construct", "--d", "3", "--n", "13", "--method", "korobov", "--points-out", "{pts}"],
         "787695d36dc835d7722bc527d801188a324ed3d657f4c17b135440f3d93b8bfe",
     ),
+    "subgroup-64-15233": (
+        ["construct", "--d", "64", "--n", "15233"],
+        "ada0fe2736f395f4666719581ddffdb6cf902a962c366f8f8b54c87cf80ee384",
+    ),
+    "subgroup-16-80449": (
+        ["construct", "--d", "16", "--n", "80449"],
+        "c4ba51c925cc0c25235164709dc6080ad9cf95c37cd6938d5820cd712099ddd2",
+    ),
     "admissible-csv": (
         ["admissible", "--d", "100", "--count", "3"],
         "574f77e28d0b6c5f1294e96b06f85fbd414d6157724fd5bd7fdcc6a70e47e30a",

@@ -2,10 +2,13 @@
 
 The Korobov search is validated against an independent per-multiplier
 rescan with ``lattice_min_distance`` (a hypothesis property over small
-primes, both norms and every d up to (n-1)/2), and the subgroup
+primes, both norms and every d up to (n-1)/2), its early abort against
+the argmax of every multiplier's exact key, and the subgroup
 construction's group structure (closure of {z, -z} under multiplication
 mod n) is checked for every admissible pair with n <= 500.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from hypothesis import strategies as st
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
+    _BOUND_K,
     GeneratingVector,
+    _exponent_tables,
+    _korobov_bounds,
     _korobov_keys,
     _weight_table,
     find_admissible_n,
@@ -172,6 +178,49 @@ def test_korobov_search_exhaustive_oracle(case):
     assert res.score == oracle.min_distance
     assert res.vector == korobov_vector(best, d, n)
     assert (res.candidates_evaluated, res.norm) == (n - 1, norm)
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_winner(d, n, norm):
+    """Smallest multiplier with the largest exact key, and its score."""
+    keys = _korobov_keys(d, n, _weight_table(n, 1 if norm == "l1" else 2))
+    best = int(np.argmax(keys))  # first maximum: the smallest multiplier
+    key = int(keys[best])
+    return best, key / n if norm == "l1" else float(np.sqrt(key)) / n
+
+
+@pytest.mark.parametrize("bound_k", [_BOUND_K, 4])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_korobov_search_early_abort_oracle(monkeypatch, norm, bound_k):
+    # the default K bounds only the (n, d) with 64 d <= n - 1; K = 4 puts
+    # most small cases under the bound too
+    monkeypatch.setattr("lattice_forge.lattice._BOUND_K", bound_k)
+    for n in _SMALL_PRIMES + [n for n in range(200, 300) if is_prime(n)]:
+        for d in sorted({1, 2, 3, 4, (n - 1) // 8, (n - 1) // 2}):
+            if d < 1 or n < 2 * d + 1:
+                continue
+            res = korobov_search(d, n, norm)
+            assert (res.multiplier, res.score) == _exhaustive_winner(d, n, norm)
+            assert res.candidates_evaluated == n - 1
+
+
+@pytest.mark.parametrize("d, n, bounded", [(4, 257, True), (5, 257, False), (64, 4099, True), (65, 4099, False)])
+def test_korobov_bound_cost_cap(d, n, bounded):
+    # the bound is formed iff _BOUND_K * d <= n - 1, and is then an upper
+    # bound on every multiplier's exact key
+    assert (_BOUND_K * d <= n - 1) == bounded
+    w = _weight_table(n, 2)
+    powers, W, steps = _exponent_tables(n, w)
+    dlog = np.empty(n, dtype=np.int64)
+    dlog[powers] = steps
+    bound = _korobov_bounds(d, W, dlog)
+    if bounded:
+        keys = _korobov_keys(d, n, w)[powers]
+        assert (bound >= keys).all() and (bound < 2**63 - 1).all()
+    else:
+        assert (bound == 2**63 - 1).all()
+    res = korobov_search(d, n, "l2")
+    assert (res.multiplier, res.score) == _exhaustive_winner(d, n, "l2")
 
 
 def test_korobov_search_validation():

@@ -1,8 +1,10 @@
 """Toroidal distance and census tests.
 
-``lattice_min_distance`` (the O(nd) production path) is cross-checked
-against ``brute_force_min_distance`` (O(n^2 d) pairwise enumeration on
-the materialized points) and against hand-enumerated small cases.
+``lattice_min_distance`` is cross-checked against
+``brute_force_min_distance`` (O(n^2 d) pairwise enumeration on the
+materialized points), against hand-enumerated small cases, and both of
+its fast paths (coset census, half scan) against the full scan of
+k = 1..n-1.
 """
 
 import math
@@ -13,9 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
-from lattice_forge.lattice import GeneratingVector, korobov_search, subgroup_generating_vector
+from lattice_forge.lattice import (
+    GeneratingVector,
+    find_admissible_n,
+    korobov_search,
+    subgroup_generating_vector,
+)
 from lattice_forge.numtheory import is_prime
 from lattice_forge.metrics import (
+    _is_subgroup,
+    _report,
+    _scan_blocks,
+    _tally,
     brute_force_min_distance,
     lattice_min_distance,
     min_distance_bounds,
@@ -180,12 +191,98 @@ def test_argmin_k_is_smallest_attaining_k():
 
 
 def test_blocked_census_equals_unblocked():
-    # d large enough to force several k-blocks at the 2^21 element budget
+    # one block at the 2^21 element budget: the 6 cosets of a large-d
+    # subgroup; test_census_paths_across_blocks spreads cosets over blocks
     vec = subgroup_generating_vector(250, 3001)
     rep = lattice_min_distance(vec, "l2")
     assert sum(rep.multiplicities()) == 3000
     assert rep.distinct_count == (3001 - 1) // (2 * 250)
     assert len(set(rep.multiplicities())) == 1
+
+
+def _full_scan(vec, norm):
+    """The census of k = 1..n-1, every k counted once: the oracle."""
+    p = 1 if norm == "l1" else 2
+    return _report(_tally(_scan_blocks(vec.as_array(), vec.n, p, vec.n - 1), 1), norm, vec.n)
+
+
+@st.composite
+def _subgroup_vectors(draw):
+    """A subgroup vector with its components permuted and sign-flipped."""
+    d = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 32, 64]))
+    n = draw(st.sampled_from(find_admissible_n(d, 4)))
+    z = draw(st.permutations(subgroup_generating_vector(d, n).z))
+    flips = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return GeneratingVector([n - c if f else c for c, f in zip(z, flips)], n)
+
+
+@given(_subgroup_vectors(), st.sampled_from(["l1", "l2"]))
+@settings(max_examples=60, deadline=None)
+def test_coset_census_equals_full_scan(vec, norm):
+    assert _is_subgroup(vec.z, vec.n)
+    assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+
+
+def test_coset_census_on_reversed_vectors():
+    for d in (1, 2, 3, 5, 8, 13, 32, 64):
+        for n in find_admissible_n(d, 3):
+            vec = GeneratingVector(subgroup_generating_vector(d, n).z[::-1], n)
+            assert _is_subgroup(vec.z, n)
+            for norm in ("l1", "l2"):
+                assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+
+
+def test_non_subgroup_vectors_take_the_scan(monkeypatch):
+    def no_cosets(*args):
+        raise AssertionError("coset census used")
+
+    monkeypatch.setattr("lattice_forge.metrics._coset_blocks", no_cosets)
+    cases = [
+        # 6 distinct +-z_j and 6 | 12, but 2**6 = 12 mod 13: not the subgroup
+        GeneratingVector([1, 2, 3], 13),
+        # every z_j solves x**6 = 1 mod 13, but +-1 repeats
+        GeneratingVector([1, 12, 4], 13),
+        # a subgroup vector with one component too few or too many
+        GeneratingVector(subgroup_generating_vector(3, 13).z[:2], 13),
+        GeneratingVector(subgroup_generating_vector(3, 13).z + (5,), 13),
+        # 2d does not divide n - 1
+        GeneratingVector([1, 2, 3, 4, 5], 13),
+    ]
+    for vec in cases:
+        assert not _is_subgroup(vec.z, vec.n)
+        for norm in ("l1", "l2"):
+            assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 16])
+def test_census_paths_across_blocks(monkeypatch, block):
+    # a budget of 3 * ``block`` elements spreads the 16 cosets of (d=3,
+    # n=97), the 3 of (d=6, n=37) and the 48 half-scan rows of (2, 25, 27)
+    # over many blocks, often with a partial last block. The minimum key
+    # recurs in later blocks: on two cosets of (6, 37) in l1, and at
+    # k = 4, 43, 47 for (2, 25, 27); the smallest k must still win.
+    vectors = (
+        subgroup_generating_vector(3, 97),
+        subgroup_generating_vector(6, 37),
+        GeneratingVector([2, 25, 27], 97),
+    )
+    oracles = {(v, norm): _full_scan(v, norm) for v in vectors for norm in ("l1", "l2")}
+    monkeypatch.setattr("lattice_forge.metrics._BLOCK", 3 * block)
+    for (v, norm), oracle in oracles.items():
+        assert lattice_min_distance(v, norm) == oracle
+
+
+@st.composite
+def _any_vectors(draw):
+    n = draw(st.sampled_from([2, 3, 5, 7, 13, 29, 61, 101, 127, 211]))
+    d = draw(st.integers(1, 8))
+    return GeneratingVector(draw(st.lists(st.integers(1, n - 1), min_size=d, max_size=d)), n)
+
+
+@given(_any_vectors(), st.sampled_from(["l1", "l2"]))
+@settings(max_examples=150, deadline=None)
+def test_half_scan_equals_full_scan(vec, norm):
+    assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
 
 
 def test_census_refuses_int64_overflow_before_scanning(no_numpy):
