@@ -13,6 +13,10 @@ controlled by the character sums S_t = sum_{k in Lambda} e^(2 pi i k t / n):
 the mutual coherence is  mu = max_t max(|Re S_t|, |Im S_t|) / m  over
 t = 1..n-1, and it never exceeds sqrt(n)/m.
 
+Every entry of V and every term of S_t is cos or sin of 2 pi r / n for a
+residue r = (k j) mod n, so each call evaluates one length-n cos/sin
+table and gathers from it by residue: n transcendentals instead of m n.
+
 Write a frame matrix with ``pointset.save_csv(frame.V, path)``.
 """
 
@@ -20,11 +24,13 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError
+from .metrics import _INT64_MAX
 from .numtheory import _subgroup, is_prime
 
 __all__ = [
@@ -103,20 +109,67 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     return tuple(_subgroup(m, n))
 
 
+def _physical_memory() -> "int | None":
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise ``SizeLimitError`` when ``nbytes`` exceed physical memory."""
+    mem = _physical_memory()
+    if mem is not None and nbytes > mem:
+        raise SizeLimitError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, "
+            f"more than the {mem / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi r / n for r = 0..n-1.
+
+    The angle of residue r is 2.0 * pi * r / n, the float expression of
+    the per-entry formula, so gathering these tables by residue gives the
+    bits of evaluating cos/sin entry by entry.
+    """
+    ang = 2.0 * np.pi * np.arange(n, dtype=np.int64) / n
+    return np.cos(ang), np.sin(ang)
+
+
 def sphere_frame(m: int, n: int) -> SphericalFrame:
     """Build the 2m x 2n frame from the order-m subgroup rows.
 
     Columns j and j + n are orthogonal by construction, and every
-    column has unit norm.
+    column has unit norm. Raises ``SizeLimitError`` before allocating
+    when a product k * j could pass 2**63 - 1, or when the frame, its
+    m x n residue matrix and the two length-n tables together exceed
+    physical memory.
     """
     idx = sphere_index_set(m, n)
+    m = operator.index(m)
     n = operator.index(n)
+    # k <= n - 1 and j <= n; no odd n separates this bound from the
+    # (n-1)**2 < 2**63 bound of pointset.generate
+    if (n - 1) * n > _INT64_MAX:
+        raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
+    _require_memory(8 * (4 * m * n + m * n + 2 * n), f"sphere frame for m={m}, n={n}")
+    c, s = _unit_circle(n)
+    scale = math.sqrt(m)
+    c /= scale
+    s /= scale
     lam = np.asarray(idx, dtype=np.int64)
-    j = np.arange(1, n + 1, dtype=np.int64)
-    ang = 2.0 * np.pi * ((lam[:, None] * j[None, :]) % n) / n
-    c = np.cos(ang)
-    s = np.sin(ang)
-    V = np.block([[c, -s], [s, c]]) / math.sqrt(m)
+    r = lam[:, None] * np.arange(1, n + 1, dtype=np.int64)[None, :]
+    np.remainder(r, n, out=r)
+    # residues lie in [0, n), and mode="clip" lets take write into the
+    # views of V without an intermediate buffer; (-s)/sqrt(m) equals
+    # -(s/sqrt(m)) exactly, so the negated copy keeps the block's bits
+    V = np.empty((2 * m, 2 * n))
+    np.take(c, r, out=V[:m, :n], mode="clip")
+    np.take(s, r, out=V[m:, :n], mode="clip")
+    V[m:, n:] = V[:m, :n]
+    np.negative(V[m:, :n], out=V[:m, n:])
     return SphericalFrame(V=V, m=m, n=n, index_set=idx)
 
 
@@ -124,27 +177,32 @@ def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> Co
     """Largest |inner product| between distinct frame vectors.
 
     method="character_sum" (default) evaluates max over t = 1..n-1 of
-    max(|Re S_t|, |Im S_t|)/m with S_t the subgroup character sum --
-    O(nm) work. method="pairwise" forms the full Gram matrix of V and
-    takes the off-diagonal maximum -- the O(n^2 m) reference oracle.
-    Both paths return the same value to floating-point accuracy.
+    max(|Re S_t|, |Im S_t|)/m with S_t the subgroup character sum:
+    n cos/sin evaluations plus O(nm) gathers from that table.
+    method="pairwise" forms the full Gram matrix of V and takes the
+    off-diagonal maximum -- the O(n^2 m) reference oracle; it raises
+    ``SizeLimitError`` before allocating when its two (2n)^2 arrays
+    exceed physical memory. Both paths return the same value to
+    floating-point accuracy.
     """
     m, n = frame.m, frame.n
     if method == "pairwise":
+        _require_memory(2 * 8 * (2 * n) ** 2, f"pairwise Gram for n={n}")
         G = frame.V.T @ frame.V
         A = np.abs(G)
         np.fill_diagonal(A, 0.0)
         mu = float(A.max())
     elif method == "character_sum":
+        c, s = _unit_circle(n)
         lam = np.asarray(frame.index_set, dtype=np.int64)
         mu_num = 0.0
         block = max(1, (1 << 22) // max(1, m))
         for lo in range(1, n, block):
             t = np.arange(lo, min(lo + block, n), dtype=np.int64)
-            # reduce k*t mod n before the angle so cos/sin see small args
-            ang = 2.0 * np.pi * ((lam[:, None] * t[None, :]) % n) / n
-            s_re = np.cos(ang).sum(axis=0)
-            s_im = np.sin(ang).sum(axis=0)
+            r = lam[:, None] * t[None, :]
+            np.remainder(r, n, out=r)
+            s_re = np.take(c, r, mode="clip").sum(axis=0)
+            s_im = np.take(s, r, mode="clip").sum(axis=0)
             mu_num = max(mu_num, float(np.abs(s_re).max()), float(np.abs(s_im).max()))
         mu = mu_num / m
     else:

@@ -80,6 +80,11 @@ def test_exit_four_on_domain_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+# a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
+# frame plus its residue matrix
+_BIG_PRIME = "1000000321"
+
+
 def test_exit_four_on_out_of_memory():
     # the exact Gram matrix of 200000 samples needs 298 GiB; the child's
     # address space is capped so that the allocation fails on any machine
@@ -97,6 +102,26 @@ def test_exit_four_on_out_of_memory():
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_four_on_oversized_sphere_frame():
+    # the frame alone is 2 TB, so the size guard refuses it on any machine
+    # before the capped child could reach the out-of-memory backstop
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_forge.cli", "sphere", "--d", "128", "--n", _BIG_PRIME],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith(f"error: sphere frame for m=64, n={_BIG_PRIME} needs ")
+    assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -349,7 +374,8 @@ def test_console_entry_point_runs():
 
 
 # ---------------------------------------------------------------------------
-# fuzz: any small or invalid input exits 0, 2, 3 or 4 without a traceback
+# fuzz: any small, oversized or invalid input exits 0, 2, 3 or 4 without a
+# traceback
 # ---------------------------------------------------------------------------
 
 # half the draws are admissible (d, n) pairs, so successful runs are covered too
@@ -376,6 +402,8 @@ def _fuzz_argv(draw):
     elif cmd == "integrate":
         argv = ["integrate", "--d", draw(_dims), "--n", draw(_moduli),
                 "--runs", draw(st.integers(-1, 2).map(str))]
+    elif cmd == "sphere" and draw(st.booleans()):
+        argv = ["sphere", "--d", "128", "--n", _BIG_PRIME]
     else:
         argv = [cmd, "--d", draw(_dims), "--n", draw(_moduli)]
     if cmd in ("construct", "bench-timing") and draw(st.booleans()):

@@ -1,9 +1,11 @@
 """Spherical frame tests.
 
-The character-sum coherence (production path) is cross-checked against
-the full pairwise Gram maximum (oracle) on a range of admissible pairs,
-and the frame's structural identities (unit columns, orthogonal column
-pairing, subgroup closure of the index set) are asserted directly.
+The table-gathered frame and character sums are checked bit for bit
+against the direct per-entry cos/sin formula, the character-sum
+coherence (production path) is cross-checked against the full pairwise
+Gram maximum (oracle) on a range of admissible pairs, and the frame's
+structural identities (unit columns, orthogonal column pairing, subgroup
+closure of the index set) are asserted directly.
 """
 
 import io
@@ -12,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from lattice_forge.exceptions import AdmissibilityError, DomainError
+from lattice_forge import sphere
+from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import load_csv, save_csv
 from lattice_forge.sphere import (
@@ -25,13 +28,43 @@ from lattice_forge.sphere import (
 
 def _admissible_mn(n_max, m_cap=None):
     out = []
-    for n in range(3, n_max + 1):
+    for n in range(2, n_max + 1):
         if not is_prime(n):
             continue
         for m in range(1, n):
             if (n - 1) % m == 0 and (m_cap is None or m <= m_cap):
                 out.append((m, n))
     return out
+
+
+def _benchmark_size_mn():
+    # 20 pairs at the sizes the construct benchmark asks for: m 16-64,
+    # n 1e3-1.4e4, the first prime n = 1 (mod m) at or above each start
+    out = []
+    for m in (16, 24, 32, 48, 64):
+        for start in (1000, 4500, 9000, 13000):
+            n = start + (1 - start) % m
+            while not is_prime(n):
+                n += m
+            out.append((m, n))
+    return out
+
+
+def _direct_frame(m, n):
+    lam = np.asarray(sphere_index_set(m, n), dtype=np.int64)
+    j = np.arange(1, n + 1, dtype=np.int64)
+    ang = 2.0 * np.pi * ((lam[:, None] * j[None, :]) % n) / n
+    c, s = np.cos(ang), np.sin(ang)
+    return np.block([[c, -s], [s, c]]) / math.sqrt(m)
+
+
+def _direct_character_sum_mu(m, n):
+    lam = np.asarray(sphere_index_set(m, n), dtype=np.int64)
+    t = np.arange(1, n, dtype=np.int64)
+    ang = 2.0 * np.pi * ((lam[:, None] * t[None, :]) % n) / n
+    s_re = np.cos(ang).sum(axis=0)
+    s_im = np.sin(ang).sum(axis=0)
+    return max(float(np.abs(s_re).max()), float(np.abs(s_im).max())) / m
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +131,16 @@ def test_character_sum_matches_pairwise_oracle():
         assert fast == pytest.approx(slow, abs=1e-10), (m, n)
 
 
+@pytest.mark.parametrize(
+    "pairs", [_admissible_mn(399), _benchmark_size_mn()], ids=["n<400", "benchmark-size"]
+)
+def test_table_gather_matches_direct_formula_bit_for_bit(pairs):
+    for m, n in pairs:
+        frame = sphere_frame(m, n)
+        assert frame.V.tobytes() == _direct_frame(m, n).tobytes(), (m, n)
+        assert mutual_coherence(frame).mu == _direct_character_sum_mu(m, n), (m, n)
+
+
 def test_coherence_bound_holds_on_admissible_grid():
     for m, n in _admissible_mn(101):
         rep = mutual_coherence(sphere_frame(m, n))
@@ -108,6 +151,54 @@ def test_coherence_bound_holds_on_admissible_grid():
 def test_coherence_method_validation():
     with pytest.raises(DomainError):
         mutual_coherence(sphere_frame(2, 5), method="magic")
+
+
+# ---------------------------------------------------------------------------
+# size guards: checked on both sides without allocating
+# ---------------------------------------------------------------------------
+
+
+def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
+    m, n = 64, 1000000321  # 64 | n - 1
+    need = 8 * (4 * m * n + m * n + 2 * n)  # frame, int64 residues, two tables
+    no_numpy("lattice_forge.sphere")
+    monkeypatch.setattr(sphere, "_physical_memory", lambda: need - 1)
+    expect = r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB"
+    with pytest.raises(SizeLimitError, match=expect):
+        sphere_frame(m, n)
+    monkeypatch.setattr(sphere, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        sphere_frame(m, n)
+
+
+def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
+    # the largest prime with (n-1)*n < 2**63 passes; the next prime does not
+    limit = 2**63 - 1
+    n_ok = math.isqrt(limit)
+    while not is_prime(n_ok):
+        n_ok -= 1
+    n_bad = n_ok + 1
+    while not is_prime(n_bad):
+        n_bad += 1
+    assert (n_ok - 1) * n_ok <= limit < (n_bad - 1) ** 2
+    no_numpy("lattice_forge.sphere")
+    monkeypatch.setattr(sphere, "_physical_memory", lambda: 2**80)
+    with pytest.raises(SizeLimitError, match="overflows int64"):
+        sphere_frame(1, n_bad)
+    with pytest.raises(AssertionError, match="scan started"):
+        sphere_frame(1, n_ok)
+
+
+def test_pairwise_memory_guard_threshold(no_numpy, monkeypatch):
+    frame = sphere_frame(2, 5)
+    need = 2 * 8 * (2 * 5) ** 2  # the Gram and its absolute value
+    no_numpy("lattice_forge.sphere")
+    monkeypatch.setattr(sphere, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match="pairwise Gram for n=5 needs"):
+        mutual_coherence(frame, method="pairwise")
+    monkeypatch.setattr(sphere, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        mutual_coherence(frame, method="pairwise")
 
 
 # ---------------------------------------------------------------------------
