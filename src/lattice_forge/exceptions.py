@@ -10,7 +10,13 @@ mapping) can react differently:
   e.g. the subgroup construction needs ``2d | n - 1``.
 * ``SizeLimitError`` -- a deliberately guarded brute-force path was asked
   to run at a size it refuses.
+
+``_require_memory`` is the private size guard shared by the functions that
+allocate large arrays: it raises ``SizeLimitError`` before an allocation
+larger than physical memory.
 """
+
+import os
 
 __all__ = ["DomainError", "AdmissibilityError", "SizeLimitError"]
 
@@ -25,3 +31,21 @@ class AdmissibilityError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """A guarded brute-force computation exceeds its size cap."""
+
+
+def _physical_memory() -> "int | None":
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise ``SizeLimitError`` when ``nbytes`` exceed physical memory."""
+    mem = _physical_memory()
+    if mem is not None and nbytes > mem:
+        raise SizeLimitError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, "
+            f"more than the {mem / 2**30:.1f} GiB of physical memory"
+        )

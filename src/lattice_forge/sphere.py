@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
 from .metrics import _INT64_MAX
 from .numtheory import _subgroup, is_prime
 
@@ -107,24 +106,6 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     if not is_prime(n):
         raise DomainError(f"n must be prime, got {n}")
     return tuple(_subgroup(m, n))
-
-
-def _physical_memory() -> "int | None":
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _require_memory(nbytes: int, what: str) -> None:
-    """Raise ``SizeLimitError`` when ``nbytes`` exceed physical memory."""
-    mem = _physical_memory()
-    if mem is not None and nbytes > mem:
-        raise SizeLimitError(
-            f"{what} needs {nbytes / 2**30:.1f} GiB, "
-            f"more than the {mem / 2**30:.1f} GiB of physical memory"
-        )
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ def test_exit_four_on_domain_errors(capsys):
 
 
 # a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
-# frame plus its residue matrix
+# frame plus its residue matrix, and integrate --d 32 for a 238 GiB point set
 _BIG_PRIME = "1000000321"
 
 
@@ -122,6 +122,29 @@ def test_exit_four_on_oversized_sphere_frame():
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(f"error: sphere frame for m=64, n={_BIG_PRIME} needs ")
     assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["subgroup", "mc"])
+def test_exit_four_on_oversized_point_set(method):
+    # 32 columns of n = 1000000321 points need 238 GiB, so the size guard
+    # refuses them on any smaller machine before the capped child could
+    # reach the out-of-memory backstop
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_forge.cli", "integrate", "--d", "32", "--n", _BIG_PRIME,
+         "--runs", "1", "--method", method],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith(f"error: points for d=32, n={_BIG_PRIME} needs 238.4 GiB, ")
+    assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -399,6 +422,9 @@ def _fuzz_argv(draw):
                 "--runs", draw(st.integers(-1, 2).map(str))]
         if draw(st.booleans()):
             argv += ["--data", draw(_bad_paths)]
+    elif cmd == "integrate" and draw(st.booleans()):
+        argv = ["integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1"]
+        argv += draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
     elif cmd == "integrate":
         argv = ["integrate", "--d", draw(_dims), "--n", draw(_moduli),
                 "--runs", draw(st.integers(-1, 2).map(str))]

@@ -7,13 +7,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lattice_forge import exceptions
 from lattice_forge.exceptions import DomainError, SizeLimitError
-from lattice_forge.lattice import GeneratingVector, korobov_search, subgroup_generating_vector
+from lattice_forge.lattice import (
+    GeneratingVector,
+    korobov_search,
+    korobov_vector,
+    subgroup_generating_vector,
+)
 from lattice_forge.metrics import brute_force_min_distance
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import (
+    _BLOCK,
     LatticePointSet,
     _add_mod1,
+    _lattice_rows,
     _replicate,
     generate,
     load_csv,
@@ -41,9 +49,11 @@ def test_generate_first_row_is_origin():
     assert ps.points.max() < 1.0
 
 
-def test_generate_refuses_int64_overflow_before_allocating(no_numpy):
-    # i * z_j wraps in int64 once (n - 1)**2 > 2**63 - 1, from n = 3037000501
+def test_generate_refuses_int64_overflow_before_allocating(no_numpy, monkeypatch):
+    # i * z_j wraps in int64 once (n - 1)**2 > 2**63 - 1, from n = 3037000501;
+    # memory is stubbed high so the 24 GB set below reaches the int64 guard
     no_numpy("lattice_forge.pointset")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="i \\* z"):
         generate(GeneratingVector((1,), 3037000507))
     # the largest prime below the threshold passes the guard and starts work
@@ -52,6 +62,123 @@ def test_generate_refuses_int64_overflow_before_allocating(no_numpy):
         n -= 1
     with pytest.raises(AssertionError, match="scan started"):
         generate(GeneratingVector((1,), n))
+
+
+# a prime with 64 | n - 1; 32 columns of it need 238.4 GiB
+_BIG_N, _BIG_D = 1000000321, 32
+
+
+def test_generate_memory_guard_threshold(no_numpy, monkeypatch):
+    vec = GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N)
+    need = 8 * _BIG_N * _BIG_D
+    no_numpy("lattice_forge.pointset")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 238\.4 GiB"):
+        generate(vec)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        generate(vec)
+
+
+def test_mc_points_memory_guard_threshold(no_numpy, monkeypatch):
+    need = 8 * _BIG_N * _BIG_D
+    no_numpy("lattice_forge.pointset")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 238\.4 GiB"):
+        mc_points(_BIG_N, _BIG_D, seed=0)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        mc_points(_BIG_N, _BIG_D, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# blocked generate against the product formula, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _product_formula(vec):
+    """The one-shot formula: int64 products i * z_j, reduced, divided by n."""
+    i = np.arange(vec.n, dtype=np.int64)[:, None]
+    return (i * vec.as_array()[None, :] % vec.n) / vec.n
+
+
+def _prime_at_block_rows(offset):
+    """(d, n): a prime n = R + offset, R = _BLOCK // d the rows per block."""
+    for d in range(2, 200):
+        n = _BLOCK // d + offset
+        if n > 2 * d and is_prime(n):
+            return d, n
+    raise AssertionError(f"no prime at block rows {offset:+d}")
+
+
+def _explicit(d, n, seed):
+    z = np.random.default_rng(seed).integers(1, n, size=d)
+    return GeneratingVector(tuple(int(c) for c in z), n)
+
+
+def _block_cases():
+    cases = {}
+    for offset, name in ((-1, "below"), (0, "equal"), (1, "above")):
+        d, n = _prime_at_block_rows(offset)
+        cases[f"n-{name}-block-rows"] = _explicit(d, n, 2 + offset)
+    cases["four-blocks-ragged-tail"] = subgroup_generating_vector(16, 8353)  # 8353 = 4 * 2048 + 161
+    cases["d1-two-blocks"] = GeneratingVector((12345,), 40009)
+    cases["n3"] = GeneratingVector((1, 2), 3)
+    cases["n5"] = GeneratingVector((1, 2, 3, 4), 5)
+    cases["korobov"] = korobov_vector(17, 8, 10007)
+    cases["korobov-search"] = korobov_search(4, 401, "l1").vector
+    cases["explicit-wide"] = _explicit(100, 1009, 7)
+    return cases
+
+
+_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_generate_matches_product_formula_bitwise(name):
+    vec = _CASES[name]
+    assert generate(vec).points.tobytes() == _product_formula(vec).tobytes()
+
+
+def test_block_cases_cover_the_block_edges():
+    for name, blocks in (("n-below-block-rows", 1), ("n-equal-block-rows", 1),
+                         ("n-above-block-rows", 2), ("four-blocks-ragged-tail", 5),
+                         ("d1-two-blocks", 2)):
+        vec = _CASES[name]
+        rows = _BLOCK // vec.d
+        assert -(-vec.n // rows) == blocks, name
+    assert _CASES["four-blocks-ragged-tail"].n % (_BLOCK // 16)
+
+
+_primes = st.sampled_from([3, 5, 7, 13, 101, 1009, 4099, 8191, 8209, 16411, 32771])
+
+
+@st.composite
+def _vectors(draw):
+    n = draw(_primes)
+    z = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=12))
+    return GeneratingVector(tuple(z), n)
+
+
+@given(_vectors())
+def test_generate_matches_product_formula_property(vec):
+    assert generate(vec).points.tobytes() == _product_formula(vec).tobytes()
+
+
+def test_lattice_rows_near_the_int64_limit():
+    # the last rows of the largest n generate accepts, against Python ints,
+    # with no n x d allocation: one full block ending three rows short of n,
+    # then the ragged tail
+    n = 3037000500
+    while not is_prime(n):
+        n -= 1
+    z = (1, 2, n - 1, 2_718_281_828)
+    rows = _BLOCK // len(z) + 3
+    lo = n - rows
+    out = _lattice_rows(np.array(z, dtype=np.int64), n, lo, np.empty((rows, len(z))))
+    expect = np.array([[(i * zj) % n / n for zj in z] for i in range(lo, n)])
+    assert out.tobytes() == expect.tobytes()
+    assert out[-1, 0] == (n - 1) / n and out[-1, 2] == 1 / n
 
 
 def test_shift_by_zero_is_identity():
@@ -91,6 +218,26 @@ def test_add_mod1_matches_float_mod_bitwise(pairs):
     np.testing.assert_array_equal(_add_mod1(p, delta).view(np.int64), expect)
     buf = np.full_like(p, 7.0)
     assert _add_mod1(p, delta, buf) is buf
+    np.testing.assert_array_equal(buf.view(np.int64), expect)
+
+
+def test_add_mod1_blocks_match_float_mod_bitwise():
+    # a 2-D set over three full row blocks and a ragged tail; dyadic shifts
+    # make p = 1 - delta exact, so some sums land exactly on 1.0
+    d = 7
+    rows = _BLOCK // d
+    n = 3 * rows + 123
+    rng = np.random.default_rng(3)
+    p = rng.random((n, d))
+    delta = np.array([0.75, 0.5, 0.25, 2.0**-40, 0.3, 0.9, 0.0])
+    p[::97] = 1.0 - delta
+    p[5::101] = _BELOW_ONE
+    p[7::103] = 0.0
+    assert ((p + delta) == 1.0).sum() >= 3 * (n // 97)
+    expect = ((p + delta) % 1.0).view(np.int64)
+    np.testing.assert_array_equal(_add_mod1(p, delta).view(np.int64), expect)
+    buf = np.full_like(p, 7.0)
+    assert _add_mod1(p, delta, out=buf) is buf
     np.testing.assert_array_equal(buf.view(np.int64), expect)
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_forge import sphere
+from lattice_forge import exceptions
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import load_csv, save_csv
@@ -162,11 +162,11 @@ def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
     m, n = 64, 1000000321  # 64 | n - 1
     need = 8 * (4 * m * n + m * n + 2 * n)  # frame, int64 residues, two tables
     no_numpy("lattice_forge.sphere")
-    monkeypatch.setattr(sphere, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
     expect = r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB"
     with pytest.raises(SizeLimitError, match=expect):
         sphere_frame(m, n)
-    monkeypatch.setattr(sphere, "_physical_memory", lambda: need)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):
         sphere_frame(m, n)
 
@@ -182,7 +182,7 @@ def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
         n_bad += 1
     assert (n_ok - 1) * n_ok <= limit < (n_bad - 1) ** 2
     no_numpy("lattice_forge.sphere")
-    monkeypatch.setattr(sphere, "_physical_memory", lambda: 2**80)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="overflows int64"):
         sphere_frame(1, n_bad)
     with pytest.raises(AssertionError, match="scan started"):
@@ -193,10 +193,10 @@ def test_pairwise_memory_guard_threshold(no_numpy, monkeypatch):
     frame = sphere_frame(2, 5)
     need = 2 * 8 * (2 * 5) ** 2  # the Gram and its absolute value
     no_numpy("lattice_forge.sphere")
-    monkeypatch.setattr(sphere, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
     with pytest.raises(SizeLimitError, match="pairwise Gram for n=5 needs"):
         mutual_coherence(frame, method="pairwise")
-    monkeypatch.setattr(sphere, "_physical_memory", lambda: need)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):
         mutual_coherence(frame, method="pairwise")
 
