@@ -129,6 +129,9 @@ def _cmd_construct(args: argparse.Namespace):
     else:
         vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
     bounds = min_distance_bounds(args.d, args.n)
+    # generate first, so that its size guard refuses oversized points
+    # before the census runs
+    points = generate(vec).points if args.points_out else None
     rows = []
     for norm in ("l1", "l2"):
         rep = lattice_min_distance(vec, norm)
@@ -137,7 +140,7 @@ def _cmd_construct(args: argparse.Namespace):
             if norm == "l1"
             else (bounds.l2_lower, bounds.l2_upper)
         )
-        mults = rep.multiplicities()
+        counts = rep.counts
         rows.append(
             {
                 "method": vec.method,
@@ -147,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace):
                 "min_distance": rep.min_distance,
                 "argmin_k": rep.argmin_k,
                 "distinct_distances": rep.distinct_count,
-                "uniform_multiplicity": mults[0] if len(set(mults)) == 1 else "",
+                "uniform_multiplicity": int(counts[0]) if (counts == counts[0]).all() else "",
                 "bound_lower": lower,
                 "bound_upper": upper,
                 "bound_holds": lower - 1e-12 <= rep.min_distance <= upper + 1e-12,
@@ -156,7 +159,7 @@ def _cmd_construct(args: argparse.Namespace):
             }
         )
     if args.points_out:
-        save_csv(generate(vec).points, args.points_out)
+        save_csv(points, args.points_out)
     return rows
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
 from .metrics import _BLOCK, _INT64_MAX, _norm_exponent
 from .numtheory import _subgroup, is_prime
 
@@ -272,7 +272,8 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     (n-1) * max(n-1, w), w the largest weight: (n-1)//2 for l1, its
     square for l2. When that bound exceeds 2**63 - 1 -- l2 from
     n = 3329023, l1 from n = 3037000501 -- ``SizeLimitError`` is raised
-    before any table is built.
+    before any table is built. So it is when the tables could need more
+    than physical memory, about 136 bytes per residue.
 
     Parameters
     ----------
@@ -300,6 +301,10 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     max_w = half if p == 1 else half * half
     if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
         raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
+    # at its peak the search holds six int64 tables of n entries, the order
+    # and the sorted bounds as two lists of n Python ints (40 bytes each)
+    # and the gathered bounds, plus two int64 blocks of the bound's scratch
+    _require_memory(136 * n + 16 * _BLOCK, f"korobov search for d={d}, n={n}")
 
     powers, W, steps = _exponent_tables(n, _weight_table(n, p))
     dlog = np.empty(n, dtype=np.int64)

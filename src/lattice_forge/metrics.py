@@ -16,7 +16,9 @@ on exact integer keys (sum of m for l1, sum of m**2 for l2), so equal
 distances are grouped exactly -- no floating-point aliasing. Since k and
 n-k share a key it scans k <= (n-1)/2 only, in O(nd); for a subgroup
 vector the key is constant on each coset of {+-z_j}, so it forms the
-(n-1)/(2d) coset keys instead, in O(n).
+(n-1)/(2d) coset keys instead, in O(n). The census is two int64 arrays,
+the distinct keys and their counts, merged from the per-block results
+by one sort.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
 from .numtheory import is_prime, primitive_root
 
 if TYPE_CHECKING:  # import for annotations only; no runtime dependency
@@ -63,42 +65,56 @@ def _norm_exponent(norm: str) -> int:
     return 1 if norm == "l1" else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceReport:
     """Minimum-distance diagnostics for a rank-1 lattice.
 
+    The census is stored once, as two int64 arrays. Every other view is
+    derived from them as Python ints and floats, the distance of a key
+    being ``key / n`` (l1) or ``math.sqrt(key) / n`` (l2).
+
     Attributes
     ----------
-    min_distance : float
-        Minimum pairwise toroidal distance (unit-cube units).
+    keys : numpy.ndarray
+        Distinct exact integer keys, ascending: the sum of the wrapped
+        residues (l1) or of their squares (l2). ``min_key`` is ``keys[0]``.
+    counts : numpy.ndarray
+        How many k in 1..n-1 have each key (``multiplicities()``).
     argmin_k : int
-        Smallest index k in 1..n-1 whose lattice point attains it.
-    census : tuple of (float, int)
-        Distinct distance values (ascending) with their k-multiplicities.
-    distinct_count : int
-        ``len(census)``.
-    min_key : int
-        Exact integer key of the minimum (sum of wrapped residues for l1,
-        sum of their squares for l2); ``min_distance`` is derived from it.
-    census_keys : tuple of int
-        Exact integer keys backing ``census``, ascending.
+        Smallest k in 1..n-1 whose lattice point attains the minimum.
     norm : str
         "l1" or "l2".
     n : int
         Number of lattice points.
     """
 
-    min_distance: float
+    keys: np.ndarray
+    counts: np.ndarray
     argmin_k: int
-    census: tuple[tuple[float, int], ...]
-    distinct_count: int
-    min_key: int
-    census_keys: tuple[int, ...]
     norm: str
     n: int
 
+    def _distance(self, key: int) -> float:
+        return key / self.n if self.norm == "l1" else math.sqrt(key) / self.n
+
+    @property
+    def min_key(self) -> int:
+        return int(self.keys[0])
+
+    @property
+    def min_distance(self) -> float:
+        return self._distance(self.min_key)
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.keys)
+
+    @property
+    def census(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(map(self._distance, self.keys.tolist()), self.counts.tolist()))
+
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.census)
+        return tuple(self.counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -179,7 +195,9 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
 
     Raises ``SizeLimitError`` before scanning when an int64 product k * z_j
     or an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too
-    big.
+    big; then when the census could need more than physical memory, with
+    its rows -- (n-1)/(2d) cosets or (n-1)/2 scanned k -- bounding its
+    distinct keys.
 
     Parameters
     ----------
@@ -198,10 +216,15 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
         raise SizeLimitError(
             f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
         )
-    if _is_subgroup(z.z, n):
-        return _report(_tally(_coset_blocks(z.d, n, p), 2 * z.d), norm, n)
-    half = max(1, (n - 1) // 2)  # n = 2 has the single point k = 1
-    return _report(_tally(_scan_blocks(z.as_array(), n, p, half), (n - 1) // half), norm, n)
+    subgroup = _is_subgroup(z.z, n)
+    rows = (n - 1) // (2 * z.d) if subgroup else max(1, (n - 1) // 2)  # n = 2: k = 1
+    # per row, ``_tally`` holds at most nine int64 entries at once: the block
+    # results (keys and counts), the counts' concatenation, the argsort
+    # order, the sorted keys, the gathered counts, the run starts, and the
+    # summed and weighted counts; each block, four int64 arrays of scratch
+    _require_memory(72 * rows + 32 * _BLOCK, f"census for d={z.d}, n={n}")
+    blocks = _coset_blocks(z.d, n, p) if subgroup else _scan_blocks(z.as_array(), n, p, rows)
+    return DistanceReport(*_tally(blocks, (n - 1) // rows), norm=norm, n=n)
 
 
 def _is_subgroup(z: tuple[int, ...], n: int) -> bool:
@@ -262,46 +285,26 @@ def _powers(base: int, count: int, n: int) -> np.ndarray:
     return out
 
 
-def _tally(blocks, weight: int) -> tuple[dict[int, int], int, int]:
-    """Census counts (each row counted ``weight`` times), min key and argmin.
+def _tally(blocks, weight: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Census keys and counts (each row counted ``weight`` times), and argmin.
 
     ``blocks`` yields (keys, first): the key of each row and the smallest
-    k that the row stands for.
+    k that the row stands for. The blocks' sorted distinct keys are merged
+    once: a stable argsort of their concatenation, which is a sequence of
+    sorted runs that a stable sort merges, then one sum of counts per key.
     """
-    counts: dict[int, int] = {}
-    min_key: int | None = None
-    argmin_k = -1
+    uniq, counts, firsts = [], [], []
     for keys, first in blocks:
-        block_min = int(keys.min())
-        if min_key is None or block_min <= min_key:
-            k = int(first[keys == block_min].min())
-            argmin_k = k if min_key is None or block_min < min_key else min(argmin_k, k)
-            min_key = block_min
-        uniq, cnt = np.unique(keys, return_counts=True)
-        for key, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[key] = counts.get(key, 0) + weight * c
-    assert min_key is not None
-    return counts, min_key, argmin_k
-
-
-def _report(census: tuple[dict[int, int], int, int], norm: str, n: int) -> DistanceReport:
-    counts, min_key, argmin_k = census
-    keys_sorted = sorted(counts)
-    if norm == "l1":
-        to_dist = lambda key: key / n  # noqa: E731
-    else:
-        to_dist = lambda key: math.sqrt(key) / n  # noqa: E731
-    census_pairs = tuple((to_dist(key), counts[key]) for key in keys_sorted)
-    return DistanceReport(
-        min_distance=to_dist(min_key),
-        argmin_k=argmin_k,
-        census=census_pairs,
-        distinct_count=len(census_pairs),
-        min_key=min_key,
-        census_keys=tuple(keys_sorted),
-        norm=norm,
-        n=n,
-    )
+        u, c = np.unique(keys, return_counts=True)
+        uniq.append(u)
+        counts.append(c)
+        firsts.append((int(u[0]), int(first[keys == u[0]].min())))
+    keys = np.concatenate(uniq)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = weight * np.add.reduceat(np.concatenate(counts)[order], starts)
+    return keys[starts], counts, min(firsts)[1]
 
 
 def min_distance_bounds(d: int, n: int) -> DistanceBounds:

@@ -148,6 +148,41 @@ def test_exit_four_on_oversized_point_set(method):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # 32 columns of points need 238 GiB: refused before the census runs
+        (("--d", "32", "--n", _BIG_PRIME, "--points-out", "p.csv"),
+         f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
+        # up to (n-1)/2 = 1.5e9 distinct keys: 102 GiB
+        (("--d", "1", "--n", "3037000493"), "census for d=1, n=3037000493 needs 101.9 GiB, "),
+        # the search's tables of n residues: 127 GiB
+        (("--method", "korobov", "--d", "2", "--n", "1000000009"),
+         "korobov search for d=2, n=1000000009 needs 126.7 GiB, "),
+    ],
+    ids=["points", "census", "korobov"],
+)
+def test_exit_four_on_oversized_construct(tmp_path, argv, line):
+    # each size guard refuses its request on any smaller machine, within
+    # seconds, before the capped child could reach the out-of-memory backstop
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = [str(tmp_path / a) if a == "p.csv" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_forge.cli", "construct", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_child,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith(f"error: {line}")
+    assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",
@@ -430,6 +465,14 @@ def _fuzz_argv(draw):
                 "--runs", draw(st.integers(-1, 2).map(str))]
     elif cmd == "sphere" and draw(st.booleans()):
         argv = ["sphere", "--d", "128", "--n", _BIG_PRIME]
+    elif cmd == "construct" and draw(st.booleans()):
+        # a 102 GiB census and a 127 GiB Korobov search, with no --points-out:
+        # the 23 GiB of d=1 points could fit a large machine
+        argv = draw(st.sampled_from([
+            ["construct", "--d", "1", "--n", "3037000493"],
+            ["construct", "--d", "2", "--n", "1000000009", "--method", "korobov"],
+        ]))
+        return argv + ["--deterministic"]
     else:
         argv = [cmd, "--d", draw(_dims), "--n", draw(_moduli)]
     if cmd in ("construct", "bench-timing") and draw(st.booleans()):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lattice_forge import exceptions
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     _BOUND_K,
@@ -242,8 +243,11 @@ def test_korobov_search_refuses_int64_overflow_before_building_tables(
     no_numpy, monkeypatch
 ):
     # the bound (n-1) * ((n-1)//2)**2 on l2 prefix sums passes 2**63 - 1 at
-    # n = 3329023, a prime; (n-1)**2 on index products at n = 3037000501
+    # n = 3329023, a prime; (n-1)**2 on index products at n = 3037000501.
+    # Physical memory is stubbed high so that the byte guard, which would
+    # refuse n ~ 3e9 on a smaller machine, lets the sizes below by.
     no_numpy("lattice_forge.lattice")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
 
     def no_table(*args):
         raise AssertionError("the scan started")
@@ -261,6 +265,25 @@ def test_korobov_search_refuses_int64_overflow_before_building_tables(
     ):
         with pytest.raises(AssertionError, match="scan started"):
             korobov_search(1, n, norm)
+
+
+def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
+    # 136 bytes per residue plus 32 MiB of block scratch: at n = 10**9 + 9
+    # the int64 guard passes and the byte guard refuses 127 GiB
+    no_numpy("lattice_forge.lattice")
+
+    def no_table(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("lattice_forge.lattice._subgroup", no_table)
+    n = 1000000009
+    need = 136 * n + 2**25
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs 126.7 GiB"):
+        korobov_search(2, n, "l1")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        korobov_search(2, n, "l1")
 
 
 # ---------------------------------------------------------------------------

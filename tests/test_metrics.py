@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_forge import exceptions
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
@@ -23,8 +24,8 @@ from lattice_forge.lattice import (
 )
 from lattice_forge.numtheory import is_prime
 from lattice_forge.metrics import (
+    DistanceReport,
     _is_subgroup,
-    _report,
     _scan_blocks,
     _tally,
     brute_force_min_distance,
@@ -120,7 +121,7 @@ def test_census_collapse_d3_n13():
     assert rep.distinct_count == 2
     assert rep.census[0] == (pytest.approx(8 / 13, abs=1e-15), 6)
     assert rep.census[1] == (pytest.approx(1.0, abs=1e-15), 6)
-    assert rep.census_keys == (8, 13)
+    assert rep.keys.tolist() == [8, 13]
     rep2 = lattice_min_distance(subgroup_generating_vector(3, 13), "l2")
     assert rep2.distinct_count == 2
     assert sum(rep2.multiplicities()) == 12
@@ -155,11 +156,11 @@ def test_census_coset_ties():
     # values while the l2 census keeps all three
     rep1 = lattice_min_distance(subgroup_generating_vector(6, 37), "l1")
     assert rep1.distinct_count == 2
-    assert rep1.census_keys == (50, 71)
+    assert rep1.keys.tolist() == [50, 71]
     assert rep1.multiplicities() == (24, 12)
     rep2 = lattice_min_distance(subgroup_generating_vector(6, 37), "l2")
     assert rep2.distinct_count == 3
-    assert rep2.census_keys == (518, 592, 999)
+    assert rep2.keys.tolist() == [518, 592, 999]
     assert set(rep2.multiplicities()) == {12}
 
 
@@ -203,7 +204,13 @@ def test_blocked_census_equals_unblocked():
 def _full_scan(vec, norm):
     """The census of k = 1..n-1, every k counted once: the oracle."""
     p = 1 if norm == "l1" else 2
-    return _report(_tally(_scan_blocks(vec.as_array(), vec.n, p, vec.n - 1), 1), norm, vec.n)
+    census = _tally(_scan_blocks(vec.as_array(), vec.n, p, vec.n - 1), 1)
+    return DistanceReport(*census, norm=norm, n=vec.n)
+
+
+def _fields(rep):
+    """A report's minimum and census, comparable with ``==``."""
+    return (rep.min_key, rep.argmin_k, rep.min_distance, rep.keys.tolist(), rep.counts.tolist())
 
 
 @st.composite
@@ -220,7 +227,7 @@ def _subgroup_vectors(draw):
 @settings(max_examples=60, deadline=None)
 def test_coset_census_equals_full_scan(vec, norm):
     assert _is_subgroup(vec.z, vec.n)
-    assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+    assert _fields(lattice_min_distance(vec, norm)) == _fields(_full_scan(vec, norm))
 
 
 def test_coset_census_on_reversed_vectors():
@@ -229,7 +236,7 @@ def test_coset_census_on_reversed_vectors():
             vec = GeneratingVector(subgroup_generating_vector(d, n).z[::-1], n)
             assert _is_subgroup(vec.z, n)
             for norm in ("l1", "l2"):
-                assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+                assert _fields(lattice_min_distance(vec, norm)) == _fields(_full_scan(vec, norm))
 
 
 def test_non_subgroup_vectors_take_the_scan(monkeypatch):
@@ -251,7 +258,7 @@ def test_non_subgroup_vectors_take_the_scan(monkeypatch):
     for vec in cases:
         assert not _is_subgroup(vec.z, vec.n)
         for norm in ("l1", "l2"):
-            assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+            assert _fields(lattice_min_distance(vec, norm)) == _fields(_full_scan(vec, norm))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 16])
@@ -269,7 +276,7 @@ def test_census_paths_across_blocks(monkeypatch, block):
     oracles = {(v, norm): _full_scan(v, norm) for v in vectors for norm in ("l1", "l2")}
     monkeypatch.setattr("lattice_forge.metrics._BLOCK", 3 * block)
     for (v, norm), oracle in oracles.items():
-        assert lattice_min_distance(v, norm) == oracle
+        assert _fields(lattice_min_distance(v, norm)) == _fields(oracle)
 
 
 @st.composite
@@ -282,7 +289,7 @@ def _any_vectors(draw):
 @given(_any_vectors(), st.sampled_from(["l1", "l2"]))
 @settings(max_examples=150, deadline=None)
 def test_half_scan_equals_full_scan(vec, norm):
-    assert lattice_min_distance(vec, norm) == _full_scan(vec, norm)
+    assert _fields(lattice_min_distance(vec, norm)) == _fields(_full_scan(vec, norm))
 
 
 def test_census_refuses_int64_overflow_before_scanning(no_numpy):
@@ -307,9 +314,12 @@ def _prime_at_most(n):
     return n
 
 
-def test_census_accepts_sizes_just_below_int64_limits(no_numpy):
-    # the largest primes under each threshold pass the guard and start scanning
+def test_census_accepts_sizes_just_below_int64_limits(no_numpy, monkeypatch):
+    # the largest primes under each threshold pass the guard and start
+    # scanning; physical memory is stubbed high so that the census's byte
+    # guard, which would refuse these sizes on a smaller machine, lets them by
     no_numpy("lattice_forge.metrics")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     n_l2 = _prime_at_most(2 * math.isqrt((2**63 - 1) // 50) + 1)
     assert 50 * ((n_l2 - 1) // 2) ** 2 <= 2**63 - 1
     n_kz = _prime_at_most(math.isqrt(2**63 - 1) + 1)
@@ -321,6 +331,37 @@ def test_census_accepts_sizes_just_below_int64_limits(no_numpy):
     ):
         with pytest.raises(AssertionError, match="scan started"):
             lattice_min_distance(z, norm)
+
+
+def test_census_memory_guard_threshold(no_numpy, monkeypatch):
+    # 72 bytes per coset or scanned k, plus 64 MiB of block scratch; the
+    # int64 guards pass at these sizes and run first
+    no_numpy("lattice_forge.metrics")
+    n = 3037000493  # prime, below the k * z limit, with 4 | n - 1
+    for vec, rows in (
+        (subgroup_generating_vector(2, n), (n - 1) // 4),  # cosets
+        (GeneratingVector((1,), n), (n - 1) // 2),  # cosets of {+-1}
+        (GeneratingVector((2, 3, 5), n), (n - 1) // 2),  # scanned k
+    ):
+        need = 72 * rows + 2**26
+        for norm in ("l1", "l2"):
+            monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+            with pytest.raises(SizeLimitError, match=f"census for d={vec.d}, n={n} needs "):
+                lattice_min_distance(vec, norm)
+            monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+            with pytest.raises(AssertionError, match="scan started"):
+                lattice_min_distance(vec, norm)
+
+
+def test_census_entries_are_python_numbers():
+    # census, multiplicities and the minimum print as plain ints and floats,
+    # never as numpy scalars
+    for vec in (subgroup_generating_vector(3, 13), GeneratingVector([2, 25, 27], 97)):
+        for norm in ("l1", "l2"):
+            rep = lattice_min_distance(vec, norm)
+            assert all(type(dist) is float and type(c) is int for dist, c in rep.census)
+            ints = (*rep.multiplicities(), rep.min_key, rep.distinct_count, rep.argmin_k)
+            assert {type(x) for x in ints} == {int} and type(rep.min_distance) is float
 
 
 # ---------------------------------------------------------------------------
