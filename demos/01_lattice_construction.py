@@ -52,5 +52,5 @@ closed_score = lattice_min_distance(vec50, "l1").min_distance
 print(f"  subgroup:  min l1 {closed_score:.6f}   ({t_closed * 1e6:.0f} us)")
 print(f"  search:    min l1 {best.score:.6f}   ({t_search * 1e3:.1f} ms), "
       f"best multiplier {best.multiplier}")
-print(f"  search checked {best.candidates_evaluated} multipliers and cannot "
+print(f"  search checked {best.vector.n - 1} multipliers and cannot "
       "do better: at n = 2d + 1 the subgroup lattice attains the upper bound.")

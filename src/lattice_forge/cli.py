@@ -6,8 +6,10 @@ Subcommands cover construction/diagnostics (``construct``, ``admissible``,
 or ``--output`` as CSV (default) or JSON; CSV starts with the schema
 comment ``# lattice-forge v1`` and, unless ``--deterministic`` is given,
 a generation timestamp comment. ``--deterministic`` makes output
-byte-identical across reruns with the same flags. The matrix files of
-``--points-out``, ``--frame-out`` and ``--data`` use ``pointset.save_csv``.
+byte-identical across reruns with the same flags, except the ``seconds``
+column of ``bench-timing``, which is measured wall-clock time. The matrix
+files of ``--points-out``, ``--frame-out`` and ``--data`` use
+``pointset.save_csv``.
 
 Exit codes: 0 success; 2 usage errors (argparse) and paths that cannot
 be read or written (``--data``, ``--output``, ``--points-out``,
@@ -283,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--deterministic",
         action="store_true",
-        help="omit the timestamp so identical flags give byte-identical output",
+        help="omit the timestamp so identical flags give byte-identical output "
+        "(bench-timing's seconds column is wall-clock time and still varies)",
     )
 
     replicated = argparse.ArgumentParser(add_help=False)

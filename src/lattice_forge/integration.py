@@ -32,7 +32,6 @@ __all__ = [
     "test_integrand",
     "test_integral_exact",
     "qmc_estimate",
-    "relative_error",
     "random_boltzmann_model",
     "boltzmann_energy",
     "estimate_partition",
@@ -113,7 +112,7 @@ def qmc_estimate(points: LatticePointSet, f: Callable[[np.ndarray], np.ndarray])
     return float(vals.mean())
 
 
-def relative_error(estimate: float, exact: float) -> float:
+def _relative_error(estimate: float, exact: float) -> float:
     """|estimate - exact| / |exact|; the reference must be nonzero."""
     if exact == 0.0 or not math.isfinite(exact):
         raise DomainError(f"reference value must be finite and nonzero, got {exact}")
@@ -321,7 +320,7 @@ def run_integration_benchmark(
 
     def score(ps: LatticePointSet) -> dict:
         est = qmc_estimate(ps, lambda X: test_integrand(X, spec))
-        return {"estimate": est, "exact": exact, "rel_error": relative_error(est, exact)}
+        return {"estimate": est, "exact": exact, "rel_error": _relative_error(est, exact)}
 
     return _replicate(
         d, n, methods, score,
@@ -364,7 +363,7 @@ def run_boltzmann_benchmark(
             est = estimate_partition(ps, model)
         else:
             est = estimate_marginal(v, ps, model, Z)
-        return {"estimate": est, "exact": ground_truth, "rel_error": relative_error(est, ground_truth)}
+        return {"estimate": est, "exact": ground_truth, "rel_error": _relative_error(est, ground_truth)}
 
     rows = _replicate(
         d, n, methods, score,

@@ -25,19 +25,15 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import DomainError
 from .pointset import LatticePointSet, _replicate
 
 __all__ = [
     "KernelSpec",
-    "FeatureMatrix",
     "GramErrors",
-    "exact_kernel",
     "exact_gram",
     "feature_map",
-    "approx_gram",
     "gram_errors",
     "synthetic_data",
     "run_kernel_benchmark",
@@ -74,24 +70,6 @@ class KernelSpec:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Explicit feature embedding Psi with K ~ Psi @ Psi.T.
-
-    ``n_frequencies`` is the number of spectral sample points; the
-    feature dimension is 2x that for the Gaussian family (cos/sin
-    pairs) and 1x for the arc-cosine families.
-    """
-
-    features: np.ndarray
-    spec: KernelSpec
-    n_frequencies: int
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-
 @dataclass(frozen=True)
 class GramErrors:
     """Relative Frobenius and max-entry error between two Gram matrices."""
@@ -109,8 +87,10 @@ def _pair_angle_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     return nx, ny, float(np.arccos(cos_t))
 
 
-def exact_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
+def _exact_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     """Closed-form kernel value for one pair of points.
+
+    The pairwise reference that ``exact_gram`` is tested against.
 
     gaussian : exp(-||x-y||^2 / (2 sigma^2))
     arccos0  : 1 - theta / pi
@@ -154,7 +134,7 @@ def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def feature_map(
     data: np.ndarray, points: LatticePointSet, spec: KernelSpec
-) -> FeatureMatrix:
+) -> np.ndarray:
     """Explicit features of ``data`` from spectral samples at ``points``.
 
     Each point eps_i of the set becomes a frequency w_i =
@@ -162,6 +142,9 @@ def feature_map(
     Gaussian embedding stacks cos / sin pairs scaled by 1/sqrt(n); the
     arc-cosine embeddings are sqrt(2/n) * step(data @ w) (order 0) and
     sqrt(2/n) * relu(data @ w) (order 1).
+
+    Returns the float64 (N, F) feature matrix Psi with K ~ Psi @ Psi.T:
+    F = 2n for the Gaussian family and F = n for the arc-cosine ones.
 
     Raises ``DomainError`` if a point row is exactly the origin (an
     unshifted lattice always contains it -- shift first) or if the data
@@ -179,6 +162,10 @@ def feature_map(
         raise DomainError(
             "point set contains the origin; apply random_shift before mapping"
         )
+    # imported here, not with the package: scipy.special takes about as
+    # long to import as the rest of lattice_forge, and only features use it
+    from scipy.special import ndtri
+
     n = eps.shape[0]
     W = ndtri(np.clip(eps, _EPS_CLAMP, 1.0 - _EPS_CLAMP))
     if spec.family == "gaussian":
@@ -190,12 +177,7 @@ def feature_map(
             feats = np.sqrt(2.0 / n) * (proj > 0.0)
         else:
             feats = np.sqrt(2.0 / n) * np.maximum(proj, 0.0)
-    return FeatureMatrix(features=np.asarray(feats, dtype=np.float64), spec=spec, n_frequencies=n)
-
-
-def approx_gram(fm: FeatureMatrix) -> np.ndarray:
-    """Gram matrix of the embedded data: Psi @ Psi.T."""
-    return fm.features @ fm.features.T
+    return feats
 
 
 def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
@@ -253,7 +235,10 @@ def run_kernel_benchmark(
     K = exact_gram(X, spec)  # also rejects data that is not (N, d)
 
     def score(ps: LatticePointSet) -> dict:
-        errs = gram_errors(K, approx_gram(feature_map(X, ps, spec)))
+        F = feature_map(X, ps, spec)
+        G = F @ F.T
+        del F  # free the features before gram_errors allocates its N x N difference
+        errs = gram_errors(K, G)
         return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
     return _replicate(

@@ -105,17 +105,15 @@ class GeneratingVector:
 class SearchResult:
     """Outcome of an exhaustive Korobov multiplier search.
 
-    ``score`` is the minimum toroidal distance of ``vector`` under the
-    searched norm, derived from an exact integer key.
-    ``candidates_evaluated`` is n - 1: every multiplier is ranked exactly,
-    either by its exact key or by an upper bound below the best key.
+    ``vector`` is the Korobov vector of the best ``multiplier``, and
+    ``score`` its minimum toroidal distance under the searched norm,
+    derived from an exact integer key. All n - 1 multipliers are ranked
+    exactly, each by its exact key or by an upper bound below the best key.
     """
 
     vector: GeneratingVector
     score: float
     multiplier: int
-    candidates_evaluated: int
-    norm: str
 
 
 def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
@@ -320,13 +318,7 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
         if key > best_key or (key == best_key and alpha < best_alpha):
             best_key, best_alpha = key, alpha
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
-    return SearchResult(
-        vector=korobov_vector(best_alpha, d, n),
-        score=score,
-        multiplier=best_alpha,
-        candidates_evaluated=n - 1,
-        norm=norm,
-    )
+    return SearchResult(vector=korobov_vector(best_alpha, d, n), score=score, multiplier=best_alpha)
 
 
 def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:

@@ -122,8 +122,6 @@ class DistanceBounds:
     """Two-sided bounds on the minimum toroidal distance of a rank-1
     lattice with a non-degenerate generating vector (n prime, n >= 2d+1)."""
 
-    d: int
-    n: int
     l1_lower: float
     l1_upper: float
     l2_lower: float
@@ -141,7 +139,6 @@ class OptimalDistances:
 
     l1: float
     l2: float
-    n: int
 
 
 def toroidal_distance(x: np.ndarray, y: np.ndarray, norm: str) -> float:
@@ -336,8 +333,6 @@ def min_distance_bounds(d: int, n: int) -> DistanceBounds:
     if n < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
     return DistanceBounds(
-        d=d,
-        n=n,
         l1_lower=d * (d + 1) / (2 * n),
         l1_upper=(n + 1) * d / (4 * n),
         l2_lower=math.sqrt(6 * d * (d + 1) * (2 * d + 1)) / (6 * n),
@@ -361,7 +356,6 @@ def optimal_distances(d: int) -> OptimalDistances:
     return OptimalDistances(
         l1=(n + 1) * d / (4 * n),
         l2=math.sqrt((n + 1) * d / (12 * n)),
-        n=n,
     )
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "LatticePointSet",
     "generate",
     "random_shift",
-    "shift_by",
     "mc_points",
     "save_csv",
     "load_csv",
@@ -115,23 +114,6 @@ def _lattice_rows(z: np.ndarray, n: int, lo: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def shift_by(ps: LatticePointSet, delta: np.ndarray) -> LatticePointSet:
-    """Translate a point set by ``delta`` modulo 1 (coordinate-wise).
-
-    Toroidal distances are invariant under this map, so the separation
-    structure of a lattice survives shifting. ``delta = 0`` is the
-    identity. The result is a new array; ``ps`` is not modified.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (ps.d,):
-        raise DomainError(f"shift must have shape ({ps.d},), got {delta.shape}")
-    if delta.size and (delta.min() < 0.0 or delta.max() >= 1.0):
-        raise DomainError("shift coordinates must lie in [0, 1)")
-    if ps.points.size and (ps.points.min() < 0.0 or ps.points.max() >= 1.0):
-        raise DomainError("points must lie in [0, 1)")
-    return LatticePointSet(_add_mod1(ps.points, delta))
-
-
 def _add_mod1(points: np.ndarray, delta: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """``(points + delta) % 1.0`` bit for bit for entries in [0, 1), into ``out``.
 
@@ -158,14 +140,18 @@ def _add_mod1(points: np.ndarray, delta: np.ndarray, out: "np.ndarray | None" = 
 
 
 def random_shift(ps: LatticePointSet, seed: int) -> LatticePointSet:
-    """Apply a uniform random shift drawn from a seeded generator.
+    """Translate a point set modulo 1 by a seeded uniform random shift.
 
     The shift is ``default_rng(seed).random(d)``; the same seed always
-    reproduces the same shifted set.
+    reproduces the same shifted set. Toroidal distances are invariant
+    under the shift, so the separation structure of a lattice survives
+    it. The result is a new array; ``ps`` is not modified. Raises
+    ``DomainError`` if a point lies outside [0, 1).
     """
-    rng = np.random.default_rng(seed)
-    delta = rng.random(ps.d)
-    return shift_by(ps, delta)
+    if ps.points.size and (ps.points.min() < 0.0 or ps.points.max() >= 1.0):
+        raise DomainError("points must lie in [0, 1)")
+    delta = np.random.default_rng(seed).random(ps.d)
+    return LatticePointSet(_add_mod1(ps.points, delta))
 
 
 def mc_points(n: int, d: int, seed: int) -> LatticePointSet:

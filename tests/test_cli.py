@@ -396,6 +396,14 @@ def test_bench_timing_rows(capsys):
     rows = _parse_csv(out)
     assert [r["method"] for r in rows] == ["subgroup", "korobov"]
     assert all(float(r["seconds"]) >= 0 for r in rows)
+    # seconds is wall-clock time, the one column --deterministic leaves free
+    _, again, _ = _run(capsys, "bench-timing", "--d", "2", "--n", "13", "--deterministic")
+
+    def without_seconds(text):
+        return [{k: v for k, v in r.items() if k != "seconds"} for r in _parse_csv(text)]
+
+    assert without_seconds(again) == without_seconds(out)
+    assert out.splitlines()[:2] == again.splitlines()[:2]  # schema comment and header
 
 
 def test_parser_is_built_once_and_reuse_leaks_no_state(capsys, monkeypatch):

@@ -94,9 +94,9 @@ def test_qmc_estimate_propagates_integrand_errors():
 
 
 def test_relative_error():
-    assert integ.relative_error(1.1, 1.0) == pytest.approx(0.1, abs=1e-15)
+    assert integ._relative_error(1.1, 1.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(DomainError):
-        integ.relative_error(1.0, 0.0)
+        integ._relative_error(1.0, 0.0)
 
 
 def test_shifted_lattice_converges_with_n():

@@ -59,7 +59,7 @@ def _frequencies(eps):
     n, d = eps.shape
     X = np.vstack([np.eye(d), -np.eye(d)])
     ps = LatticePointSet(eps)
-    F = ker.feature_map(X, ps, ker.KernelSpec("arccos1")).features
+    F = ker.feature_map(X, ps, ker.KernelSpec("arccos1"))
     return ((F[:d] - F[d:]) / math.sqrt(2.0 / n)).T
 
 
@@ -98,10 +98,10 @@ def test_feature_map_clamps_boundary_coordinates():
 
 def test_exact_kernel_self_similarity():
     x = np.array([1.0, 2.0, 2.0])
-    assert ker.exact_kernel(x, x, ker.KernelSpec("gaussian")) == 1.0
-    assert ker.exact_kernel(x, x, ker.KernelSpec("arccos0")) == pytest.approx(1.0, abs=1e-12)
+    assert ker._exact_kernel(x, x, ker.KernelSpec("gaussian")) == 1.0
+    assert ker._exact_kernel(x, x, ker.KernelSpec("arccos0")) == pytest.approx(1.0, abs=1e-12)
     # arccos1 at theta = 0 is ||x||^2 / pi * pi = ||x||^2
-    assert ker.exact_kernel(x, x, ker.KernelSpec("arccos1")) == pytest.approx(
+    assert ker._exact_kernel(x, x, ker.KernelSpec("arccos1")) == pytest.approx(
         float(x @ x), rel=1e-12
     )
 
@@ -110,13 +110,13 @@ def test_exact_kernel_known_angles():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     # orthogonal: theta = pi/2
-    assert ker.exact_kernel(e1, e2, ker.KernelSpec("arccos0")) == pytest.approx(0.5, abs=1e-12)
-    assert ker.exact_kernel(e1, e2, ker.KernelSpec("arccos1")) == pytest.approx(
+    assert ker._exact_kernel(e1, e2, ker.KernelSpec("arccos0")) == pytest.approx(0.5, abs=1e-12)
+    assert ker._exact_kernel(e1, e2, ker.KernelSpec("arccos1")) == pytest.approx(
         1.0 / math.pi, rel=1e-12
     )
     # antipodal: theta = pi
-    assert ker.exact_kernel(e1, -e1, ker.KernelSpec("arccos0")) == pytest.approx(0.0, abs=1e-12)
-    g = ker.exact_kernel(e1, 3.0 * e1, ker.KernelSpec("gaussian", sigma=2.0))
+    assert ker._exact_kernel(e1, -e1, ker.KernelSpec("arccos0")) == pytest.approx(0.0, abs=1e-12)
+    g = ker._exact_kernel(e1, 3.0 * e1, ker.KernelSpec("gaussian", sigma=2.0))
     assert g == pytest.approx(math.exp(-4.0 / 8.0), rel=1e-12)
 
 
@@ -131,7 +131,7 @@ def test_exact_gram_matches_pairwise_kernel():
         for i in (0, 7, 39):
             for j in (0, 3, 21):
                 assert G[i, j] == pytest.approx(
-                    ker.exact_kernel(X[i], X[j], spec), abs=1e-12
+                    ker._exact_kernel(X[i], X[j], spec), abs=1e-12
                 )
 
 
@@ -148,7 +148,7 @@ def test_arccos_rejects_zero_rows():
     with pytest.raises(DomainError):
         ker.exact_gram(X, ker.KernelSpec("arccos0"))
     with pytest.raises(DomainError):
-        ker.exact_kernel(X[0], X[1], ker.KernelSpec("arccos1"))
+        ker._exact_kernel(X[0], X[1], ker.KernelSpec("arccos1"))
 
 
 def test_arccos0_grid_quadrature_oracle():
@@ -162,7 +162,7 @@ def test_arccos0_grid_quadrature_oracle():
     pdf = np.exp(-(W1**2 + W2**2) / 2.0) / (2.0 * math.pi)
     ind = ((W1 * x[0] + W2 * x[1]) > 0) & ((W1 * y[0] + W2 * y[1]) > 0)
     quad = float((2.0 * ind * pdf).sum() * h * h)
-    closed = ker.exact_kernel(x, y, ker.KernelSpec("arccos0"))
+    closed = ker._exact_kernel(x, y, ker.KernelSpec("arccos0"))
     assert closed == pytest.approx(quad, abs=1e-3)
 
 
@@ -178,12 +178,12 @@ def _shifted_lattice(d, n, seed=0):
 def test_feature_map_shapes_and_dims():
     X = np.random.default_rng(1).normal(0, 5, size=(30, 4))
     ps = _shifted_lattice(4, 17)
-    fm = ker.feature_map(X, ps, ker.KernelSpec("gaussian"))
-    assert fm.features.shape == (30, 34)  # cos/sin pairs
-    assert fm.n_frequencies == 17
-    assert fm.feature_dim == 34
-    fm0 = ker.feature_map(X, ps, ker.KernelSpec("arccos0"))
-    assert fm0.features.shape == (30, 17)
+    F = ker.feature_map(X, ps, ker.KernelSpec("gaussian"))
+    assert F.shape == (30, 34)  # cos/sin pairs of 17 frequencies
+    assert F.dtype == np.float64
+    for family in ("arccos0", "arccos1"):
+        F0 = ker.feature_map(X, ps, ker.KernelSpec(family))
+        assert F0.shape == (30, 17) and F0.dtype == np.float64
 
 
 def test_feature_map_rejects_origin_and_mismatch():
@@ -199,8 +199,8 @@ def test_feature_map_rejects_origin_and_mismatch():
 def test_gaussian_features_unit_self_product():
     # sum of cos^2 + sin^2 over n frequencies, scaled by 1/n, is exactly 1
     X = np.random.default_rng(2).normal(0, 8, size=(12, 6)) + 1.0
-    fm = ker.feature_map(X, _shifted_lattice(6, 13), ker.KernelSpec("gaussian"))
-    K = ker.approx_gram(fm)
+    F = ker.feature_map(X, _shifted_lattice(6, 13), ker.KernelSpec("gaussian"))
+    K = F @ F.T
     np.testing.assert_allclose(np.diag(K), np.ones(12), atol=1e-12)
     assert np.abs(K).max() <= 1.0 + 1e-12
     np.testing.assert_allclose(K, K.T, atol=1e-15)
@@ -209,9 +209,9 @@ def test_gaussian_features_unit_self_product():
 
 def test_arccos0_features_are_scaled_bits():
     X = np.random.default_rng(3).normal(0, 2, size=(20, 3)) + 0.5
-    fm = ker.feature_map(X, _shifted_lattice(3, 19), ker.KernelSpec("arccos0"))
+    F = ker.feature_map(X, _shifted_lattice(3, 19), ker.KernelSpec("arccos0"))
     lo = np.sqrt(2.0 / 19)
-    vals = np.unique(fm.features)
+    vals = np.unique(F)
     assert set(np.round(vals, 12)).issubset({0.0, round(lo, 12)})
 
 
@@ -220,14 +220,14 @@ def test_mc_features_converge_to_gaussian_kernel():
     x = rng.normal(0, 5, size=7)
     y = rng.normal(0, 5, size=7)
     spec = ker.KernelSpec("gaussian", sigma=4.0)
-    exact = ker.exact_kernel(x, y, spec)
+    exact = ker._exact_kernel(x, y, spec)
     X = np.stack([x, y])
 
     def median_err(n, reps=60):
         errs = []
         for s in range(reps):
-            fm = ker.feature_map(X, mc_points(n, 7, seed=1000 + s), spec)
-            approx = float(fm.features[0] @ fm.features[1])
+            F = ker.feature_map(X, mc_points(n, 7, seed=1000 + s), spec)
+            approx = float(F[0] @ F[1])
             errs.append(abs(approx - exact))
         return float(np.median(errs))
 
@@ -241,8 +241,8 @@ def test_lattice_features_approximate_gram():
     data = ker.synthetic_data(60, 4, seed=5)
     spec = ker.KernelSpec("gaussian")
     K = ker.exact_gram(data, spec)
-    fm = ker.feature_map(data, _shifted_lattice(4, 401, seed=1), spec)
-    errs = ker.gram_errors(K, ker.approx_gram(fm))
+    F = ker.feature_map(data, _shifted_lattice(4, 401, seed=1), spec)
+    errs = ker.gram_errors(K, F @ F.T)
     assert errs.rel_frobenius < 0.05
     assert errs.rel_max < 0.2
 

@@ -137,7 +137,6 @@ def test_korobov_search_example():
     res = korobov_search(2, 5, "l1")
     assert res.multiplier == 2
     assert res.score == pytest.approx(0.6, abs=1e-15)
-    assert res.candidates_evaluated == 4
     assert res.vector.z == (1, 2)
     assert res.vector.method == "korobov"
 
@@ -178,7 +177,6 @@ def test_korobov_search_exhaustive_oracle(case):
     assert res.multiplier == best
     assert res.score == oracle.min_distance
     assert res.vector == korobov_vector(best, d, n)
-    assert (res.candidates_evaluated, res.norm) == (n - 1, norm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +200,6 @@ def test_korobov_search_early_abort_oracle(monkeypatch, norm, bound_k):
                 continue
             res = korobov_search(d, n, norm)
             assert (res.multiplier, res.score) == _exhaustive_winner(d, n, norm)
-            assert res.candidates_evaluated == n - 1
 
 
 @pytest.mark.parametrize("d, n, bounded", [(4, 257, True), (5, 257, False), (64, 4099, True), (65, 4099, False)])

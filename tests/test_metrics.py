@@ -416,7 +416,6 @@ def test_lower_bound_needs_sign_distinct_components():
 
 def test_optimal_distances_examples():
     opt = optimal_distances(2)
-    assert opt.n == 5 and type(opt.n) is int
     assert opt.l1 == pytest.approx(0.6, abs=1e-15)
     assert opt.l2 == pytest.approx(math.sqrt(6 * 2 / 60), abs=1e-15)
     opt50 = optimal_distances(50)

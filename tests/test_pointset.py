@@ -28,7 +28,6 @@ from lattice_forge.pointset import (
     mc_points,
     random_shift,
     save_csv,
-    shift_by,
 )
 
 
@@ -181,26 +180,24 @@ def test_lattice_rows_near_the_int64_limit():
     assert out[-1, 0] == (n - 1) / n and out[-1, 2] == 1 / n
 
 
-def test_shift_by_zero_is_identity():
+def test_add_mod1_zero_is_identity():
     ps = generate(GeneratingVector([1, 3], 7))
-    shifted = shift_by(ps, np.zeros(2))
-    np.testing.assert_array_equal(shifted.points, ps.points)
+    np.testing.assert_array_equal(_add_mod1(ps.points, np.zeros(2)), ps.points)
 
 
-def test_shift_by_wraps():
+def test_add_mod1_wraps():
     ps = generate(GeneratingVector([1], 2))  # points {0, 0.5}
-    shifted = shift_by(ps, np.array([0.75]))
-    np.testing.assert_allclose(shifted.points.ravel(), [0.75, 0.25], atol=1e-15)
+    shifted = _add_mod1(ps.points, np.array([0.75]))
+    np.testing.assert_allclose(shifted.ravel(), [0.75, 0.25], atol=1e-15)
 
 
-def test_shift_by_leaves_its_input_alone():
+def test_random_shift_leaves_its_input_alone():
     ps = generate(subgroup_generating_vector(3, 13))
     before = ps.points.copy()
-    for delta in (np.zeros(3), np.full(3, 0.75)):
-        shifted = shift_by(ps, delta)
+    for seed in (0, 1):
+        shifted = random_shift(ps, seed)
         assert ps.points.tobytes() == before.tobytes()
         assert not np.shares_memory(shifted.points, ps.points)
-        assert not np.shares_memory(shifted.points, delta)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -241,16 +238,11 @@ def test_add_mod1_blocks_match_float_mod_bitwise():
     np.testing.assert_array_equal(buf.view(np.int64), expect)
 
 
-def test_shift_by_validation():
-    ps = generate(GeneratingVector([1, 3], 7))
-    with pytest.raises(DomainError):
-        shift_by(ps, np.array([0.5]))  # wrong shape
-    with pytest.raises(DomainError):
-        shift_by(ps, np.array([0.5, 1.0]))  # 1.0 not allowed
+def test_random_shift_rejects_points_outside_unit_interval():
     # the exact fold assumes points in [0, 1), as LatticePointSet states
     for bad in (1.0, -0.25):
         with pytest.raises(DomainError, match="points must lie"):
-            shift_by(LatticePointSet(np.array([[0.5, bad]])), np.array([0.5, 0.5]))
+            random_shift(LatticePointSet(np.array([[0.5, bad]])), 0)
 
 
 def test_random_shift_seeded_and_in_range():
@@ -262,8 +254,8 @@ def test_random_shift_seeded_and_in_range():
     assert not np.array_equal(a.points, c.points)
     assert a.points.min() >= 0.0 and a.points.max() < 1.0
     # the shift is the seeded generator's first draw
-    expect = shift_by(ps, np.random.default_rng(42).random(5))
-    np.testing.assert_array_equal(a.points, expect.points)
+    expect = (ps.points + np.random.default_rng(42).random(5)) % 1.0
+    np.testing.assert_array_equal(a.points, expect)
 
 
 def test_random_shift_preserves_min_distance():
