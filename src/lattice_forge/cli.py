@@ -11,13 +11,15 @@ column of ``bench-timing``, which is measured wall-clock time. The matrix
 files of ``--points-out``, ``--frame-out`` and ``--data`` use
 ``pointset.save_csv``.
 
-Exit codes: 0 success; 2 usage errors (argparse) and paths that cannot
-be read or written (``--data``, ``--output``, ``--points-out``,
-``--frame-out``); 3 admissibility violations (failed divisibility
-preconditions); 4 numeric domain or size-cap errors, including
-``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``, a
-``--data`` file that is not a non-empty matrix of finite numbers, and
-running out of memory. Every error exit prints one ``error:`` line to stderr.
+Exit codes: 0 success; 2 usage errors (argparse, a negative ``--seed``
+too) and paths that cannot be read or written (``--data``, ``--output``,
+``--points-out``, ``--frame-out``); 3 admissibility violations (failed
+divisibility preconditions); 4 numeric domain or size-cap errors,
+including ``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``,
+a 2 sigma**2 or integration reference that is not finite and nonzero, a
+``--data`` file that is not a non-empty matrix of finite numbers or has
+a non-finite exact Gram matrix, and running out of memory. Every error
+exit prints one ``error:`` line to stderr.
 
 ``construct --method korobov`` and ``bench-timing`` run the library's
 exact Korobov search: early abort over O(n) discrete-log keys, O(n^2)
@@ -274,6 +276,17 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative int, as numpy seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-forge",
@@ -291,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replicated = argparse.ArgumentParser(add_help=False)
     replicated.add_argument("--runs", type=int, default=50, help="randomized runs per method, >= 1 (default 50)")
-    replicated.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    replicated.add_argument("--seed", type=_seed, default=0, help="master seed, >= 0 (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

@@ -45,7 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestIntegrand:
-    """Parameters of f(x) = exp(c * sum_j x_j * j**(-b)) on [0, 1]^d."""
+    """Parameters of f(x) = exp(c * sum_j x_j * j**(-b)) on [0, 1]^d.
+
+    b and c must be finite and c nonzero; weights c * j**(-b) may still
+    underflow to 0 or overflow (see ``test_integral_exact``).
+    """
 
     d: int
     b: float = 2.0
@@ -90,13 +94,15 @@ def test_integral_exact(spec: TestIntegrand) -> float:
     """Closed-form integral: prod_j (exp(c j^(-b)) - 1) / (c j^(-b)).
 
     For large d the product is accumulated in log space; every factor is
-    computed with expm1 so small weights lose no precision.
+    computed with expm1 so small weights lose no precision, and a zero
+    weight contributes its limit 1. Overflow gives inf or nan, silently.
     """
-    a = spec.weights()
-    factors = np.expm1(a) / a
-    if spec.d < 100:
-        return float(np.prod(factors))
-    return float(np.exp(np.log(factors).sum()))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = spec.weights()
+        factors = np.divide(np.expm1(a), a, out=np.ones_like(a), where=a != 0.0)
+        if spec.d < 100:
+            return float(np.prod(factors))
+        return float(np.exp(np.log(factors).sum()))
 
 
 def qmc_estimate(points: LatticePointSet, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -313,10 +319,12 @@ def run_integration_benchmark(
     generator, one fixed column per method, so the whole table is
     reproducible from ``seed`` and a method's rows do not depend on the
     other methods listed. Returns one row dict per (run, method) with
-    the estimate, the closed-form reference, and the relative error.
+    the estimate, the closed-form reference, and the relative error. A
+    reference that is not finite and nonzero raises ``DomainError``.
     """
     spec = TestIntegrand(d=d, b=b, c=c)
     exact = test_integral_exact(spec)
+    _relative_error(exact, exact)  # check the reference before building any point set
 
     def score(ps: LatticePointSet) -> dict:
         est = qmc_estimate(ps, lambda X: test_integrand(X, spec))

@@ -57,7 +57,8 @@ class KernelSpec:
     """Kernel family plus bandwidth.
 
     ``sigma`` only affects the Gaussian family:
-    K(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
+    K(x, y) = exp(-||x - y||^2 / (2 sigma^2)). For every family, 2 sigma^2
+    must be a positive finite float: no overflow, no underflow to 0.
     """
 
     family: str = "gaussian"
@@ -68,6 +69,9 @@ class KernelSpec:
             raise DomainError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        sigma = float(self.sigma)
+        if not 0.0 < 2.0 * sigma * sigma < math.inf:
+            raise DomainError(f"2 sigma**2 must be a positive finite float, got sigma={sigma}")
 
 
 @dataclass(frozen=True)
@@ -229,10 +233,14 @@ def run_kernel_benchmark(
     shift (lattice) or the sample (MC) from seeds derived from ``seed``,
     one fixed column per method, and records relative Frobenius / max
     errors. Methods are "subgroup" and "mc"; ``runs`` must be >= 1. One
-    row dict per (run, method).
+    row dict per (run, method). An exact Gram matrix that is not finite
+    raises ``DomainError``, with no floating-point warning.
     """
     X = np.asarray(data, dtype=np.float64)
-    K = exact_gram(X, spec)  # also rejects data that is not (N, d)
+    with np.errstate(all="ignore"):
+        K = exact_gram(X, spec)  # also rejects data that is not (N, d)
+    if not np.isfinite(K).all():
+        raise DomainError("the exact Gram matrix is not finite; rescale the data")
 
     def score(ps: LatticePointSet) -> dict:
         F = feature_map(X, ps, spec)

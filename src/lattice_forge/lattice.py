@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
-from .metrics import _BLOCK, _INT64_MAX, _norm_exponent
-from .numtheory import _subgroup, is_prime
+from .metrics import _BLOCK, _INT64_MAX, _norm_exponent, _powers
+from .numtheory import _subgroup, is_prime, primitive_root
 
 __all__ = [
     "GeneratingVector",
@@ -184,7 +184,7 @@ def _weight_table(n: int, p: int) -> np.ndarray:
 
 def _exponent_tables(n: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """powers[v] = g^v mod n, W[v] = w[g^v mod n] and steps[v] = v, v < n-1."""
-    powers = np.asarray(_subgroup(n - 1, n), dtype=np.int64)
+    powers = _powers(primitive_root(n), n - 1, n)
     return powers, w[powers], np.arange(n - 1, dtype=np.int64)
 
 

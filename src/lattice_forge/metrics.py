@@ -17,8 +17,8 @@ distances are grouped exactly -- no floating-point aliasing. Since k and
 n-k share a key it scans k <= (n-1)/2 only, in O(nd); for a subgroup
 vector the key is constant on each coset of {+-z_j}, so it forms the
 (n-1)/(2d) coset keys instead, in O(n). The census is two int64 arrays,
-the distinct keys and their counts, merged from the per-block results
-by one sort.
+the distinct keys and their counts, from one ``np.unique`` over the keys
+of every block.
 """
 
 from __future__ import annotations
@@ -215,12 +215,12 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
         )
     subgroup = _is_subgroup(z.z, n)
     rows = (n - 1) // (2 * z.d) if subgroup else max(1, (n - 1) // 2)  # n = 2: k = 1
-    # per row, ``_tally`` holds at most nine int64 entries at once: the block
-    # results (keys and counts), the counts' concatenation, the argsort
-    # order, the sorted keys, the gathered counts, the run starts, and the
-    # summed and weighted counts; each block, four int64 arrays of scratch
+    # per row, ``_tally`` holds at most 65 bytes: eight int64 entries (block
+    # keys, their concatenation, np.unique's sorted copy, distinct keys, run
+    # starts and their padded copy, counts, weighted counts) and np.unique's
+    # bool mask; each block, four int64 arrays of scratch
     _require_memory(72 * rows + 32 * _BLOCK, f"census for d={z.d}, n={n}")
-    blocks = _coset_blocks(z.d, n, p) if subgroup else _scan_blocks(z.as_array(), n, p, rows)
+    blocks = (_coset_blocks if subgroup else _scan_blocks)(z.as_array(), n, p, rows)
     return DistanceReport(*_tally(blocks, (n - 1) // rows), norm=norm, n=n)
 
 
@@ -252,20 +252,18 @@ def _scan_blocks(z_arr: np.ndarray, n: int, p: int, last: int):
         yield _wrapped_keys(k[:, None] * z_arr[None, :] % n, n, p)[0], k
 
 
-def _coset_blocks(d: int, n: int, p: int):
-    """(keys, smallest element) of the cosets g^t H, t < (n-1)/(2d), in blocks.
+def _coset_blocks(z_arr: np.ndarray, n: int, p: int, e: int):
+    """(keys, smallest element) of the cosets g^t H, t < e = (n-1)/(2d), in blocks.
 
-    With g the smallest primitive root and e = (n-1)/(2d), the coset g^t H
-    is {+-g^(t+je) : j < d}, so row t of a block holds g^(t+je) mod n:
-    the powers g^t of the block times the fixed row g^(je).
+    With g the smallest primitive root, g^t H = {+-g^t z_j}, so row t holds
+    g^t z_j mod n: the block's powers g^t times the row z. Neither a key
+    nor a smallest element depends on the order or the signs of z.
     """
     g = primitive_root(n)
-    e = (n - 1) // (2 * d)
-    h = _powers(pow(g, e, n), d, n)
-    rows = min(e, max(1, _BLOCK // d))
+    rows = min(e, max(1, _BLOCK // len(z_arr)))
     g_t = _powers(g, rows, n)
     for start in range(0, e, rows):
-        row0 = h * pow(g, start, n) % n
+        row0 = z_arr * pow(g, start, n) % n
         keys, m = _wrapped_keys(g_t[: e - start, None] * row0[None, :] % n, n, p)
         yield keys, m.min(axis=1)
 
@@ -286,22 +284,17 @@ def _tally(blocks, weight: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Census keys and counts (each row counted ``weight`` times), and argmin.
 
     ``blocks`` yields (keys, first): the key of each row and the smallest
-    k that the row stands for. The blocks' sorted distinct keys are merged
-    once: a stable argsort of their concatenation, which is a sequence of
-    sorted runs that a stable sort merges, then one sum of counts per key.
+    k that the row stands for. One ``np.unique`` counts the keys of all
+    blocks; each block contributes only its smallest key and the smallest
+    k attaining it to the argmin.
     """
-    uniq, counts, firsts = [], [], []
-    for keys, first in blocks:
-        u, c = np.unique(keys, return_counts=True)
-        uniq.append(u)
-        counts.append(c)
-        firsts.append((int(u[0]), int(first[keys == u[0]].min())))
-    keys = np.concatenate(uniq)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    counts = weight * np.add.reduceat(np.concatenate(counts)[order], starts)
-    return keys[starts], counts, min(firsts)[1]
+    keys, firsts = [], []
+    for block, first in blocks:
+        low = block.min()
+        keys.append(block)
+        firsts.append((int(low), int(first[block == low].min())))
+    uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return uniq, weight * counts, min(firsts)[1]
 
 
 def min_distance_bounds(d: int, n: int) -> DistanceBounds:

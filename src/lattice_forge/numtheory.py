@@ -189,8 +189,8 @@ def _subgroup(order: int, n: int) -> list[int]:
 
     Returns ``[g**(k*(n-1)//order) % n for k in range(order)]`` with g
     the smallest primitive root, so entry k is h**k for the generator
-    h = g**((n-1)//order). Callers check that n is prime and that
-    ``order`` divides n - 1.
+    h = g**((n-1)//order), as Python ints for any n < 2**64. Callers
+    check that n is prime and that ``order`` divides n - 1.
     """
     h = pow(primitive_root(n), (n - 1) // order, n)
     out = [1] * order

@@ -46,6 +46,15 @@ def test_exit_two_on_usage_errors(capsys):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "construct", "--d", "2")[0] == 2  # missing --n
     assert _run(capsys, "construct", "--d", "2", "--n", "5", "--format", "xml")[0] == 2
+    # numpy seeding refuses negative ints, so the parser turns them away
+    for argv in (
+        ("integrate", "--d", "2", "--n", "5", "--runs", "1", "--seed", "-1"),
+        ("boltzmann", "--d", "2", "--n", "5", "--runs", "1", "--gt-samples", "10", "--seed", "-3"),
+        ("kernel", "--samples", "5", "--data-dim", "2", "--n", "7", "--runs", "1", "--seed", "-1"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: argument --seed: must be >= 0, got {argv[-1]}\n"), argv
 
 
 def test_exit_three_on_admissibility(capsys):
@@ -74,6 +83,11 @@ def test_exit_four_on_domain_errors(capsys):
         ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "inf"),
         ("integrate", "--d", "2", "--n", "13", "--runs", "1", "--c", "nan"),
         ("integrate", "--d", "2", "--n", "13", "--runs", "1", "--b", "inf"),
+        # 2 sigma**2 overflows or underflows to 0; the reference overflows
+        ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "1e300"),
+        ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "1e-300"),
+        ("integrate", "--d", "3", "--n", "7", "--runs", "1", "--c", "800"),
+        ("integrate", "--d", "3", "--n", "7", "--runs", "1", "--b=-2000"),
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (4, ""), argv
@@ -232,8 +246,8 @@ def test_exit_two_on_unwritable_output(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "text",
-    ["1,2\nx,4\n", "", "1,2\n3,4,5\n", "1,2\nnan,4\n"],
-    ids=["non-numeric", "empty", "ragged", "nan"],
+    ["1,2\nx,4\n", "", "1,2\n3,4,5\n", "1,2\nnan,4\n", "1e200,1\n2,3\n"],
+    ids=["non-numeric", "empty", "ragged", "nan", "gram-overflow"],
 )
 def test_exit_four_on_malformed_data(capsys, tmp_path, text):
     path = tmp_path / "data.csv"
@@ -453,9 +467,9 @@ _bad_paths = st.sampled_from(["{dir}/missing.csv", "{dir}", "{dir}/no-such-dir/x
 
 @st.composite
 def _fuzz_argv(draw):
-    cmd = draw(
-        st.sampled_from(["construct", "admissible", "sphere", "integrate", "bench-timing", "kernel"])
-    )
+    cmd = draw(st.sampled_from(
+        ["construct", "admissible", "sphere", "integrate", "bench-timing", "kernel", "boltzmann"]
+    ))
     if cmd == "admissible":
         argv = ["admissible", "--d", draw(_small), "--count", draw(st.integers(-1, 3).map(str)),
                 "--start", draw(_small)]
@@ -465,6 +479,12 @@ def _fuzz_argv(draw):
                 "--runs", draw(st.integers(-1, 2).map(str))]
         if draw(st.booleans()):
             argv += ["--data", draw(_bad_paths)]
+        if draw(st.booleans()):
+            argv += ["--sigma", draw(st.sampled_from(["1e300", "1e-300", "0.5", "15"]))]
+    elif cmd == "boltzmann":
+        argv = ["boltzmann", "--d", draw(_dims), "--n", draw(_moduli),
+                "--runs", draw(st.integers(-1, 2).map(str)),
+                "--gt-samples", draw(st.integers(-1, 50).map(str))]
     elif cmd == "integrate" and draw(st.booleans()):
         argv = ["integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1"]
         argv += draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
@@ -483,6 +503,12 @@ def _fuzz_argv(draw):
         return argv + ["--deterministic"]
     else:
         argv = [cmd, "--d", draw(_dims), "--n", draw(_moduli)]
+    if cmd == "integrate":
+        for flag in ("--b", "--c"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(["2000", "800", "-2000", "0.5"]))]
+    if cmd in ("integrate", "kernel", "boltzmann") and draw(st.booleans()):
+        argv += ["--seed", draw(st.integers(-3, 3).map(str))]
     if cmd in ("construct", "bench-timing") and draw(st.booleans()):
         argv += ["--norm", draw(st.sampled_from(["l1", "l2"]))]
     if cmd == "construct" and draw(st.booleans()):

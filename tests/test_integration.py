@@ -56,6 +56,10 @@ def test_exact_integral_closed_forms():
     got = integ.test_integral_exact(integ.TestIntegrand(d=2))
     assert got == pytest.approx(expect, rel=1e-14)
     assert got == pytest.approx(1.95222, abs=1e-4)
+    # at b = 2000 the weights after the first underflow to 0, whose factor
+    # is its limit 1: the integral is (e - 1) * 1 * 1
+    assert integ.TestIntegrand(d=3, b=2000.0).weights().tolist() == [1.0, 0.0, 0.0]
+    assert integ.test_integral_exact(integ.TestIntegrand(d=3, b=2000.0)) == float(np.expm1(1.0))
 
 
 def test_exact_integral_log_space_branch_continuous():
@@ -66,6 +70,21 @@ def test_exact_integral_log_space_branch_continuous():
                            / integ.TestIntegrand(d=100).weights()))
     assert hi == pytest.approx(direct, rel=1e-12)
     assert hi > lo  # every factor exceeds 1
+
+
+def test_integration_benchmark_checks_reference_before_points(monkeypatch):
+    # an overflowing weight or factor makes the reference inf or nan: it is
+    # refused before any point set is built, with no RuntimeWarning (pytest
+    # turns warnings into errors)
+    def no_points(*args, **kwargs):
+        raise AssertionError("point sets were built")
+
+    monkeypatch.setattr(integ, "_replicate", no_points)
+    for b, c in ((2.0, 800.0), (-2000.0, 1.0), (2.0, 709.9)):
+        with pytest.raises(DomainError, match="reference value must be finite and nonzero"):
+            integ.run_integration_benchmark(3, 7, b=b, c=c, runs=1)
+    with pytest.raises(AssertionError, match="point sets were built"):
+        integ.run_integration_benchmark(3, 7, b=2000.0, runs=1)
 
 
 def test_qmc_estimate_constant_and_riemann():

@@ -138,9 +138,22 @@ def test_exact_gram_matches_pairwise_kernel():
 def test_kernel_spec_validation():
     with pytest.raises(DomainError):
         ker.KernelSpec("laplace")
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # 2 sigma**2 overflows from 1e154 up and underflows to 0 from 1e-162 down
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e300, 1e154, 1e-162, 1e-300):
         with pytest.raises(DomainError):
             ker.KernelSpec("gaussian", sigma=bad)
+    for good in (9e153, 1e-160):
+        assert ker.KernelSpec("arccos0", sigma=good).sigma == good
+
+
+def test_kernel_benchmark_rejects_non_finite_exact_gram():
+    # squared norms of 1e200 overflow: the exact Gram matrix holds inf or
+    # nan, which is refused with no RuntimeWarning (pytest turns warnings
+    # into errors)
+    data = np.array([[1e200, 1.0], [2.0, 3.0]])
+    for family in ("gaussian", "arccos0", "arccos1"):
+        with pytest.raises(DomainError, match="exact Gram matrix is not finite"):
+            ker.run_kernel_benchmark(data, 13, ker.KernelSpec(family), runs=1)
 
 
 def test_arccos_rejects_zero_rows():

@@ -249,7 +249,7 @@ def test_korobov_search_refuses_int64_overflow_before_building_tables(
     def no_table(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("lattice_forge.lattice._subgroup", no_table)
+    monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
     assert is_prime(3329023) and is_prime(3037000507)
     for n, norm in ((3329023, "l2"), (3037000507, "l1"), (3037000507, "l2")):
         with pytest.raises(SizeLimitError, match="overflows int64"):
@@ -272,7 +272,7 @@ def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
     def no_table(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("lattice_forge.lattice._subgroup", no_table)
+    monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
     n = 1000000009
     need = 136 * n + 2**25
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)

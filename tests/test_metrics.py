@@ -8,6 +8,7 @@ k = 1..n-1.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from lattice_forge.numtheory import is_prime
 from lattice_forge.metrics import (
     DistanceReport,
     _is_subgroup,
-    _scan_blocks,
-    _tally,
     brute_force_min_distance,
     lattice_min_distance,
     min_distance_bounds,
@@ -202,10 +201,18 @@ def test_blocked_census_equals_unblocked():
 
 
 def _full_scan(vec, norm):
-    """The census of k = 1..n-1, every k counted once: the oracle."""
+    """The census of k = 1..n-1, every k counted once, in plain Python: the oracle."""
     p = 1 if norm == "l1" else 2
-    census = _tally(_scan_blocks(vec.as_array(), vec.n, p, vec.n - 1), 1)
-    return DistanceReport(*census, norm=norm, n=vec.n)
+    n = vec.n
+    keys = [sum(min(k * c % n, n - k * c % n) ** p for c in vec.z) for k in range(1, n)]
+    census = sorted(Counter(keys).items())
+    return DistanceReport(
+        np.array([key for key, _ in census], dtype=np.int64),
+        np.array([count for _, count in census], dtype=np.int64),
+        1 + keys.index(census[0][0]),
+        norm=norm,
+        n=n,
+    )
 
 
 def _fields(rep):
