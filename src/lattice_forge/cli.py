@@ -16,10 +16,11 @@ too) and paths that cannot be read or written (``--data``, ``--output``,
 ``--points-out``, ``--frame-out``); 3 admissibility violations (failed
 divisibility preconditions); 4 numeric domain or size-cap errors,
 including ``--runs`` < 1, a non-finite ``--b``, ``--c`` or ``--sigma``,
-a 2 sigma**2 or integration reference that is not finite and nonzero, a
-``--data`` file that is not a non-empty matrix of finite numbers or has
-a non-finite exact Gram matrix, and running out of memory. Every error
-exit prints one ``error:`` line to stderr.
+a 2 sigma**2 or integration reference that is not finite and nonzero, an
+integrand estimate or a mean/std summary row that overflows, a ``--data``
+file that is not a non-empty matrix of finite numbers or has a non-finite
+exact Gram matrix, and running out of memory. Every error exit prints one
+``error:`` line to stderr.
 
 ``construct --method korobov`` and ``bench-timing`` run the library's
 exact Korobov search: early abort over O(n) discrete-log keys, O(n^2)
@@ -106,7 +107,8 @@ def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...])
     """Run an estimator driver on ``--method`` (default: subgroup and mc).
 
     ``run(methods)`` returns the driver's rows. The table appends one mean
-    and one std row (population std) of ``value_cols`` per method.
+    and one std row (population std) of ``value_cols`` per method; a
+    summary that overflows float64 is a DomainError.
     """
     methods = (args.method,) if args.method else ("subgroup", "mc")
     rows = run(methods)
@@ -116,7 +118,11 @@ def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...])
         for stat, fn in (("mean", np.mean), ("std", np.std)):
             summary = dict(sub[0], run=stat)
             for col in value_cols:
-                summary[col] = float(fn([r[col] for r in sub]))
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        summary[col] = float(fn([r[col] for r in sub]))
+                except FloatingPointError as exc:
+                    raise DomainError(f"{method} {stat} of {col}: {exc}") from None
             out.append(summary)
     return out
 

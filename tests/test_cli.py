@@ -88,6 +88,15 @@ def test_exit_four_on_domain_errors(capsys):
         ("kernel", "--samples", "20", "--data-dim", "2", "--n", "13", "--runs", "1", "--sigma", "1e-300"),
         ("integrate", "--d", "3", "--n", "7", "--runs", "1", "--c", "800"),
         ("integrate", "--d", "3", "--n", "7", "--runs", "1", "--b=-2000"),
+        # a finite reference, about 3.8e307, but the integrand overflows to
+        # inf near the corner (1, 1); or the estimates are finite and their
+        # std row overflows
+        ("integrate", "--d", "2", "--n", "10007", "--b", "0", "--c", "360", "--runs", "2",
+         "--method", "mc", "--deterministic"),
+        ("integrate", "--d", "2", "--n", "10009", "--b", "0", "--c", "360", "--runs", "2",
+         "--method", "subgroup", "--deterministic"),
+        ("integrate", "--d", "2", "--n", "10007", "--b", "0", "--c", "200", "--runs", "2",
+         "--method", "mc", "--deterministic"),
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (4, ""), argv
@@ -506,7 +515,8 @@ def _fuzz_argv(draw):
     if cmd == "integrate":
         for flag in ("--b", "--c"):
             if draw(st.booleans()):
-                argv += [flag, draw(st.sampled_from(["2000", "800", "-2000", "0.5"]))]
+                pool = ["2000", "800", "-2000", "0.5"] + (["0"] if flag == "--b" else ["200", "360"])
+                argv += [flag, draw(st.sampled_from(pool))]
     if cmd in ("integrate", "kernel", "boltzmann") and draw(st.booleans()):
         argv += ["--seed", draw(st.integers(-3, 3).map(str))]
     if cmd in ("construct", "bench-timing") and draw(st.booleans()):

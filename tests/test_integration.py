@@ -22,12 +22,14 @@ from lattice_forge.pointset import LatticePointSet, generate, mc_points, random_
 
 def test_integrand_point_and_batch():
     spec = integ.TestIntegrand(d=1)
-    assert integ.test_integrand(np.array([1.0]), spec) == pytest.approx(math.e, abs=1e-15)
-    assert integ.test_integrand(np.array([0.0]), spec) == 1.0
+    vals = integ.test_integrand(np.array([[1.0], [0.0]]), spec)
+    assert vals.shape == (2,)
+    assert vals[0] == pytest.approx(math.e, abs=1e-15)
+    assert vals[1] == 1.0
     spec3 = integ.TestIntegrand(d=3, b=2.0, c=1.0)
     x = np.array([0.5, 0.5, 0.5])
     expect = math.exp(0.5 * (1 + 1 / 4 + 1 / 9))
-    assert integ.test_integrand(x, spec3) == pytest.approx(expect, rel=1e-15)
+    assert integ.test_integrand(x[None, :], spec3)[0] == pytest.approx(expect, rel=1e-15)
     batch = integ.test_integrand(np.stack([x, np.zeros(3)]), spec3)
     np.testing.assert_allclose(batch, [expect, 1.0], rtol=1e-15)
 
@@ -42,9 +44,11 @@ def test_integrand_validation():
             integ.TestIntegrand(d=2, c=bad)
         with pytest.raises(DomainError):
             integ.TestIntegrand(d=2, b=bad)
+    # only an (m, 2) batch is accepted: a single point is not one
     spec = integ.TestIntegrand(d=2)
-    with pytest.raises(DomainError):
-        integ.test_integrand(np.zeros(3), spec)
+    for bad in (np.zeros(2), np.zeros(3), np.zeros((4, 3)), np.zeros((1, 4, 2)), 1.0):
+        with pytest.raises(DomainError, match=r"points must be an \(m, 2\) batch"):
+            integ.test_integrand(bad, spec)
 
 
 def test_exact_integral_closed_forms():
@@ -88,45 +92,29 @@ def test_integration_benchmark_checks_reference_before_points(monkeypatch):
 
 
 def test_qmc_estimate_constant_and_riemann():
-    ps = mc_points(100, 3, seed=0)
-    assert integ.qmc_estimate(ps, lambda X: np.full(X.shape[0], 7.0)) == 7.0
-    # f is called once on the batch; a scalar result is not an (n,) vector
-    with pytest.raises(DomainError):
-        integ.qmc_estimate(ps, lambda row: 7.0)
     # d=1 unshifted lattice = left Riemann sum of e^x
     vec = subgroup_generating_vector(1, 10007)
-    est = integ.qmc_estimate(
-        generate(vec), lambda X: integ.test_integrand(X, integ.TestIntegrand(d=1))
-    )
+    est = integ.test_integrand(generate(vec).points, integ.TestIntegrand(d=1)).mean()
     assert est == pytest.approx(math.e - 1, abs=1e-3)
-
-
-def test_qmc_estimate_propagates_integrand_errors():
-    def f(X):
-        # fails on the batch; a row-by-row retry would succeed and hide it
-        if X.ndim == 2:
-            raise ValueError("integrand failed")
-        return 1.0
-
-    with pytest.raises(ValueError, match="integrand failed"):
-        integ.qmc_estimate(mc_points(10, 2, seed=0), f)
 
 
 def test_relative_error():
     assert integ._relative_error(1.1, 1.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(DomainError):
         integ._relative_error(1.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="estimate must be finite"):
+            integ._relative_error(bad, 1.0)
 
 
 def test_shifted_lattice_converges_with_n():
     spec = integ.TestIntegrand(d=10)
     exact = integ.test_integral_exact(spec)
-    f = lambda X: integ.test_integrand(X, spec)  # noqa: E731
 
     def median_err(n):
         base = generate(subgroup_generating_vector(10, n))
         errs = [
-            abs(integ.qmc_estimate(random_shift(base, s), f) - exact) / exact
+            abs(integ.test_integrand(random_shift(base, s).points, spec).mean() - exact) / exact
             for s in range(20)
         ]
         return float(np.median(errs))
@@ -139,27 +127,36 @@ def test_shifted_lattice_converges_with_n():
 # ---------------------------------------------------------------------------
 
 
+def _model(W, b):
+    """A model with the given W and b and zero marginal parameters."""
+    d = len(b)
+    return integ.BoltzmannModel(W=W, b=b, W_v=np.zeros((d, d)), W_h=np.zeros((d, d)), b_v=np.zeros(d))
+
+
 def test_energy_closed_forms():
     d = 3
-    model = integ.BoltzmannModel(W=np.zeros((d, d)), b=np.zeros(d))
-    assert integ.boltzmann_energy(np.full(d, 0.5), model) == 0.0
-    model_i = integ.BoltzmannModel(W=np.eye(d), b=np.zeros(d))
+    model = _model(np.zeros((d, d)), np.zeros(d))
+    assert integ.boltzmann_energy(np.full((1, d), 0.5), model).tolist() == [0.0]
+    model_i = _model(np.eye(d), np.zeros(d))
     # x = all ones: E = -(d + 0)/d = -1
-    assert integ.boltzmann_energy(np.ones(d), model_i) == pytest.approx(-1.0, abs=1e-15)
     batch = integ.boltzmann_energy(np.stack([np.ones(d), np.zeros(d)]), model_i)
+    assert batch.shape == (2,)
     np.testing.assert_allclose(batch, [-1.0, 0.0], atol=1e-15)
+    for bad in (np.ones(d), np.ones((2, d + 1)), np.ones((1, 2, d))):
+        with pytest.raises(DomainError, match=r"points must be an \(m, 3\) batch"):
+            integ.boltzmann_energy(bad, model_i)
 
 
 def test_partition_trivial_model_is_one():
     d = 4
-    model = integ.BoltzmannModel(W=np.zeros((d, d)), b=np.zeros(d))
+    model = _model(np.zeros((d, d)), np.zeros(d))
     ps = mc_points(100, d, seed=1)
     assert integ.estimate_partition(ps, model) == 1.0
 
 
 def test_partition_d1_closed_form():
     # W = 0, b = (1): E(x) = -x, Z = integral e^x = e - 1
-    model = integ.BoltzmannModel(W=np.zeros((1, 1)), b=np.ones(1))
+    model = _model(np.zeros((1, 1)), np.ones(1))
     ps = generate(subgroup_generating_vector(1, 10007))
     assert integ.estimate_partition(ps, model) == pytest.approx(math.e - 1, abs=1e-3)
 
@@ -171,8 +168,6 @@ def test_random_model_seeded():
     np.testing.assert_array_equal(a.W_h, b.W_h)
     # W is the seeded generator's first draw
     np.testing.assert_array_equal(a.W, np.random.default_rng(3).standard_normal((5, 5)))
-    assert a.has_inference_params()
-    assert not integ.BoltzmannModel(a.W, a.b).has_inference_params()
 
 
 def test_marginal_separates_when_cross_term_vanishes():
@@ -198,12 +193,33 @@ def test_marginal_separates_when_cross_term_vanishes():
 def test_marginal_validation():
     d = 3
     full = integ.random_boltzmann_model(d, seed=0)
-    model = integ.BoltzmannModel(full.W, full.b)
     ps = mc_points(10, d, seed=0)
     with pytest.raises(DomainError):
-        integ.estimate_marginal(np.zeros(d), ps, model, 1.0)
-    with pytest.raises(DomainError):
         integ.estimate_marginal(np.zeros(d), ps, full, 0.0)
+    # points with the wrong column count are refused by the energy's check
+    with pytest.raises(DomainError, match=r"points must be an \(m, 3\) batch"):
+        integ.estimate_marginal(np.zeros(d), mc_points(10, d + 1, seed=0), full, 1.0)
+    # every marginal parameter is required, of its shape, and finite
+    with pytest.raises(TypeError):
+        integ.BoltzmannModel(full.W, full.b)
+    params = {"W": full.W, "b": full.b, "W_v": full.W_v, "W_h": full.W_h, "b_v": full.b_v}
+    for name in ("W_v", "W_h", "b_v"):
+        shape = params[name].shape
+        for bad in (None, np.zeros((2, 2)), np.zeros((2,)), np.zeros((d, d, 1))):
+            with pytest.raises(DomainError, match=f"{name} must have shape"):
+                integ.BoltzmannModel(**{**params, name: bad})
+        for value in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="model parameters must be finite"):
+                integ.BoltzmannModel(**{**params, name: np.full(shape, value)})
+    # parameters are stored as float64 arrays, lists included
+    listed = integ.BoltzmannModel(**{**params, "W_v": full.W_v.tolist()})
+    assert listed.W_v.dtype == np.float64
+    np.testing.assert_array_equal(listed.W_v, full.W_v)
+    # the messages for W and b are unchanged
+    with pytest.raises(DomainError, match=r"W must be square, got shape \(3, 2\)"):
+        integ.BoltzmannModel(**{**params, "W": np.zeros((3, 2))})
+    with pytest.raises(DomainError, match=r"b must have shape \(3,\), got \(2,\)"):
+        integ.BoltzmannModel(**{**params, "b": np.zeros(2)})
 
 
 def test_mc_partition_blocking_invariant(monkeypatch):
