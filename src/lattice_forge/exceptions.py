@@ -11,11 +11,12 @@ mapping) can react differently:
 * ``SizeLimitError`` -- a deliberately guarded brute-force path was asked
   to run at a size it refuses.
 
-``_require_memory`` is the private size guard shared by the functions that
-allocate large arrays: it raises ``SizeLimitError`` before an allocation
-larger than physical memory.
+Two private guards are shared across the package: ``_require_memory``
+raises ``SizeLimitError`` before an allocation larger than physical memory,
+and ``_at_least`` raises ``DomainError`` for an int argument below its limit.
 """
 
+import operator
 import os
 
 __all__ = ["DomainError", "AdmissibilityError", "SizeLimitError"]
@@ -49,3 +50,11 @@ def _require_memory(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes / 2**30:.1f} GiB, "
             f"more than the {mem / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _at_least(value: int, low: int, name: str) -> int:
+    """``value`` as an int; raise ``DomainError`` when it is below ``low``."""
+    value = operator.index(value)
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value

@@ -19,13 +19,12 @@ repeated-shift experiments that the CLI serializes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _at_least
 from .pointset import LatticePointSet, _replicate
 
 __all__ = [
@@ -167,9 +166,7 @@ def random_boltzmann_model(d: int, seed: "int | np.random.SeedSequence") -> Bolt
     A single seed fixes W, b and the visible/hidden parameters, so all
     estimators compared on the model see identical coefficients.
     """
-    d = operator.index(d)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    d = _at_least(d, 1, "d")
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((d, d))
     b = rng.standard_normal(d)
@@ -226,9 +223,7 @@ def _mc_mean(
     ``_MC_BLOCK`` rows; ``block_sum(X)`` returns the integrand's sum over
     block X.
     """
-    n_samples = operator.index(n_samples)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _at_least(n_samples, 1, "n_samples")
     rng = np.random.default_rng(seed)
     total = 0.0
     done = 0

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
 from .metrics import _BLOCK, _INT64_MAX, _norm_exponent, _powers
-from .numtheory import _subgroup, is_prime, primitive_root
+from .numtheory import _prime_modulus, _subgroup, is_prime, primitive_root
 
 __all__ = [
     "GeneratingVector",
@@ -84,8 +85,7 @@ class GeneratingVector:
             raise DomainError(f"unknown method {self.method!r}")
         if len(z) < 1:
             raise DomainError("generating vector needs at least one component")
-        if not is_prime(n):
-            raise DomainError(f"n must be prime, got {n}")
+        _prime_modulus(n)
         bad = [c for c in z if not 1 <= c <= n - 1]
         if bad:
             raise DomainError(
@@ -146,16 +146,11 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     >>> subgroup_generating_vector(3, 13).z
     (1, 4, 3)
     """
-    d = operator.index(d)
+    d = _at_least(d, 1, "d")
     n = operator.index(n)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if n < 2:
-        raise DomainError(f"n must be prime, got {n}")
-    if (n - 1) % (2 * d) != 0:
+    if n >= 2 and (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
-    if not is_prime(n):
-        raise DomainError(f"n must be prime, got {n}")
+    _prime_modulus(n)
     z = tuple(_subgroup(2 * d, n)[:d])
     return GeneratingVector(z=z, n=n, method="subgroup")
 
@@ -163,14 +158,13 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
 def korobov_vector(alpha: int, d: int, n: int) -> GeneratingVector:
     """Korobov vector [1, alpha, alpha^2, ..., alpha^(d-1)] mod n."""
     alpha = operator.index(alpha)
-    d = operator.index(d)
-    n = operator.index(n)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if n < 2 or not is_prime(n):
-        raise DomainError(f"n must be prime, got {n}")
+    d = _at_least(d, 1, "d")
+    n = _prime_modulus(n)
     if not 1 <= alpha <= n - 1:
         raise DomainError(f"alpha must lie in 1..n-1, got {alpha}")
+    # d ints no larger than n, and at most 24 bytes of tuple pointers per
+    # component: z, and the copy GeneratingVector makes while it grows
+    _require_memory(d * (24 + sys.getsizeof(n)), f"korobov vector for d={d}, n={n}")
     z = tuple(pow(alpha, k, n) for k in range(d))
     return GeneratingVector(z=z, n=n, method="korobov")
 
@@ -286,13 +280,10 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     >>> (res.multiplier, res.score)
     (2, 0.6)
     """
-    d = operator.index(d)
-    n = operator.index(n)
+    d, n = operator.index(d), operator.index(n)
     p = _norm_exponent(norm)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if n < 2 or not is_prime(n):
-        raise DomainError(f"n must be prime, got {n}")
+    _at_least(d, 1, "d")
+    _prime_modulus(n)
     if n < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
     half = (n - 1) // 2
@@ -329,15 +320,10 @@ def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:
     >>> find_admissible_n(50, 3)
     [101, 401, 601]
     """
-    d = operator.index(d)
-    count = operator.index(count)
-    start = operator.index(start)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    d = _at_least(d, 1, "d")
+    count = _at_least(count, 1, "count")
     step = 2 * d
-    first = max(start, step + 1)
+    first = max(operator.index(start), step + 1)
     t = -(-(first - 1) // step)  # ceil((first-1)/step)
     candidate = step * t + 1
     out: list[int] = []

@@ -24,14 +24,14 @@ of every block.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
-from .numtheory import is_prime, primitive_root
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
+from .numtheory import _prime_modulus, is_prime, primitive_root
 
 if TYPE_CHECKING:  # import for annotations only; no runtime dependency
     from .lattice import GeneratingVector
@@ -192,9 +192,9 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
 
     Raises ``SizeLimitError`` before scanning when an int64 product k * z_j
     or an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too
-    big; then when the census could need more than physical memory, with
-    its rows -- (n-1)/(2d) cosets or (n-1)/2 scanned k -- bounding its
-    distinct keys.
+    big; then when the census could need more than physical memory: per
+    component before the subgroup test builds its set, then per row --
+    (n-1)/(2d) cosets or (n-1)/2 scanned k, which bound its distinct keys.
 
     Parameters
     ----------
@@ -205,14 +205,15 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     """
     p = _norm_exponent(norm)
     n = z.n
-    if n < 2:
-        raise DomainError(f"need n >= 2 lattice points, got n={n}")
     if (n - 1) ** 2 > _INT64_MAX:
         raise SizeLimitError(f"k * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
     if p == 2 and z.d * ((n - 1) // 2) ** 2 > _INT64_MAX:
         raise SizeLimitError(
             f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
         )
+    # _is_subgroup's set of +-z_j: d new ints n - z_j and, as it last resizes
+    # past 50000 entries, five 16-byte slots per entry; the census holds less
+    _require_memory(z.d * (160 + sys.getsizeof(n)), f"census for d={z.d}, n={n}")
     subgroup = _is_subgroup(z.z, n)
     rows = (n - 1) // (2 * z.d) if subgroup else max(1, (n - 1) // 2)  # n = 2: k = 1
     # per row, ``_tally`` holds at most 65 bytes: eight int64 entries (block
@@ -317,12 +318,8 @@ def min_distance_bounds(d: int, n: int) -> DistanceBounds:
     satisfy the stronger condition because {+-z_j} forms a full order-2d
     subgroup.
     """
-    d = operator.index(d)
-    n = operator.index(n)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not is_prime(n):
-        raise DomainError(f"n must be prime, got {n}")
+    d = _at_least(d, 1, "d")
+    n = _prime_modulus(n)
     if n < 2 * d + 1:
         raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
     return DistanceBounds(
@@ -340,9 +337,7 @@ def optimal_distances(d: int) -> OptimalDistances:
     subgroup lattice equals (n+1)d/(4n) in l1 and sqrt((n+1)d/(12n)) in
     l2 -- the upper bounds of ``min_distance_bounds``, attained exactly.
     """
-    d = operator.index(d)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    d = _at_least(d, 1, "d")
     n = 2 * d + 1
     if not is_prime(n):
         raise AdmissibilityError(f"2d + 1 = {n} is not prime for d={d}")

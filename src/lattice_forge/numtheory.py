@@ -11,6 +11,9 @@ primes below 1000, then deterministic Miller-Rabin plus Pollard-Brent rho
 prime factors in tens of milliseconds (a fraction of a second at worst),
 where trial division needs minutes, so ``primitive_root`` -- and every
 subgroup construction built on it -- stays fast at 64-bit moduli.
+
+``_prime_modulus`` is the package's one check that a modulus is prime, and
+``_subgroup_guard`` refuses a ``_subgroup`` list larger than physical memory.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _require_memory
 
 __all__ = [
     "is_prime",
@@ -184,14 +188,30 @@ def primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+def _prime_modulus(n: int) -> int:
+    """``n`` as an int; ``DomainError`` unless prime (``is_prime``'s message from 2**64)."""
+    n = operator.index(n)
+    if n < 2 or not is_prime(n):
+        raise DomainError(f"n must be prime, got {n}")
+    return n
+
+
+def _subgroup_guard(order: int, n: int) -> None:
+    """Raise ``SizeLimitError`` when ``_subgroup(order, n)`` exceeds physical memory."""
+    # the list and each caller's tuple copy of it hold 16 bytes of pointers
+    # per entry, and each entry is an int no larger than n
+    _require_memory(order * (16 + sys.getsizeof(n)), f"subgroup of order {order} for n={n}")
+
+
 def _subgroup(order: int, n: int) -> list[int]:
     """The order-``order`` subgroup of the nonzero residues mod prime n.
 
     Returns ``[g**(k*(n-1)//order) % n for k in range(order)]`` with g
     the smallest primitive root, so entry k is h**k for the generator
     h = g**((n-1)//order), as Python ints for any n < 2**64. Callers
-    check that n is prime and that ``order`` divides n - 1.
+    check that n is prime and ``order`` | n - 1; the size guard runs first.
     """
+    _subgroup_guard(order, n)
     h = pow(primitive_root(n), (n - 1) // order, n)
     out = [1] * order
     for k in range(1, order):

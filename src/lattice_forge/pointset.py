@@ -28,7 +28,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .exceptions import DomainError, SizeLimitError, _require_memory
+from .exceptions import DomainError, SizeLimitError, _at_least, _require_memory
 from .lattice import GeneratingVector, korobov_search, subgroup_generating_vector
 from .metrics import _INT64_MAX
 
@@ -212,8 +212,7 @@ def _replicate(
         raise DomainError(f"unknown methods {unknown}; choose from {columns}")
     if not methods:
         raise DomainError("need at least one method")
-    if operator.index(runs) < 1:
-        raise DomainError(f"runs must be >= 1, got {runs}")
+    runs = _at_least(runs, 1, "runs")
     seeds = np.random.default_rng(seed_source).integers(
         0, 2**63 - 1, size=(runs, len(columns)), dtype=np.int64
     )

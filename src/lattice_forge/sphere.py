@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _require_memory
+from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
 from .metrics import _INT64_MAX
-from .numtheory import _subgroup, is_prime
+from .numtheory import _prime_modulus, _subgroup, _subgroup_guard
 
 __all__ = [
     "SphericalFrame",
@@ -95,17 +95,16 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     >>> sorted(sphere_index_set(2, 5))
     [1, 4]
     """
-    m = operator.index(m)
+    return tuple(_subgroup(*_subgroup_args(m, n)))
+
+
+def _subgroup_args(m: int, n: int) -> tuple[int, int]:
+    """m and n as ints, once n is prime and m | n - 1 (n < 2 fails as not prime)."""
+    m = _at_least(m, 1, "m")
     n = operator.index(n)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if n < 2:
-        raise DomainError(f"n must be prime, got {n}")
-    if (n - 1) % m != 0:
+    if n >= 2 and (n - 1) % m != 0:
         raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
-    if not is_prime(n):
-        raise DomainError(f"n must be prime, got {n}")
-    return tuple(_subgroup(m, n))
+    return m, _prime_modulus(n)
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,19 +122,19 @@ def sphere_frame(m: int, n: int) -> SphericalFrame:
     """Build the 2m x 2n frame from the order-m subgroup rows.
 
     Columns j and j + n are orthogonal by construction, and every
-    column has unit norm. Raises ``SizeLimitError`` before allocating
-    when a product k * j could pass 2**63 - 1, or when the frame, its
-    m x n residue matrix and the two length-n tables together exceed
-    physical memory.
+    column has unit norm. Raises ``SizeLimitError`` before building
+    anything when the index set exceeds physical memory, when a product
+    k * j could pass 2**63 - 1, or when the frame, its m x n residue
+    matrix and the two length-n tables together exceed physical memory.
     """
-    idx = sphere_index_set(m, n)
-    m = operator.index(m)
-    n = operator.index(n)
+    m, n = _subgroup_args(m, n)
+    _subgroup_guard(m, n)
     # k <= n - 1 and j <= n; no odd n separates this bound from the
     # (n-1)**2 < 2**63 bound of pointset.generate
     if (n - 1) * n > _INT64_MAX:
         raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
     _require_memory(8 * (4 * m * n + m * n + 2 * n), f"sphere frame for m={m}, n={n}")
+    idx = tuple(_subgroup(m, n))
     c, s = _unit_circle(n)
     scale = math.sqrt(m)
     c /= scale
@@ -200,11 +199,7 @@ def asymptotic_coherence_bound(m: int, n: int) -> AsymptoticCoherenceBound:
     >>> asymptotic_coherence_bound(1, 5).value
     0.0
     """
-    m = operator.index(m)
-    n = operator.index(n)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    m = _at_least(m, 1, "m")
+    n = _at_least(n, 2, "n")
     value = 0.0 if m == 1 else m ** (-0.5) * n ** (1.0 / 6.0) * math.log(m) ** (1.0 / 6.0)
     return AsymptoticCoherenceBound(value=value, applicable=m**3 <= n**2)

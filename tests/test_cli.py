@@ -108,21 +108,28 @@ def test_exit_four_on_domain_errors(capsys):
 _BIG_PRIME = "1000000321"
 
 
-def test_exit_four_on_out_of_memory():
-    # the exact Gram matrix of 200000 samples needs 298 GiB; the child's
-    # address space is capped so that the allocation fails on any machine
+def _run_capped(*argv, timeout=120):
+    """Run the CLI in a child whose address space is capped at 3 GiB.
+
+    An allocation that no size guard refuses then fails on any machine.
+    """
     resource = pytest.importorskip("resource")
     cap = 3 * 2**30
 
     def limit_child():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "lattice_forge.cli", "kernel", "--samples", "200000",
-         "--data-dim", "2", "--n", "5", "--runs", "1"],
-        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
+    return subprocess.run(
+        [sys.executable, "-m", "lattice_forge.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, preexec_fn=limit_child,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
+
+
+def test_exit_four_on_out_of_memory():
+    # the exact Gram matrix of 200000 samples needs 298 GiB; the child's
+    # address space is capped so that the allocation fails on any machine
+    proc = _run_capped("kernel", "--samples", "200000", "--data-dim", "2", "--n", "5", "--runs", "1")
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -131,17 +138,7 @@ def test_exit_four_on_out_of_memory():
 def test_exit_four_on_oversized_sphere_frame():
     # the frame alone is 2 TB, so the size guard refuses it on any machine
     # before the capped child could reach the out-of-memory backstop
-    resource = pytest.importorskip("resource")
-    cap = 3 * 2**30
-
-    def limit_child():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "lattice_forge.cli", "sphere", "--d", "128", "--n", _BIG_PRIME],
-        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = _run_capped("sphere", "--d", "128", "--n", _BIG_PRIME)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(f"error: sphere frame for m=64, n={_BIG_PRIME} needs ")
     assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
@@ -153,18 +150,7 @@ def test_exit_four_on_oversized_point_set(method):
     # 32 columns of n = 1000000321 points need 238 GiB, so the size guard
     # refuses them on any smaller machine before the capped child could
     # reach the out-of-memory backstop
-    resource = pytest.importorskip("resource")
-    cap = 3 * 2**30
-
-    def limit_child():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "lattice_forge.cli", "integrate", "--d", "32", "--n", _BIG_PRIME,
-         "--runs", "1", "--method", method],
-        capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = _run_capped("integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1", "--method", method)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(f"error: points for d=32, n={_BIG_PRIME} needs 238.4 GiB, ")
     assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
@@ -188,22 +174,24 @@ def test_exit_four_on_oversized_point_set(method):
 def test_exit_four_on_oversized_construct(tmp_path, argv, line):
     # each size guard refuses its request on any smaller machine, within
     # seconds, before the capped child could reach the out-of-memory backstop
-    resource = pytest.importorskip("resource")
-    cap = 3 * 2**30
-
-    def limit_child():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     argv = [str(tmp_path / a) if a == "p.csv" else a for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-m", "lattice_forge.cli", "construct", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit_child,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = _run_capped("construct", *argv, timeout=60)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(f"error: {line}")
     assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "sphere"])
+def test_exit_four_on_oversized_subgroup(command):
+    # construct --d 10**9 and sphere --d 4*10**9 (m = 2*10**9) both list an
+    # order-2*10**9 subgroup of Python ints, 96 GB; its guard refuses it
+    # before any entry is built, where the capped child would run out
+    d = "1000000000" if command == "construct" else "4000000000"
+    proc = _run_capped(command, "--d", d, "--n", "6000000001", timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: subgroup of order 2000000000 for n=6000000001 needs 89.4 GiB, ")
+    assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])

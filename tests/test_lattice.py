@@ -124,6 +124,18 @@ def test_korobov_vector_example():
     assert korobov_vector(1, 4, 5).z == (1, 1, 1, 1)
 
 
+def test_korobov_vector_memory_guard_threshold(monkeypatch):
+    # d ints of 28 bytes (n < 2**30) and 24 bytes of tuple pointers each; a
+    # vector this small is built on the accepted side
+    d, n = 1000, 7
+    need = 52 * d
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"korobov vector for d={d}, n={n} needs 0.0 GiB"):
+        korobov_vector(3, d, n)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    assert korobov_vector(3, d, n).z == tuple(pow(3, k, n) for k in range(d))
+
+
 def test_korobov_vector_validation():
     with pytest.raises(DomainError):
         korobov_vector(0, 2, 5)

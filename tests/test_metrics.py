@@ -360,6 +360,37 @@ def test_census_memory_guard_threshold(no_numpy, monkeypatch):
                 lattice_min_distance(vec, norm)
 
 
+class _Components:
+    """d components; iterating them stands for the census starting work."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __len__(self):
+        return self.d
+
+    def __iter__(self):
+        raise AssertionError("the scan started")
+
+
+def test_census_component_guard_threshold(no_numpy, monkeypatch):
+    # 160 bytes of set slots and one 32-byte int n - z_j per component,
+    # checked before the subgroup test builds its set of the residues +-z_j
+    n = 3037000493
+    d = (n - 1) // 2  # 2d | n - 1, so the subgroup test goes on to the set
+    vec = object.__new__(GeneratingVector)
+    for name, value in (("z", _Components(d)), ("n", n), ("method", "explicit")):
+        object.__setattr__(vec, name, value)
+    need = 192 * d
+    no_numpy("lattice_forge.metrics")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"census for d={d}, n={n} needs 271.5 GiB"):
+        lattice_min_distance(vec, "l1")
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        lattice_min_distance(vec, "l1")
+
+
 def test_census_entries_are_python_numbers():
     # census, multiplicities and the minimum print as plain ints and floats,
     # never as numpy scalars

@@ -15,8 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_forge.exceptions import DomainError
+from lattice_forge import exceptions, numtheory
+from lattice_forge.exceptions import DomainError, SizeLimitError
+from lattice_forge.lattice import (
+    GeneratingVector,
+    korobov_search,
+    korobov_vector,
+    subgroup_generating_vector,
+)
+from lattice_forge.metrics import min_distance_bounds
 from lattice_forge.numtheory import factorize, is_prime, primitive_root
+from lattice_forge.sphere import sphere_index_set
 
 
 def _sieve(limit):
@@ -236,3 +245,44 @@ def test_primitive_root_is_smallest():
                 x = (x * cand) % p
                 order += 1
             assert order < p - 1, (p, cand)
+
+
+# ---------------------------------------------------------------------------
+# prime moduli and subgroup lists
+# ---------------------------------------------------------------------------
+
+_TAKES_A_MODULUS = {
+    "GeneratingVector": lambda n: GeneratingVector((1,), n),
+    "subgroup_generating_vector": lambda n: subgroup_generating_vector(1, n),
+    "korobov_vector": lambda n: korobov_vector(1, 1, n),
+    "korobov_search": lambda n: korobov_search(1, n),
+    "min_distance_bounds": lambda n: min_distance_bounds(1, n),
+    "sphere_index_set": lambda n: sphere_index_set(1, n),
+}
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1, 9])
+@pytest.mark.parametrize("call", _TAKES_A_MODULUS.values(), ids=_TAKES_A_MODULUS.keys())
+def test_every_modulus_check_refuses_with_one_message(call, n):
+    with pytest.raises(DomainError) as exc:
+        call(n)
+    assert str(exc.value) == f"n must be prime, got {n}"
+
+
+def test_subgroup_memory_guard_threshold(monkeypatch):
+    # an order-2*10**9 subgroup mod 6000000001 holds 16 bytes of pointers
+    # and a 32-byte int per entry: 96 GB. primitive_root is the first work
+    # after the guard, so it stands in for the list being built.
+    def no_root(p):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(numtheory, "primitive_root", no_root)
+    n, order = 6000000001, 2 * 10**9
+    need = 48 * order
+    for call in (lambda: subgroup_generating_vector(order // 2, n), lambda: sphere_index_set(order, n)):
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match=f"subgroup of order {order} for n={n} needs 89.4 GiB"):
+            call()
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="scan started"):
+            call()

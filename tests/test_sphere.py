@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_forge import exceptions
+from lattice_forge import exceptions, numtheory
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import load_csv, save_csv
@@ -169,6 +169,26 @@ def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):
         sphere_frame(m, n)
+
+
+def test_frame_checks_every_size_before_building(no_numpy, monkeypatch):
+    # the index set's guard, the int64 bound and the frame's guard all run
+    # before the index set is listed; primitive_root is its first work
+    def no_root(p):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(numtheory, "primitive_root", no_root)
+    no_numpy("lattice_forge.sphere")
+    need = 48 * 2 * 10**9  # the index set of m = 2*10**9
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match="subgroup of order 2000000000 for n=6000000001 needs"):
+        sphere_frame(2 * 10**9, 6000000001)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(SizeLimitError, match="overflows int64"):
+        sphere_frame(2 * 10**9, 6000000001)
+    # an index set that fits, of a frame that does not
+    with pytest.raises(SizeLimitError, match="sphere frame for m=100000000, n=600000001 needs"):
+        sphere_frame(10**8, 600000001)
 
 
 def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
