@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _require_memory
 from .pointset import LatticePointSet, _replicate
 
 __all__ = [
@@ -50,6 +50,12 @@ _EPS_CLAMP = 1e-10
 _COMPONENTS = 10
 _MEAN_STD = 6.0
 _POINT_STD = 1.0
+
+# Per family: the N x N float arrays that ``run_kernel_benchmark`` holds at
+# its peak -- ``exact_gram``'s temporaries, or a run's K, G, diff and |diff|
+# -- and the bytes per (sample, point) pair that ``feature_map`` holds at its
+# peak, next to K
+_PEAK = {"gaussian": (4, 40), "arccos0": (4, 17), "arccos1": (7, 24)}
 
 
 @dataclass(frozen=True)
@@ -234,9 +240,18 @@ def run_kernel_benchmark(
     one fixed column per method, and records relative Frobenius / max
     errors. Methods are "subgroup" and "mc"; ``runs`` must be >= 1. One
     row dict per (run, method). An exact Gram matrix that is not finite
-    raises ``DomainError``, with no floating-point warning.
+    raises ``DomainError``, with no floating-point warning. Before the exact
+    Gram matrix, ``SizeLimitError`` is raised when the arrays held at the
+    benchmark's peak exceed physical memory.
     """
     X = np.asarray(data, dtype=np.float64)
+    N, d = X.shape if X.ndim == 2 else (0, 0)
+    squares, features = _PEAK[spec.family]
+    # K, F and G = F @ F.T together never exceed the larger of these two
+    # peaks; both methods' points, the lattice base and the normal quantiles
+    # add at most five n x d arrays
+    per_sample = max(8 * squares * N, 8 * N + features * n)
+    _require_memory(N * per_sample + 40 * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):
         K = exact_gram(X, spec)  # also rejects data that is not (N, d)
     if not np.isfinite(K).all():

@@ -151,7 +151,7 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     if n >= 2 and (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
     _prime_modulus(n)
-    z = tuple(_subgroup(2 * d, n)[:d])
+    z = _subgroup(2 * d, n, d)
     return GeneratingVector(z=z, n=n, method="subgroup")
 
 

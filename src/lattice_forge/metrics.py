@@ -24,7 +24,6 @@ of every block.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -193,7 +192,7 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     Raises ``SizeLimitError`` before scanning when an int64 product k * z_j
     or an l2 key could exceed 2**63 - 1: (n-1)**2 or d*((n-1)//2)**2 too
     big; then when the census could need more than physical memory: per
-    component before the subgroup test builds its set, then per row --
+    component before the subgroup test sorts the residues +-z_j, then per row --
     (n-1)/(2d) cosets or (n-1)/2 scanned k, which bound its distinct keys.
 
     Parameters
@@ -211,9 +210,8 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
         raise SizeLimitError(
             f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
         )
-    # _is_subgroup's set of +-z_j: d new ints n - z_j and, as it last resizes
-    # past 50000 entries, five 16-byte slots per entry; the census holds less
-    _require_memory(z.d * (160 + sys.getsizeof(n)), f"census for d={z.d}, n={n}")
+    # _is_subgroup's int64 z and n - z, then both sorted: 32 bytes per component
+    _require_memory(32 * z.d, f"census for d={z.d}, n={n}")
     subgroup = _is_subgroup(z.z, n)
     rows = (n - 1) // (2 * z.d) if subgroup else max(1, (n - 1) // 2)  # n = 2: k = 1
     # per row, ``_tally`` holds at most 65 bytes: eight int64 entries (block
@@ -228,15 +226,15 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
 def _is_subgroup(z: tuple[int, ...], n: int) -> bool:
     """Whether {+-z_j} is the order-2d subgroup of the nonzero residues mod n.
 
-    That subgroup is {x : x**(2d) = 1}, which has exactly 2d elements
-    when 2d | n-1, so 2d distinct residues +-z_j that solve it are all of it.
+    That subgroup is {x : x**(2d) = 1}, which has exactly 2d elements when
+    2d | n-1, so 2d residues +-z_j that solve it, distinct in one sorted
+    int64 array (n < 2**63), are all of it.
     """
     two_d = 2 * len(z)
-    return (
-        (n - 1) % two_d == 0
-        and len({r for c in z for r in (c, n - c)}) == two_d
-        and all(pow(c, two_d, n) == 1 for c in z)
-    )
+    if (n - 1) % two_d:
+        return False
+    r = np.sort(np.concatenate((z, np.subtract(n, z)), dtype=np.int64))
+    return bool((r[1:] != r[:-1]).all()) and all(pow(c, two_d, n) == 1 for c in z)
 
 
 def _wrapped_keys(residues: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,10 +339,8 @@ def optimal_distances(d: int) -> OptimalDistances:
     n = 2 * d + 1
     if not is_prime(n):
         raise AdmissibilityError(f"2d + 1 = {n} is not prime for d={d}")
-    return OptimalDistances(
-        l1=(n + 1) * d / (4 * n),
-        l2=math.sqrt((n + 1) * d / (12 * n)),
-    )
+    bounds = min_distance_bounds(d, n)
+    return OptimalDistances(l1=bounds.l1_upper, l2=bounds.l2_upper)
 
 
 def brute_force_min_distance(points: "LatticePointSet | np.ndarray", norm: str) -> float:

@@ -12,8 +12,9 @@ prime factors in tens of milliseconds (a fraction of a second at worst),
 where trial division needs minutes, so ``primitive_root`` -- and every
 subgroup construction built on it -- stays fast at 64-bit moduli.
 
-``_prime_modulus`` is the package's one check that a modulus is prime, and
-``_subgroup_guard`` refuses a ``_subgroup`` list larger than physical memory.
+``_prime_modulus`` is the package's one check that a modulus is prime;
+``_subgroup(order, n, count)`` lists only the ``count`` subgroup powers a
+caller keeps, after ``_subgroup_guard`` checks them against physical memory.
 """
 
 from __future__ import annotations
@@ -196,24 +197,22 @@ def _prime_modulus(n: int) -> int:
     return n
 
 
-def _subgroup_guard(order: int, n: int) -> None:
-    """Raise ``SizeLimitError`` when ``_subgroup(order, n)`` exceeds physical memory."""
-    # the list and each caller's tuple copy of it hold 16 bytes of pointers
-    # per entry, and each entry is an int no larger than n
-    _require_memory(order * (16 + sys.getsizeof(n)), f"subgroup of order {order} for n={n}")
+def _subgroup_guard(count: int, order: int, n: int) -> None:
+    """Raise ``SizeLimitError`` when ``_subgroup(order, n, count)`` exceeds physical memory."""
+    # per entry: 16 bytes of list and tuple pointers, and an int no larger than n
+    _require_memory(count * (16 + sys.getsizeof(n)), f"subgroup of order {order} for n={n}")
 
 
-def _subgroup(order: int, n: int) -> list[int]:
-    """The order-``order`` subgroup of the nonzero residues mod prime n.
+def _subgroup(order: int, n: int, count: int) -> tuple[int, ...]:
+    """Powers h**k % n, k < count, of the order-``order`` subgroup's generator.
 
-    Returns ``[g**(k*(n-1)//order) % n for k in range(order)]`` with g
-    the smallest primitive root, so entry k is h**k for the generator
-    h = g**((n-1)//order), as Python ints for any n < 2**64. Callers
-    check that n is prime and ``order`` | n - 1; the size guard runs first.
+    h = g**((n-1)//order) with g the smallest primitive root, so count = order lists
+    the whole subgroup mod prime n, as Python ints for any n < 2**64. Callers check
+    that n is prime, order | n - 1 and count <= order; the size guard runs first.
     """
-    _subgroup_guard(order, n)
+    _subgroup_guard(count, order, n)
     h = pow(primitive_root(n), (n - 1) // order, n)
-    out = [1] * order
-    for k in range(1, order):
+    out = [1] * count
+    for k in range(1, count):
         out[k] = out[k - 1] * h % n
-    return out
+    return tuple(out)

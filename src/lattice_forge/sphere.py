@@ -95,7 +95,8 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
     >>> sorted(sphere_index_set(2, 5))
     [1, 4]
     """
-    return tuple(_subgroup(*_subgroup_args(m, n)))
+    m, n = _subgroup_args(m, n)
+    return _subgroup(m, n, m)
 
 
 def _subgroup_args(m: int, n: int) -> tuple[int, int]:
@@ -128,13 +129,13 @@ def sphere_frame(m: int, n: int) -> SphericalFrame:
     matrix and the two length-n tables together exceed physical memory.
     """
     m, n = _subgroup_args(m, n)
-    _subgroup_guard(m, n)
+    _subgroup_guard(m, m, n)
     # k <= n - 1 and j <= n; no odd n separates this bound from the
     # (n-1)**2 < 2**63 bound of pointset.generate
     if (n - 1) * n > _INT64_MAX:
         raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
     _require_memory(8 * (4 * m * n + m * n + 2 * n), f"sphere frame for m={m}, n={n}")
-    idx = tuple(_subgroup(m, n))
+    idx = _subgroup(m, n, m)
     c, s = _unit_circle(n)
     scale = math.sqrt(m)
     c /= scale

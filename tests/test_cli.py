@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_forge import cli
+from lattice_forge import cli, exceptions
 from lattice_forge.cli import main
 from lattice_forge.metrics import lattice_min_distance
 from lattice_forge.lattice import subgroup_generating_vector
@@ -127,12 +127,27 @@ def _run_capped(*argv, timeout=120):
 
 
 def test_exit_four_on_out_of_memory():
-    # the exact Gram matrix of 200000 samples needs 298 GiB; the child's
-    # address space is capped so that the allocation fails on any machine
-    proc = _run_capped("kernel", "--samples", "200000", "--data-dim", "2", "--n", "5", "--runs", "1")
+    # 32 columns of 14680067 MC points need 3.5 GiB: no size guard refuses
+    # them on a machine with that much memory, and the child's 3 GiB address
+    # space makes the allocation fail there
+    n = 14680067
+    mem = exceptions._physical_memory()
+    if mem is not None and mem < 8 * 32 * n:
+        pytest.skip("the points guard refuses this request on a machine this small")
+    proc = _run_capped("integrate", "--d", "32", "--n", str(n), "--runs", "1", "--method", "mc")
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_exit_four_on_oversized_kernel():
+    # the exact Gram matrix of 200000 samples and a run's three more N x N
+    # arrays need 1192 GiB; the guard refuses them before the capped child
+    # could reach the out-of-memory backstop
+    proc = _run_capped("kernel", "--samples", "200000", "--data-dim", "2", "--n", "5", "--runs", "1")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: kernel benchmark for N=200000, n=5 needs 1192.1 GiB, ")
+    assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_exit_four_on_oversized_sphere_frame():
@@ -182,15 +197,22 @@ def test_exit_four_on_oversized_construct(tmp_path, argv, line):
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["construct", "sphere"])
-def test_exit_four_on_oversized_subgroup(command):
-    # construct --d 10**9 and sphere --d 4*10**9 (m = 2*10**9) both list an
-    # order-2*10**9 subgroup of Python ints, 96 GB; its guard refuses it
-    # before any entry is built, where the capped child would run out
-    d = "1000000000" if command == "construct" else "4000000000"
-    proc = _run_capped(command, "--d", d, "--n", "6000000001", timeout=60)
+@pytest.mark.parametrize(
+    "argv, order, n",
+    [
+        (("construct", "--d", "2000000000"), 4000000000, 48000000001),
+        (("sphere", "--d", "4000000000"), 2000000000, 6000000001),
+    ],
+    ids=["construct", "sphere"],
+)
+def test_exit_four_on_oversized_subgroup(argv, order, n):
+    # construct --d 2*10**9 lists d powers of an order-4*10**9 subgroup's
+    # generator, sphere --d 4*10**9 (m = 2*10**9) all of an order-2*10**9
+    # subgroup: 2*10**9 Python ints either way, 96 GB. The guard refuses
+    # them before any entry is built, where the capped child would run out.
+    proc = _run_capped(*argv, "--n", str(n), timeout=60)
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr.startswith("error: subgroup of order 2000000000 for n=6000000001 needs 89.4 GiB, ")
+    assert proc.stderr.startswith(f"error: subgroup of order {order} for n={n} needs 89.4 GiB, ")
     assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
 
 

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from lattice_forge import exceptions
 from lattice_forge import kernels as ker
-from lattice_forge.exceptions import DomainError
+from lattice_forge.exceptions import DomainError, SizeLimitError
 from lattice_forge.lattice import subgroup_generating_vector
 from lattice_forge.pointset import (
     LatticePointSet,
@@ -154,6 +155,38 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
     for family in ("gaussian", "arccos0", "arccos1"):
         with pytest.raises(DomainError, match="exact Gram matrix is not finite"):
             ker.run_kernel_benchmark(data, 13, ker.KernelSpec(family), runs=1)
+
+
+@pytest.mark.parametrize(
+    "family, N, n, need",
+    [
+        # four N x N float64 arrays (a run's K, G, diff and |diff|, or the
+        # Gaussian exact Gram's three temporaries), plus five 5 x 2 arrays
+        ("gaussian", 200_000, 5, 4 * 8 * 200_000**2 + 40 * 5 * 2),
+        ("arccos0", 200_000, 5, 4 * 8 * 200_000**2 + 40 * 5 * 2),
+        # seven N x N temporaries of the order-1 arc-cosine exact Gram
+        ("arccos1", 200_000, 5, 7 * 8 * 200_000**2 + 40 * 5 * 2),
+        # K with the features being built: a float projection, cos and sin,
+        # their concatenation and its scaled copy (40 bytes per sample and
+        # point), or a projection, its mask or ReLU and the scaled result
+        ("gaussian", 1000, 10**8, 8 * 1000**2 + 40 * 1000 * 10**8 + 40 * 10**8 * 2),
+        ("arccos0", 1000, 10**8, 8 * 1000**2 + 17 * 1000 * 10**8 + 40 * 10**8 * 2),
+        ("arccos1", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 40 * 10**8 * 2),
+    ],
+    ids=[f"{f}-{part}" for part in ("gram", "features") for f in ("gaussian", "arccos0", "arccos1")],
+)
+def test_kernel_benchmark_memory_guard_threshold(no_numpy, monkeypatch, family, N, n, need):
+    # the data is a zero-stride view, so nothing of size N is allocated;
+    # asarray keeps it a float64 view, and the next numpy use comes after the guard
+    data = np.broadcast_to(np.zeros(2), (N, 2))
+    no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
+    spec = ker.KernelSpec(family)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"kernel benchmark for N={N}, n={n} needs "):
+        ker.run_kernel_benchmark(data, n, spec, runs=1)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        ker.run_kernel_benchmark(data, n, spec, runs=1)
 
 
 def test_arccos_rejects_zero_rows():

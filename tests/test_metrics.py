@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_forge import exceptions
+from lattice_forge import exceptions, metrics
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
@@ -34,6 +34,7 @@ from lattice_forge.metrics import (
     toroidal_distance,
 )
 from lattice_forge.pointset import generate
+from lattice_forge.sphere import sphere_index_set
 
 # ---------------------------------------------------------------------------
 # toroidal_distance
@@ -268,6 +269,43 @@ def test_non_subgroup_vectors_take_the_scan(monkeypatch):
             assert _fields(lattice_min_distance(vec, norm)) == _fields(_full_scan(vec, norm))
 
 
+def _is_subgroup_by_set(z, n):
+    """The set-based definition: 2d | n-1, 2d distinct +-z_j, each z_j**(2d) = 1."""
+    two_d = 2 * len(z)
+    return (
+        (n - 1) % two_d == 0
+        and len({r for c in z for r in (c, n - c)}) == two_d
+        and all(pow(c, two_d, n) == 1 for c in z)
+    )
+
+
+@st.composite
+def _near_subgroup_vectors(draw):
+    """d residues mod n drawn from the order-2d subgroup H, repeated,
+    sign-flipped or replaced by arbitrary residues; n may be inadmissible."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 13]))
+    n = draw(st.sampled_from(find_admissible_n(d, 3) + [5, 7, 13, 29, 97]))
+    group = sphere_index_set(2 * d, n) if (n - 1) % (2 * d) == 0 else tuple(range(1, n))
+    z = []
+    for c in draw(st.permutations(group))[:d]:
+        action = draw(st.sampled_from(["keep", "keep", "flip", "repeat", "any"]))
+        if action == "flip":
+            c = n - c
+        elif action == "repeat" and z:
+            c = draw(st.sampled_from(z))
+        elif action == "any":
+            c = draw(st.integers(1, n - 1))
+        z.append(c)
+    return tuple(z + [draw(st.sampled_from(group)) for _ in range(d - len(z))]), n
+
+
+@given(_near_subgroup_vectors())
+@settings(max_examples=300, deadline=None)
+def test_is_subgroup_matches_the_set_definition(case):
+    z, n = case
+    assert _is_subgroup(z, n) == _is_subgroup_by_set(z, n)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 16])
 def test_census_paths_across_blocks(monkeypatch, block):
     # a budget of 3 * ``block`` elements spreads the 16 cosets of (d=3,
@@ -342,8 +380,18 @@ def test_census_accepts_sizes_just_below_int64_limits(no_numpy, monkeypatch):
 
 def test_census_memory_guard_threshold(no_numpy, monkeypatch):
     # 72 bytes per coset or scanned k, plus 64 MiB of block scratch; the
-    # int64 guards pass at these sizes and run first
-    no_numpy("lattice_forge.metrics")
+    # int64 guards pass at these sizes and run first. The subgroup test,
+    # which sorts its d-entry residues with numpy, runs before this guard,
+    # so numpy is blocked only once it has answered.
+    subgroup_test = metrics._is_subgroup
+
+    def then_block_numpy(z, n):
+        monkeypatch.setattr(metrics, "np", np)
+        answer = subgroup_test(z, n)
+        no_numpy("lattice_forge.metrics")
+        return answer
+
+    monkeypatch.setattr(metrics, "_is_subgroup", then_block_numpy)
     n = 3037000493  # prime, below the k * z limit, with 4 | n - 1
     for vec, rows in (
         (subgroup_generating_vector(2, n), (n - 1) // 4),  # cosets
@@ -374,17 +422,17 @@ class _Components:
 
 
 def test_census_component_guard_threshold(no_numpy, monkeypatch):
-    # 160 bytes of set slots and one 32-byte int n - z_j per component,
-    # checked before the subgroup test builds its set of the residues +-z_j
+    # 32 bytes per component: the subgroup test's int64 z_j and n - z_j,
+    # then both together sorted, checked before it converts z
     n = 3037000493
-    d = (n - 1) // 2  # 2d | n - 1, so the subgroup test goes on to the set
+    d = (n - 1) // 2  # 2d | n - 1, so the subgroup test goes on to sort
     vec = object.__new__(GeneratingVector)
     for name, value in (("z", _Components(d)), ("n", n), ("method", "explicit")):
         object.__setattr__(vec, name, value)
-    need = 192 * d
+    need = 32 * d
     no_numpy("lattice_forge.metrics")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"census for d={d}, n={n} needs 271.5 GiB"):
+    with pytest.raises(SizeLimitError, match=f"census for d={d}, n={n} needs 45.3 GiB"):
         lattice_min_distance(vec, "l1")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):

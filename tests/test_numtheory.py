@@ -270,18 +270,22 @@ def test_every_modulus_check_refuses_with_one_message(call, n):
 
 
 def test_subgroup_memory_guard_threshold(monkeypatch):
-    # an order-2*10**9 subgroup mod 6000000001 holds 16 bytes of pointers
-    # and a 32-byte int per entry: 96 GB. primitive_root is the first work
-    # after the guard, so it stands in for the list being built.
+    # each listed power of an order-2*10**9 subgroup's generator mod
+    # 6000000001 holds 16 bytes of pointers and a 32-byte int: the vector
+    # lists d = 10**9 of them (48 GB), the index set all 2*10**9 (96 GB).
+    # primitive_root is the first work after the guard, so it stands in for
+    # the list being built.
     def no_root(p):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(numtheory, "primitive_root", no_root)
     n, order = 6000000001, 2 * 10**9
-    need = 48 * order
-    for call in (lambda: subgroup_generating_vector(order // 2, n), lambda: sphere_index_set(order, n)):
+    for call, need, gib in (
+        (lambda: subgroup_generating_vector(order // 2, n), 48 * (order // 2), "44.7"),
+        (lambda: sphere_index_set(order, n), 48 * order, "89.4"),
+    ):
         monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-        with pytest.raises(SizeLimitError, match=f"subgroup of order {order} for n={n} needs 89.4 GiB"):
+        with pytest.raises(SizeLimitError, match=f"subgroup of order {order} for n={n} needs {gib} GiB"):
             call()
         monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
         with pytest.raises(AssertionError, match="scan started"):
