@@ -16,14 +16,15 @@ constructions are provided:
   milliseconds typically, a fraction of a second at worst, for n < 2^64)
   and tests a few small candidates with one modular exponentiation per
   prime factor of n - 1; z then takes O(d) modular multiplications.
-* ``korobov_search`` -- the classical exhaustive baseline. Ranks every
-  multiplier a in 1..n-1 by the minimum toroidal distance of the vector
-  [1, a, a^2, ..., a^(d-1)] mod n and keeps the best (ties break to the
-  smallest multiplier). An exact score costs O(n) via discrete logs
-  (Nuyens & Cools 2006): in the exponents of a primitive root every
-  score is a minimum of cyclic window sums, read off integer prefix sums
-  for any d. An upper bound from the terms at k = 1..64 lets most
-  multipliers go unscored (early abort, L'Ecuyer & Munger 2016), so the
+* ``korobov_search`` -- the classical exhaustive baseline. Keeps the
+  multiplier a whose vector [1, a, a^2, ..., a^(d-1)] mod n has the
+  largest minimum toroidal distance (ties break to the smallest a). The
+  orbit a, n - a, a^-1, n - a^-1 shares one distance (Sloan & Joe 1994),
+  so one multiplier in four is ranked. An exact score costs O(n) via
+  discrete logs (Nuyens & Cools 2006): in the exponents of a primitive
+  root every score is a minimum of cyclic window sums, read off integer
+  prefix sums for any d. An upper bound from the terms at k = 1..64 lets
+  most orbits go unscored (early abort, L'Ecuyer & Munger 2016), so the
   O(n^2) of scoring them all is the worst case, not the rule.
 """
 
@@ -107,8 +108,9 @@ class SearchResult:
 
     ``vector`` is the Korobov vector of the best ``multiplier``, and
     ``score`` its minimum toroidal distance under the searched norm,
-    derived from an exact integer key. All n - 1 multipliers are ranked
-    exactly, each by its exact key or by an upper bound below the best key.
+    derived from an exact integer key. One multiplier of each orbit
+    {a, n - a, a^-1, n - a^-1} is ranked, by its exact key or by an
+    upper bound below the best key.
     """
 
     vector: GeneratingVector
@@ -207,14 +209,6 @@ def _korobov_key(v: int, d: int, W: np.ndarray, steps: np.ndarray) -> int:
     return int(best.min())
 
 
-def _korobov_keys(d: int, n: int, w: np.ndarray) -> np.ndarray:
-    """Integer score of every multiplier a, indexed by a (entry 0 is -1)."""
-    powers, W, steps = _exponent_tables(n, w)
-    by_multiplier = np.full(n, -1, dtype=np.int64)
-    by_multiplier[powers] = [_korobov_key(v, d, W, steps) for v in range(n - 1)]
-    return by_multiplier
-
-
 def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
     """Upper bound on the score of every multiplier a = g^v, indexed by v.
 
@@ -225,7 +219,7 @@ def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
     That is _BOUND_K * d gathers per multiplier against O(N) work for an
     exact key, so the bound is formed only when _BOUND_K * d <= N;
     otherwise every bound is +inf (the int64 maximum) and the search
-    scores every multiplier.
+    scores every orbit.
     """
     N = len(W)
     bound = np.full(N, _INT64_MAX, dtype=np.int64)
@@ -246,26 +240,32 @@ def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
 def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     """Exhaustive Korobov multiplier search under a toroidal norm.
 
-    Ranks all n-1 multipliers exactly, maximizing the minimum toroidal
-    distance of the lattice; ties break to the smallest multiplier.
-    Scores are compared as exact integers (scaled by n for l1, by n^2
-    for l2), so the tie-breaking is exact.
+    Maximizes the minimum toroidal distance over the multipliers 1..n-1;
+    ties break to the smallest multiplier. Scores are compared as exact
+    integers (scaled by n for l1, by n^2 for l2), so ties are exact.
+
+    a, n - a, a^-1 and n - a^-1 give equivalent rank-1 rules with one
+    score (Sloan & Joe, Lattice Methods for Multiple Integration, 1994):
+    with a = g^v, the orbit {v, v + N/2, -v, N/2 - v} mod N = n - 1. Only
+    each orbit's smallest multiplier is ranked, about N/4 in all; the
+    winner is the smallest of its own orbit, so it is not missed.
 
     Each exact score costs O(n) via discrete logs: see ``_korobov_key``.
-    Most multipliers never need one (early abort, as in L'Ecuyer & Munger
+    Most orbits never need one (early abort, as in L'Ecuyer & Munger
     2016): the score is a minimum over k, so its terms at k = 1..64 bound
-    it from above (``_korobov_bounds``). Multipliers are scored in
-    descending bound order, smallest first among equal bounds, until a
-    bound falls strictly below the best exact score. When 64 d exceeds
-    n - 1 the bound is skipped and every multiplier is scored, so the
-    search is O(n^2) at worst.
+    it from above (``_korobov_bounds``), and an orbit's bound is the
+    least of its members' bounds. Orbits are scored in descending bound
+    order, smallest multiplier first among equal bounds, until a bound
+    falls strictly below the best exact score. When 64 d exceeds n - 1
+    the bound is skipped and every orbit is scored, so the search is
+    O(n^2) at worst.
 
     Every int64 intermediate (index products, prefix sums) is below
     (n-1) * max(n-1, w), w the largest weight: (n-1)//2 for l1, its
     square for l2. When that bound exceeds 2**63 - 1 -- l2 from
     n = 3329023, l1 from n = 3037000501 -- ``SizeLimitError`` is raised
     before any table is built. So it is when the tables could need more
-    than physical memory, about 136 bytes per residue.
+    than physical memory, about 64 bytes per residue.
 
     Parameters
     ----------
@@ -290,22 +290,29 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     max_w = half if p == 1 else half * half
     if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
         raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
-    # at its peak the search holds six int64 tables of n entries, the order
-    # and the sorted bounds as two lists of n Python ints (40 bytes each)
-    # and the gathered bounds, plus two int64 blocks of the bound's scratch
-    _require_memory(136 * n + 16 * _BLOCK, f"korobov search for d={d}, n={n}")
+    # while the bound is formed the search holds five int64 tables of n
+    # entries, the doubled W and at most three int64 blocks of scratch; while
+    # a key is scored, four tables and at most four n-entry int64 arrays
+    _require_memory(64 * n + 24 * _BLOCK, f"korobov search for d={d}, n={n}")
 
     powers, W, steps = _exponent_tables(n, _weight_table(n, p))
     dlog = np.empty(n, dtype=np.int64)
     dlog[powers] = steps
     bound = _korobov_bounds(d, W, dlog)
-    order = np.lexsort((powers, -bound))  # descending bound, then smallest a
+    del dlog
+    # fold v with v + N/2 (a, n - a), then u with -u mod N/2 (a, 1/a): entry
+    # u < q then holds the least bound and smallest multiplier of u's orbit
+    q = half // 2 + 1
+    for table in (bound, powers):
+        np.minimum(table[:half], table[half:], out=table[:half])
+        np.minimum(table[1:q], table[half - 1 : half - q : -1], out=table[1:q])
+    order = np.lexsort((powers[:q], -bound[:q]))  # descending bound, then smallest a
     best_key, best_alpha = -1, 0
-    for v, b in zip(order.tolist(), bound[order].tolist()):
-        if b < best_key:
+    for u in order:
+        if bound[u] < best_key:
             break
-        alpha = int(powers[v])
-        key = _korobov_key(v, d, W, steps)
+        alpha = int(powers[u])
+        key = _korobov_key(int(u), d, W, steps)
         if key > best_key or (key == best_key and alpha < best_alpha):
             best_key, best_alpha = key, alpha
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n

@@ -17,11 +17,14 @@ Every entry of V and every term of S_t is cos or sin of 2 pi r / n for a
 residue r = (k j) mod n, so each call evaluates one length-n cos/sin
 table and gathers from it by residue: n transcendentals instead of m n.
 
-Write a frame matrix with ``pointset.save_csv(frame.V, path)``.
+``sphere_frame`` refuses a frame larger than physical memory up front and
+builds ``V`` on its first read; the character sums never read it. Write a
+frame matrix with ``pointset.save_csv(frame.V, path)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,12 +48,31 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SphericalFrame:
-    """2n unit-norm frame vectors in R^(2m), as columns of ``V``."""
+    """2n unit-norm frame vectors in R^(2m), as columns of ``V`` (built on first read)."""
 
-    V: np.ndarray
     m: int
     n: int
     index_set: tuple[int, ...]
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        m, n = self.m, self.n
+        c, s = _unit_circle(n)
+        scale = math.sqrt(m)
+        c /= scale
+        s /= scale
+        lam = np.asarray(self.index_set, dtype=np.int64)
+        r = lam[:, None] * np.arange(1, n + 1, dtype=np.int64)[None, :]
+        np.remainder(r, n, out=r)
+        # residues lie in [0, n), and mode="clip" lets take write into the
+        # views of V without an intermediate buffer; (-s)/sqrt(m) equals
+        # -(s/sqrt(m)) exactly, so the negated copy keeps the block's bits
+        V = np.empty((2 * m, 2 * n))
+        np.take(c, r, out=V[:m, :n], mode="clip")
+        np.take(s, r, out=V[m:, :n], mode="clip")
+        V[m:, n:] = V[:m, :n]
+        np.negative(V[m:, :n], out=V[:m, n:])
+        return V
 
     @property
     def ambient_dim(self) -> int:
@@ -120,11 +142,12 @@ def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sphere_frame(m: int, n: int) -> SphericalFrame:
-    """Build the 2m x 2n frame from the order-m subgroup rows.
+    """The 2m x 2n frame of the order-m subgroup rows.
 
     Columns j and j + n are orthogonal by construction, and every
-    column has unit norm. Raises ``SizeLimitError`` before building
-    anything when the index set exceeds physical memory, when a product
+    column has unit norm. ``V`` is built on its first read, but
+    ``SizeLimitError`` is raised up front, before the index set is
+    listed, when the index set exceeds physical memory, when a product
     k * j could pass 2**63 - 1, or when the frame, its m x n residue
     matrix and the two length-n tables together exceed physical memory.
     """
@@ -135,23 +158,7 @@ def sphere_frame(m: int, n: int) -> SphericalFrame:
     if (n - 1) * n > _INT64_MAX:
         raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
     _require_memory(8 * (4 * m * n + m * n + 2 * n), f"sphere frame for m={m}, n={n}")
-    idx = _subgroup(m, n, m)
-    c, s = _unit_circle(n)
-    scale = math.sqrt(m)
-    c /= scale
-    s /= scale
-    lam = np.asarray(idx, dtype=np.int64)
-    r = lam[:, None] * np.arange(1, n + 1, dtype=np.int64)[None, :]
-    np.remainder(r, n, out=r)
-    # residues lie in [0, n), and mode="clip" lets take write into the
-    # views of V without an intermediate buffer; (-s)/sqrt(m) equals
-    # -(s/sqrt(m)) exactly, so the negated copy keeps the block's bits
-    V = np.empty((2 * m, 2 * n))
-    np.take(c, r, out=V[:m, :n], mode="clip")
-    np.take(s, r, out=V[m:, :n], mode="clip")
-    V[m:, n:] = V[:m, :n]
-    np.negative(V[m:, :n], out=V[:m, n:])
-    return SphericalFrame(V=V, m=m, n=n, index_set=idx)
+    return SphericalFrame(m=m, n=n, index_set=_subgroup(m, n, m))
 
 
 def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> CoherenceReport:
@@ -161,10 +168,10 @@ def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> Co
     max(|Re S_t|, |Im S_t|)/m with S_t the subgroup character sum:
     n cos/sin evaluations plus O(nm) gathers from that table.
     method="pairwise" forms the full Gram matrix of V and takes the
-    off-diagonal maximum -- the O(n^2 m) reference oracle; it raises
-    ``SizeLimitError`` before allocating when its two (2n)^2 arrays
-    exceed physical memory. Both paths return the same value to
-    floating-point accuracy.
+    off-diagonal maximum -- the O(n^2 m) reference oracle, which builds
+    ``frame.V``; it raises ``SizeLimitError`` before allocating when its
+    two (2n)^2 arrays exceed physical memory. Both paths return the same
+    value to floating-point accuracy.
     """
     m, n = frame.m, frame.n
     if method == "pairwise":

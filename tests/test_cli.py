@@ -180,9 +180,9 @@ def test_exit_four_on_oversized_point_set(method):
          f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
         # up to (n-1)/2 = 1.5e9 distinct keys: 102 GiB
         (("--d", "1", "--n", "3037000493"), "census for d=1, n=3037000493 needs 101.9 GiB, "),
-        # the search's tables of n residues: 127 GiB
+        # the search's tables of n residues: 60 GiB
         (("--method", "korobov", "--d", "2", "--n", "1000000009"),
-         "korobov search for d=2, n=1000000009 needs 126.7 GiB, "),
+         "korobov search for d=2, n=1000000009 needs 59.7 GiB, "),
     ],
     ids=["points", "census", "korobov"],
 )
@@ -423,6 +423,23 @@ def test_sphere_cli_matches_library(capsys):
     assert int(row["n_vectors"]) == 202
 
 
+def test_sphere_builds_the_frame_only_for_frame_out(capsys, tmp_path, monkeypatch):
+    frames = []
+
+    def keep(m, n):
+        frames.append(sphere_frame(m, n))
+        return frames[-1]
+
+    monkeypatch.setattr(cli, "sphere_frame", keep)
+    assert _run(capsys, "sphere", "--d", "8", "--n", "13", "--deterministic")[0] == 0
+    assert "V" not in frames[0].__dict__
+    path = tmp_path / "f.csv"
+    argv = ("sphere", "--d", "8", "--n", "13", "--frame-out", str(path), "--deterministic")
+    assert _run(capsys, *argv)[0] == 0
+    assert "V" in frames[1].__dict__
+    assert np.loadtxt(path, delimiter=",", comments="#").shape == (8, 26)
+
+
 def test_bench_timing_rows(capsys):
     code, out, _ = _run(capsys, "bench-timing", "--d", "2", "--n", "13", "--deterministic")
     assert code == 0
@@ -492,6 +509,13 @@ def _fuzz_argv(draw):
     if cmd == "admissible":
         argv = ["admissible", "--d", draw(_small), "--count", draw(st.integers(-1, 3).map(str)),
                 "--start", draw(_small)]
+    elif cmd == "kernel" and draw(st.booleans()):
+        # 200000 samples: an exact Gram of 298 GiB, a counted peak of 1192 GiB
+        # or more, on admissible (data-dim, n) pairs
+        argv = ["kernel", "--samples", "200000", "--data-dim", draw(st.sampled_from(["1", "2", "3"])),
+                "--n", draw(st.sampled_from(["13", "37"])), "--runs", draw(st.sampled_from(["1", "2"])),
+                "--kernel", draw(st.sampled_from(["gaussian", "arccos0", "arccos1"]))]
+        return argv + ["--deterministic"]
     elif cmd == "kernel":
         argv = ["kernel", "--samples", draw(st.integers(-1, 12).map(str)), "--data-dim",
                 draw(st.integers(-1, 3).map(str)), "--n", draw(_moduli),
@@ -513,7 +537,7 @@ def _fuzz_argv(draw):
     elif cmd == "sphere" and draw(st.booleans()):
         argv = ["sphere", "--d", "128", "--n", _BIG_PRIME]
     elif cmd == "construct" and draw(st.booleans()):
-        # a 102 GiB census and a 127 GiB Korobov search, with no --points-out:
+        # a 102 GiB census and a 60 GiB Korobov search, with no --points-out:
         # the 23 GiB of d=1 points could fit a large machine
         argv = draw(st.sampled_from([
             ["construct", "--d", "1", "--n", "3037000493"],
@@ -554,3 +578,6 @@ def test_fuzz_exit_codes_and_no_traceback(tmp_path_factory, argv):
     assert "Traceback" not in err.getvalue(), argv
     if code not in (0, 2):  # argparse prints usage plus one error line
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    if argv[:3] == ["kernel", "--samples", "200000"]:
+        # the whole-peak guard refuses before the exact Gram is allocated
+        assert code == 4 and err.getvalue().startswith("error: kernel benchmark for N=200000, "), argv

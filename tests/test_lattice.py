@@ -2,8 +2,10 @@
 
 The Korobov search is validated against an independent per-multiplier
 rescan with ``lattice_min_distance`` (a hypothesis property over small
-primes, both norms and every d up to (n-1)/2), its early abort against
-the argmax of every multiplier's exact key, and the subgroup
+primes, both norms and every d up to (n-1)/2), its early abort and its
+one-multiplier-per-orbit ranking against the argmax of every
+multiplier's exact key (``_korobov_keys``, kept here as the exhaustive
+oracle), and the subgroup
 construction's group structure (closure of {z, -z} under multiplication
 mod n) is checked for every admissible pair with n <= 500.
 """
@@ -22,7 +24,7 @@ from lattice_forge.lattice import (
     GeneratingVector,
     _exponent_tables,
     _korobov_bounds,
-    _korobov_keys,
+    _korobov_key,
     _weight_table,
     find_admissible_n,
     korobov_search,
@@ -156,6 +158,20 @@ def test_korobov_search_example():
 _SMALL_PRIMES = [n for n in range(3, 200) if is_prime(n)]
 
 
+def _korobov_keys(d, n, w):
+    """Exact key of every multiplier a, indexed by a (entry 0 is -1)."""
+    powers, W, steps = _exponent_tables(n, w)
+    by_multiplier = np.full(n, -1, dtype=np.int64)
+    by_multiplier[powers] = [_korobov_key(v, d, W, steps) for v in range(n - 1)]
+    return by_multiplier
+
+
+def _orbit(v, N):
+    """Discrete logs of a = g^v, n - a, 1/a and n - 1/a, with N = n - 1."""
+    h = N // 2
+    return frozenset({v % N, (v + h) % N, -v % N, (h - v) % N})
+
+
 @st.composite
 def _search_cases(draw):
     """(d, n, norm) with n a prime below 200 and 1 <= d <= (n-1)/2.
@@ -233,6 +249,50 @@ def test_korobov_bound_cost_cap(d, n, bounded):
     assert (res.multiplier, res.score) == _exhaustive_winner(d, n, "l2")
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_korobov_key_is_constant_on_orbits(norm):
+    # a, n - a, 1/a and n - 1/a share one exact key, so the search may rank
+    # one multiplier per orbit; checked in multiplier form, without logs
+    for n in [n for n in range(3, 400) if is_prime(n)] + [1009, 2003]:
+        a = np.arange(1, n)
+        inv = np.array([pow(int(x), -1, n) for x in a])
+        w = _weight_table(n, 1 if norm == "l1" else 2)
+        for d in (1, 2, 3, 4, 7, 13):
+            if n < 2 * d + 1:
+                continue
+            keys = _korobov_keys(d, n, w)
+            for partner in (n - a, inv, n - inv):
+                assert (keys[partner] == keys[a]).all(), (d, n, norm)
+
+
+@pytest.mark.parametrize("bound_k", [_BOUND_K, 1])
+def test_korobov_search_small_moduli(monkeypatch, bound_k):
+    # at n = 3, 5 and 7 most orbits have fewer than four members, and
+    # v = 0 (a = 1) shares its orbit with v = N/2 (a = n - 1) at every n
+    monkeypatch.setattr("lattice_forge.lattice._BOUND_K", bound_k)
+    scored = []
+
+    def recording_key(v, *args):
+        scored.append(v)
+        return _korobov_key(v, *args)
+
+    monkeypatch.setattr("lattice_forge.lattice._korobov_key", recording_key)
+    orbits = {3: {(0, 1)}, 5: {(0, 2), (1, 3)}, 7: {(0, 3), (1, 2, 4, 5)}}
+    for n, expected in orbits.items():
+        N = n - 1
+        assert {tuple(sorted(_orbit(v, N))) for v in range(N)} == expected
+        for d in range(1, (n - 1) // 2 + 1):
+            for norm in ("l1", "l2"):
+                scored.clear()
+                res = korobov_search(d, n, norm)
+                assert (res.multiplier, res.score) == _exhaustive_winner(d, n, norm)
+                # no orbit is scored twice; without the bound every one is
+                hit = [_orbit(v, N) for v in scored]
+                assert len(set(hit)) == len(hit)
+                if bound_k * d > N:
+                    assert len(hit) == len(expected)
+
+
 def test_korobov_search_validation():
     with pytest.raises(DomainError):
         korobov_search(2, 8, "l1")
@@ -277,8 +337,8 @@ def test_korobov_search_refuses_int64_overflow_before_building_tables(
 
 
 def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
-    # 136 bytes per residue plus 32 MiB of block scratch: at n = 10**9 + 9
-    # the int64 guard passes and the byte guard refuses 127 GiB
+    # 64 bytes per residue plus 48 MiB of block scratch: at n = 10**9 + 9
+    # the int64 guard passes and the byte guard refuses 59.7 GiB
     no_numpy("lattice_forge.lattice")
 
     def no_table(*args):
@@ -286,9 +346,9 @@ def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
 
     monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
     n = 1000000009
-    need = 136 * n + 2**25
+    need = 64 * n + 24 * 2**21
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs 126.7 GiB"):
+    with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs 59.7 GiB"):
         korobov_search(2, n, "l1")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):

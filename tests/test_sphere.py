@@ -158,9 +158,16 @@ def test_coherence_method_validation():
 # ---------------------------------------------------------------------------
 
 
+def _no_root(p):
+    raise AssertionError("the scan started")
+
+
 def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
+    # the frame is built on its first read, so the accepted side trips on
+    # primitive_root, the index set's first work
     m, n = 64, 1000000321  # 64 | n - 1
     need = 8 * (4 * m * n + m * n + 2 * n)  # frame, int64 residues, two tables
+    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
     no_numpy("lattice_forge.sphere")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
     expect = r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB"
@@ -174,10 +181,7 @@ def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
 def test_frame_checks_every_size_before_building(no_numpy, monkeypatch):
     # the index set's guard, the int64 bound and the frame's guard all run
     # before the index set is listed; primitive_root is its first work
-    def no_root(p):
-        raise AssertionError("the scan started")
-
-    monkeypatch.setattr(numtheory, "primitive_root", no_root)
+    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
     no_numpy("lattice_forge.sphere")
     need = 48 * 2 * 10**9  # the index set of m = 2*10**9
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
@@ -201,6 +205,7 @@ def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
     while not is_prime(n_bad):
         n_bad += 1
     assert (n_ok - 1) * n_ok <= limit < (n_bad - 1) ** 2
+    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
     no_numpy("lattice_forge.sphere")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="overflows int64"):
