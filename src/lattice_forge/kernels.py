@@ -51,11 +51,9 @@ _COMPONENTS = 10
 _MEAN_STD = 6.0
 _POINT_STD = 1.0
 
-# Per family: the N x N float arrays that ``run_kernel_benchmark`` holds at
-# its peak -- ``exact_gram``'s temporaries, or a run's K, G, diff and |diff|
-# -- and the bytes per (sample, point) pair that ``feature_map`` holds at its
-# peak, next to K
-_PEAK = {"gaussian": (4, 40), "arccos0": (4, 17), "arccos1": (7, 24)}
+# Per family: the bytes per (sample, point) pair that ``feature_map`` holds
+# at its peak, next to K
+_FEATURE_BYTES = {"gaussian": 40, "arccos0": 17, "arccos1": 24}
 
 
 @dataclass(frozen=True)
@@ -122,24 +120,35 @@ def _exact_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 
 
 def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Dense exact Gram matrix K[i, j] = K(data_i, data_j)."""
+    """Dense exact Gram matrix K[i, j] = K(data_i, data_j).
+
+    Each family's formula is applied in place to G = X @ X.T, one float
+    operation at a time in the formula's order, so at most three N x N
+    arrays (two for the Gaussian and arccos0 families) are held at once.
+    """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise DomainError(f"data must be (N, d), got shape {X.shape}")
     if spec.family == "gaussian":
         sq = (X * X).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
+        d2 = np.multiply(X @ X.T, 2.0)  # d2 = sq_i + sq_j - 2 x_i.x_j, clipped at 0
+        np.maximum(np.subtract(sq[:, None] + sq[None, :], d2, out=d2), 0.0, out=d2)
+        np.divide(np.negative(d2, out=d2), 2.0 * spec.sigma**2, out=d2)
+        return np.exp(d2, out=d2)
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0.0).any():
         raise DomainError("arc-cosine kernels require nonzero rows")
-    cos_t = (X @ X.T) / np.outer(norms, norms)
-    np.clip(cos_t, -1.0, 1.0, out=cos_t)
-    theta = np.arccos(cos_t)
+    theta = X @ X.T
+    np.divide(theta, np.outer(norms, norms), out=theta)
+    np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
     if spec.family == "arccos0":
-        return 1.0 - theta / np.pi
-    return np.outer(norms, norms) / np.pi * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+        return np.subtract(1.0, np.divide(theta, np.pi, out=theta), out=theta)
+    # (||x|| ||y|| / pi) (sin theta + (pi - theta) cos theta)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    np.multiply(np.subtract(np.pi, theta, out=theta), cos_t, out=theta)
+    np.add(sin_t, theta, out=theta)
+    K = np.divide(np.outer(norms, norms, out=sin_t), np.pi, out=sin_t)
+    return np.multiply(K, theta, out=K)
 
 
 def feature_map(
@@ -201,10 +210,8 @@ def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
     if denom_f == 0.0:
         raise DomainError("reference Gram matrix is zero")
     diff = B - A
-    return GramErrors(
-        rel_frobenius=float(np.linalg.norm(diff)) / denom_f,
-        rel_max=float(np.abs(diff).max()) / denom_m,
-    )
+    rel_frobenius = float(np.linalg.norm(diff)) / denom_f
+    return GramErrors(rel_frobenius, float(np.abs(diff, out=diff).max()) / denom_m)
 
 
 def synthetic_data(n_samples: int, dim: int, seed: int) -> np.ndarray:
@@ -246,11 +253,10 @@ def run_kernel_benchmark(
     """
     X = np.asarray(data, dtype=np.float64)
     N, d = X.shape if X.ndim == 2 else (0, 0)
-    squares, features = _PEAK[spec.family]
-    # K, F and G = F @ F.T together never exceed the larger of these two
-    # peaks; both methods' points, the lattice base and the normal quantiles
-    # add at most five n x d arrays
-    per_sample = max(8 * squares * N, 8 * N + features * n)
+    # three N x N arrays (exact_gram's work, or a run's K, G and diff) or K
+    # beside the features, whichever is more; both methods' points, the
+    # lattice base and the normal quantiles add at most five n x d arrays
+    per_sample = max(24 * N, 8 * N + _FEATURE_BYTES[spec.family] * n)
     _require_memory(N * per_sample + 40 * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):
         K = exact_gram(X, spec)  # also rejects data that is not (N, d)

@@ -25,14 +25,14 @@ constructions are provided:
   root every score is a minimum of cyclic window sums, read off integer
   prefix sums for any d. An upper bound from the terms at k = 1..64 lets
   most orbits go unscored (early abort, L'Ecuyer & Munger 2016), so the
-  O(n^2) of scoring them all is the worst case, not the rule.
+  O(n^2) of scoring them all is the worst case, not the rule. The search
+  builds the winning vector itself.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "GeneratingVector",
     "SearchResult",
     "subgroup_generating_vector",
-    "korobov_vector",
     "korobov_search",
     "find_admissible_n",
 ]
@@ -79,7 +78,7 @@ class GeneratingVector:
 
     def __post_init__(self) -> None:
         n = operator.index(self.n)
-        z = tuple(operator.index(c) for c in self.z)
+        z = tuple(map(operator.index, self.z))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "z", z)
         if self.method not in _METHODS:
@@ -157,20 +156,6 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     return GeneratingVector(z=z, n=n, method="subgroup")
 
 
-def korobov_vector(alpha: int, d: int, n: int) -> GeneratingVector:
-    """Korobov vector [1, alpha, alpha^2, ..., alpha^(d-1)] mod n."""
-    alpha = operator.index(alpha)
-    d = _at_least(d, 1, "d")
-    n = _prime_modulus(n)
-    if not 1 <= alpha <= n - 1:
-        raise DomainError(f"alpha must lie in 1..n-1, got {alpha}")
-    # d ints no larger than n, and at most 24 bytes of tuple pointers per
-    # component: z, and the copy GeneratingVector makes while it grows
-    _require_memory(d * (24 + sys.getsizeof(n)), f"korobov vector for d={d}, n={n}")
-    z = tuple(pow(alpha, k, n) for k in range(d))
-    return GeneratingVector(z=z, n=n, method="korobov")
-
-
 def _weight_table(n: int, p: int) -> np.ndarray:
     """w[r] = min(r, n-r) (l1) or its square (l2), r = 0..n-1."""
     r = np.arange(n, dtype=np.int64)
@@ -209,13 +194,14 @@ def _korobov_key(v: int, d: int, W: np.ndarray, steps: np.ndarray) -> int:
     return int(best.min())
 
 
-def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+def _korobov_bounds(d: int, W: np.ndarray, shifts: list[int]) -> np.ndarray:
     """Upper bound on the score of every multiplier a = g^v, indexed by v.
 
     The score is a minimum over k, so its terms at k = 1.._BOUND_K bound
-    it: sum_{j<d} W[(u_k + v j) mod N] with u_k = dlog[k]. Multipliers go
-    in blocks of at most ``_BLOCK`` (j, v) exponents, read from the
-    doubled table W + W so that u_k + (v j mod N) needs no reduction.
+    it: sum_{j<d} W[(u + v j) mod N] for each u in ``shifts``, the
+    discrete logs of those k (k = g^u mod n). Multipliers go in blocks of
+    at most ``_BLOCK`` (j, v) exponents, read from the doubled table
+    W + W so that u + (v j mod N) needs no reduction.
     That is _BOUND_K * d gathers per multiplier against O(N) work for an
     exact key, so the bound is formed only when _BOUND_K * d <= N;
     otherwise every bound is +inf (the int64 maximum) and the search
@@ -226,7 +212,6 @@ def _korobov_bounds(d: int, W: np.ndarray, dlog: np.ndarray) -> np.ndarray:
     if _BOUND_K * d > N:
         return bound
     doubled = np.concatenate((W, W))
-    shifts = dlog[1 : _BOUND_K + 1].tolist()
     j = np.arange(d, dtype=np.int64)[:, None]
     cols = max(1, _BLOCK // d)
     for start in range(0, N, cols):
@@ -255,17 +240,19 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     2016): the score is a minimum over k, so its terms at k = 1..64 bound
     it from above (``_korobov_bounds``), and an orbit's bound is the
     least of its members' bounds. Orbits are scored in descending bound
-    order, smallest multiplier first among equal bounds, until a bound
-    falls strictly below the best exact score. When 64 d exceeds n - 1
-    the bound is skipped and every orbit is scored, so the search is
-    O(n^2) at worst.
+    order, smallest multiplier first among equal bounds, and the scan stops
+    at the first orbit that cannot win: a bound below the best exact score,
+    or equal to it with a larger multiplier (ties go to the smaller one).
+    When 64 d exceeds n - 1 the bound is skipped and every orbit is
+    scored, so the search is O(n^2) at worst.
 
     Every int64 intermediate (index products, prefix sums) is below
     (n-1) * max(n-1, w), w the largest weight: (n-1)//2 for l1, its
     square for l2. When that bound exceeds 2**63 - 1 -- l2 from
     n = 3329023, l1 from n = 3037000501 -- ``SizeLimitError`` is raised
     before any table is built. So it is when the tables could need more
-    than physical memory, about 64 bytes per residue.
+    than physical memory: 66 bytes per residue, or 48 plus 48 MiB of
+    block scratch while the bound is formed, whichever is more.
 
     Parameters
     ----------
@@ -290,16 +277,14 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     max_w = half if p == 1 else half * half
     if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
         raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
-    # while the bound is formed the search holds five int64 tables of n
-    # entries, the doubled W and at most three int64 blocks of scratch; while
-    # a key is scored, four tables and at most four n-entry int64 arrays
-    _require_memory(64 * n + 24 * _BLOCK, f"korobov search for d={d}, n={n}")
+    # while the bound is formed the search holds four int64 tables of n
+    # entries (powers, W, steps, the bound), the doubled W and at most three
+    # int64 blocks of scratch; while a key is scored, the four tables, the
+    # order of about n/4 entries and at most four n-entry int64 arrays
+    _require_memory(max(48 * n + 24 * _BLOCK, 66 * n), f"korobov search for d={d}, n={n}")
 
     powers, W, steps = _exponent_tables(n, _weight_table(n, p))
-    dlog = np.empty(n, dtype=np.int64)
-    dlog[powers] = steps
-    bound = _korobov_bounds(d, W, dlog)
-    del dlog
+    bound = _korobov_bounds(d, W, np.flatnonzero(powers <= _BOUND_K).tolist())
     # fold v with v + N/2 (a, n - a), then u with -u mod N/2 (a, 1/a): entry
     # u < q then holds the least bound and smallest multiplier of u's orbit
     q = half // 2 + 1
@@ -309,14 +294,15 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     order = np.lexsort((powers[:q], -bound[:q]))  # descending bound, then smallest a
     best_key, best_alpha = -1, 0
     for u in order:
-        if bound[u] < best_key:
-            break
         alpha = int(powers[u])
+        if bound[u] < best_key or (bound[u] == best_key and alpha > best_alpha):
+            break
         key = _korobov_key(int(u), d, W, steps)
         if key > best_key or (key == best_key and alpha < best_alpha):
             best_key, best_alpha = key, alpha
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
-    return SearchResult(vector=korobov_vector(best_alpha, d, n), score=score, multiplier=best_alpha)
+    z = tuple(pow(best_alpha, j, n) for j in range(d))
+    return SearchResult(GeneratingVector(z, n, "korobov"), score, best_alpha)
 
 
 def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:

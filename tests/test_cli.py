@@ -141,12 +141,12 @@ def test_exit_four_on_out_of_memory():
 
 
 def test_exit_four_on_oversized_kernel():
-    # the exact Gram matrix of 200000 samples and a run's three more N x N
-    # arrays need 1192 GiB; the guard refuses them before the capped child
+    # the exact Gram matrix of 200000 samples and a run's two more N x N
+    # arrays need 894 GiB; the guard refuses them before the capped child
     # could reach the out-of-memory backstop
     proc = _run_capped("kernel", "--samples", "200000", "--data-dim", "2", "--n", "5", "--runs", "1")
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr.startswith("error: kernel benchmark for N=200000, n=5 needs 1192.1 GiB, ")
+    assert proc.stderr.startswith("error: kernel benchmark for N=200000, n=5 needs 894.1 GiB, ")
     assert " GiB, more than the " in proc.stderr and proc.stderr.count("\n") == 1
 
 
@@ -180,9 +180,9 @@ def test_exit_four_on_oversized_point_set(method):
          f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
         # up to (n-1)/2 = 1.5e9 distinct keys: 102 GiB
         (("--d", "1", "--n", "3037000493"), "census for d=1, n=3037000493 needs 101.9 GiB, "),
-        # the search's tables of n residues: 60 GiB
+        # the search's tables of n residues and one key's scratch: 62 GiB
         (("--method", "korobov", "--d", "2", "--n", "1000000009"),
-         "korobov search for d=2, n=1000000009 needs 59.7 GiB, "),
+         "korobov search for d=2, n=1000000009 needs 61.5 GiB, "),
     ],
     ids=["points", "census", "korobov"],
 )
@@ -499,6 +499,11 @@ _small = st.integers(-3, 30).map(str)
 _dims = st.one_of(st.integers(-3, 30), st.integers(1, 3)).map(str)
 _moduli = st.one_of(st.integers(-3, 30), st.sampled_from([7, 13, 37, 41])).map(str)
 _bad_paths = st.sampled_from(["{dir}/missing.csv", "{dir}", "{dir}/no-such-dir/x.csv"])
+# admissible (d, n) whose integrand or std row overflows float64: exit 4
+_OVERFLOWING = [
+    ["integrate", "--d", d, "--n", n, "--runs", "2", "--b", "0", "--c", c, "--deterministic"]
+    for d, n, c in (("1", "7", "360"), ("1", "13", "360"), ("2", "13", "200"), ("2", "13", "360"))
+]
 
 
 @st.composite
@@ -510,7 +515,7 @@ def _fuzz_argv(draw):
         argv = ["admissible", "--d", draw(_small), "--count", draw(st.integers(-1, 3).map(str)),
                 "--start", draw(_small)]
     elif cmd == "kernel" and draw(st.booleans()):
-        # 200000 samples: an exact Gram of 298 GiB, a counted peak of 1192 GiB
+        # 200000 samples: an exact Gram of 298 GiB, a counted peak of 894 GiB
         # or more, on admissible (data-dim, n) pairs
         argv = ["kernel", "--samples", "200000", "--data-dim", draw(st.sampled_from(["1", "2", "3"])),
                 "--n", draw(st.sampled_from(["13", "37"])), "--runs", draw(st.sampled_from(["1", "2"])),
@@ -529,6 +534,8 @@ def _fuzz_argv(draw):
                 "--runs", draw(st.integers(-1, 2).map(str)),
                 "--gt-samples", draw(st.integers(-1, 50).map(str))]
     elif cmd == "integrate" and draw(st.booleans()):
+        if draw(st.booleans()):
+            return list(draw(st.sampled_from(_OVERFLOWING)))
         argv = ["integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1"]
         argv += draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
     elif cmd == "integrate":
@@ -537,7 +544,7 @@ def _fuzz_argv(draw):
     elif cmd == "sphere" and draw(st.booleans()):
         argv = ["sphere", "--d", "128", "--n", _BIG_PRIME]
     elif cmd == "construct" and draw(st.booleans()):
-        # a 102 GiB census and a 60 GiB Korobov search, with no --points-out:
+        # a 102 GiB census and a 62 GiB Korobov search, with no --points-out:
         # the 23 GiB of d=1 points could fit a large machine
         argv = draw(st.sampled_from([
             ["construct", "--d", "1", "--n", "3037000493"],
@@ -581,3 +588,5 @@ def test_fuzz_exit_codes_and_no_traceback(tmp_path_factory, argv):
     if argv[:3] == ["kernel", "--samples", "200000"]:
         # the whole-peak guard refuses before the exact Gram is allocated
         assert code == 4 and err.getvalue().startswith("error: kernel benchmark for N=200000, "), argv
+    if argv in _OVERFLOWING:
+        assert code == 4 and err.getvalue().count("error: ") == 1, argv

@@ -136,6 +136,28 @@ def test_exact_gram_matches_pairwise_kernel():
                 )
 
 
+def _textbook_gram(X, spec):
+    """Each family's Gram formula written out, one temporary per operation."""
+    if spec.family == "gaussian":
+        sq = (X * X).sum(axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
+        return np.exp(-d2 / (2.0 * spec.sigma**2))
+    norms = np.linalg.norm(X, axis=1)
+    theta = np.arccos(np.clip((X @ X.T) / np.outer(norms, norms), -1.0, 1.0))
+    if spec.family == "arccos0":
+        return 1.0 - theta / np.pi
+    return np.outer(norms, norms) / np.pi * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "arccos0", "arccos1"])
+def test_exact_gram_in_place_matches_textbook_formula_bit_for_bit(family):
+    # exact_gram reuses its buffers but keeps each float operation and its
+    # order, so every entry keeps its bits
+    X = ker.synthetic_data(300, 6, seed=3)
+    spec = ker.KernelSpec(family, sigma=4.0)
+    assert ker.exact_gram(X, spec).tobytes() == _textbook_gram(X, spec).tobytes()
+
+
 def test_kernel_spec_validation():
     with pytest.raises(DomainError):
         ker.KernelSpec("laplace")
@@ -160,12 +182,12 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
 @pytest.mark.parametrize(
     "family, N, n, need",
     [
-        # four N x N float64 arrays (a run's K, G, diff and |diff|, or the
-        # Gaussian exact Gram's three temporaries), plus five 5 x 2 arrays
-        ("gaussian", 200_000, 5, 4 * 8 * 200_000**2 + 40 * 5 * 2),
-        ("arccos0", 200_000, 5, 4 * 8 * 200_000**2 + 40 * 5 * 2),
-        # seven N x N temporaries of the order-1 arc-cosine exact Gram
-        ("arccos1", 200_000, 5, 7 * 8 * 200_000**2 + 40 * 5 * 2),
+        # three N x N float64 arrays for every family (a run's K, G and diff,
+        # or the order-1 arc-cosine exact Gram's in-place work), plus five
+        # 5 x 2 arrays
+        ("gaussian", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
+        ("arccos0", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
+        ("arccos1", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
         # K with the features being built: a float projection, cos and sin,
         # their concatenation and its scaled copy (40 bytes per sample and
         # point), or a projection, its mask or ReLU and the scaled result

@@ -28,7 +28,6 @@ from lattice_forge.lattice import (
     _weight_table,
     find_admissible_n,
     korobov_search,
-    korobov_vector,
     subgroup_generating_vector,
 )
 from lattice_forge.metrics import lattice_min_distance
@@ -117,34 +116,13 @@ def test_subgroup_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Korobov vectors and search
+# Korobov search
 # ---------------------------------------------------------------------------
 
 
-def test_korobov_vector_example():
-    assert korobov_vector(2, 3, 7).z == (1, 2, 4)
-    assert korobov_vector(1, 4, 5).z == (1, 1, 1, 1)
-
-
-def test_korobov_vector_memory_guard_threshold(monkeypatch):
-    # d ints of 28 bytes (n < 2**30) and 24 bytes of tuple pointers each; a
-    # vector this small is built on the accepted side
-    d, n = 1000, 7
-    need = 52 * d
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"korobov vector for d={d}, n={n} needs 0.0 GiB"):
-        korobov_vector(3, d, n)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    assert korobov_vector(3, d, n).z == tuple(pow(3, k, n) for k in range(d))
-
-
-def test_korobov_vector_validation():
-    with pytest.raises(DomainError):
-        korobov_vector(0, 2, 5)
-    with pytest.raises(DomainError):
-        korobov_vector(5, 2, 5)
-    with pytest.raises(DomainError):
-        korobov_vector(2, 2, 8)  # composite
+def _korobov(a, d, n):
+    """The Korobov vector [1, a, ..., a^(d-1)] mod n, built independently."""
+    return GeneratingVector(tuple(pow(a, j, n) for j in range(d)), n, "korobov")
 
 
 def test_korobov_search_example():
@@ -196,15 +174,15 @@ def test_korobov_search_exhaustive_oracle(case):
     # independent rescan: evaluate every multiplier with the census path
     d, n, norm = case
     res = korobov_search(d, n, norm)
-    keys = {a: lattice_min_distance(korobov_vector(a, d, n), norm).min_key for a in range(1, n)}
+    keys = {a: lattice_min_distance(_korobov(a, d, n), norm).min_key for a in range(1, n)}
     # every multiplier's key, not only the winner's
     fast = _korobov_keys(d, n, _weight_table(n, 1 if norm == "l1" else 2))
     assert fast[1:].tolist() == [keys[a] for a in range(1, n)]
     best = max(keys, key=lambda a: (keys[a], -a))
-    oracle = lattice_min_distance(korobov_vector(best, d, n), norm)
+    oracle = lattice_min_distance(_korobov(best, d, n), norm)
     assert res.multiplier == best
     assert res.score == oracle.min_distance
-    assert res.vector == korobov_vector(best, d, n)
+    assert res.vector == _korobov(best, d, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,9 +215,9 @@ def test_korobov_bound_cost_cap(d, n, bounded):
     assert (_BOUND_K * d <= n - 1) == bounded
     w = _weight_table(n, 2)
     powers, W, steps = _exponent_tables(n, w)
-    dlog = np.empty(n, dtype=np.int64)
-    dlog[powers] = steps
-    bound = _korobov_bounds(d, W, dlog)
+    # the discrete logs of k = 1.._BOUND_K, in the order of k
+    shifts = [int(np.flatnonzero(powers == k)[0]) for k in range(1, _BOUND_K + 1)]
+    bound = _korobov_bounds(d, W, shifts)
     if bounded:
         keys = _korobov_keys(d, n, w)[powers]
         assert (bound >= keys).all() and (bound < 2**63 - 1).all()
@@ -265,11 +243,8 @@ def test_korobov_key_is_constant_on_orbits(norm):
                 assert (keys[partner] == keys[a]).all(), (d, n, norm)
 
 
-@pytest.mark.parametrize("bound_k", [_BOUND_K, 1])
-def test_korobov_search_small_moduli(monkeypatch, bound_k):
-    # at n = 3, 5 and 7 most orbits have fewer than four members, and
-    # v = 0 (a = 1) shares its orbit with v = N/2 (a = n - 1) at every n
-    monkeypatch.setattr("lattice_forge.lattice._BOUND_K", bound_k)
+def _record_keys(monkeypatch):
+    """List the exponent v of every multiplier the search scores exactly."""
     scored = []
 
     def recording_key(v, *args):
@@ -277,6 +252,15 @@ def test_korobov_search_small_moduli(monkeypatch, bound_k):
         return _korobov_key(v, *args)
 
     monkeypatch.setattr("lattice_forge.lattice._korobov_key", recording_key)
+    return scored
+
+
+@pytest.mark.parametrize("bound_k", [_BOUND_K, 1])
+def test_korobov_search_small_moduli(monkeypatch, bound_k):
+    # at n = 3, 5 and 7 most orbits have fewer than four members, and
+    # v = 0 (a = 1) shares its orbit with v = N/2 (a = n - 1) at every n
+    monkeypatch.setattr("lattice_forge.lattice._BOUND_K", bound_k)
+    scored = _record_keys(monkeypatch)
     orbits = {3: {(0, 1)}, 5: {(0, 2), (1, 3)}, 7: {(0, 3), (1, 2, 4, 5)}}
     for n, expected in orbits.items():
         N = n - 1
@@ -291,6 +275,19 @@ def test_korobov_search_small_moduli(monkeypatch, bound_k):
                 assert len(set(hit)) == len(hit)
                 if bound_k * d > N:
                     assert len(hit) == len(expected)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_korobov_search_stops_at_exact_ties(monkeypatch, norm):
+    # at d = 1 every multiplier gives the same lattice, so every orbit's bound
+    # ties the first orbit's key; a = 1 comes first and wins every tie, so
+    # one exact key settles the search
+    scored = _record_keys(monkeypatch)
+    for n in (67, 101, 1009, 10007):
+        scored.clear()
+        res = korobov_search(1, n, norm)
+        assert len(scored) == 1, (n, len(scored))
+        assert (res.multiplier, res.score) == _exhaustive_winner(1, n, norm)
 
 
 def test_korobov_search_validation():
@@ -337,22 +334,24 @@ def test_korobov_search_refuses_int64_overflow_before_building_tables(
 
 
 def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
-    # 64 bytes per residue plus 48 MiB of block scratch: at n = 10**9 + 9
-    # the int64 guard passes and the byte guard refuses 59.7 GiB
+    # 48 bytes per residue plus 48 MiB of block scratch while the bound is
+    # formed, or 66 bytes per residue while a key is scored: the first is
+    # more at n = 10**6 + 3, the second at n = 10**9 + 9, where the int64
+    # guard passes and the byte guard refuses 61.5 GiB
     no_numpy("lattice_forge.lattice")
 
     def no_table(*args):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
-    n = 1000000009
-    need = 64 * n + 24 * 2**21
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs 59.7 GiB"):
-        korobov_search(2, n, "l1")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        korobov_search(2, n, "l1")
+    cases = ((1000003, 48 * 1000003 + 24 * 2**21, "0.1"), (1000000009, 66 * 1000000009, "61.5"))
+    for n, need, gib in cases:
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs {gib} GiB"):
+            korobov_search(2, n, "l1")
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="scan started"):
+            korobov_search(2, n, "l1")
 
 
 # ---------------------------------------------------------------------------

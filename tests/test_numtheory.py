@@ -20,7 +20,6 @@ from lattice_forge.exceptions import DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
     korobov_search,
-    korobov_vector,
     subgroup_generating_vector,
 )
 from lattice_forge.metrics import min_distance_bounds
@@ -254,7 +253,6 @@ def test_primitive_root_is_smallest():
 _TAKES_A_MODULUS = {
     "GeneratingVector": lambda n: GeneratingVector((1,), n),
     "subgroup_generating_vector": lambda n: subgroup_generating_vector(1, n),
-    "korobov_vector": lambda n: korobov_vector(1, 1, n),
     "korobov_search": lambda n: korobov_search(1, n),
     "min_distance_bounds": lambda n: min_distance_bounds(1, n),
     "sphere_index_set": lambda n: sphere_index_set(1, n),

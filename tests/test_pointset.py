@@ -12,7 +12,6 @@ from lattice_forge.exceptions import DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
     korobov_search,
-    korobov_vector,
     subgroup_generating_vector,
 )
 from lattice_forge.metrics import brute_force_min_distance
@@ -124,7 +123,7 @@ def _block_cases():
     cases["d1-two-blocks"] = GeneratingVector((12345,), 40009)
     cases["n3"] = GeneratingVector((1, 2), 3)
     cases["n5"] = GeneratingVector((1, 2, 3, 4), 5)
-    cases["korobov"] = korobov_vector(17, 8, 10007)
+    cases["korobov"] = GeneratingVector(tuple(pow(17, j, 10007) for j in range(8)), 10007, "korobov")
     cases["korobov-search"] = korobov_search(4, 401, "l1").vector
     cases["explicit-wide"] = _explicit(100, 1009, 7)
     return cases
