@@ -13,14 +13,18 @@ Two families:
 Integrands and energies take an (m, d) batch of points and return the
 (m,) array of values; any other shape raises ``DomainError``.
 ``run_integration_benchmark`` / ``run_boltzmann_benchmark`` drive the
-repeated-shift experiments that the CLI serializes.
+repeated-shift experiments that the CLI serializes. They never hold a
+shifted or MC point set: ``pointset._replicate`` streams each run's set
+through the per-point formula in cache-sized row blocks, and each run's
+estimate is the mean of its n values, the same float as the estimator
+gives on the materialized set (on the BLAS build ``_replicate`` names).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,7 +89,12 @@ def test_integrand(x: np.ndarray, spec: TestIntegrand) -> np.ndarray:
     >>> float(test_integrand(np.array([[1.0]]), TestIntegrand(d=1))[0]) == math.e
     True
     """
-    return np.exp(_batch(x, spec.d) @ spec.weights())
+    return _integrand_values(_batch(x, spec.d), spec.weights())
+
+
+def _integrand_values(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(X @ w): the integrand at each row of a float64 (m, d) batch."""
+    return np.exp(X @ w)
 
 
 def test_integral_exact(spec: TestIntegrand) -> float:
@@ -184,10 +193,23 @@ def boltzmann_energy(x: np.ndarray, model: BoltzmannModel) -> np.ndarray:
     return -(quad + lin) / model.d
 
 
+def _partition_values(x: np.ndarray, model: BoltzmannModel) -> np.ndarray:
+    """exp(-E(x)) at each row of an (m, d) batch: the partition integrand."""
+    return np.exp(-boltzmann_energy(x, model))
+
+
+def _marginal_values(v: np.ndarray, h: np.ndarray, model: BoltzmannModel) -> np.ndarray:
+    """exp(-f(v, h) - E(h)) at each row of an (m, d) batch h: the marginal integrand."""
+    e_vals = boltzmann_energy(h, model)
+    const = -(v @ model.W_v @ v + model.b_v @ v) / model.d
+    cross = -(2.0 * (v @ model.W_h) @ h.T) / model.d
+    f_vals = const + cross
+    return np.exp(-f_vals - e_vals)
+
+
 def estimate_partition(points: LatticePointSet, model: BoltzmannModel) -> float:
     """Partition function Z = integral of exp(-E) over [0, 1]^d."""
-    e = boltzmann_energy(points.points, model)
-    return float(np.exp(-e).mean())
+    return float(_partition_values(points.points, model).mean())
 
 
 def estimate_marginal(
@@ -203,12 +225,7 @@ def estimate_marginal(
     va = np.asarray(v, dtype=np.float64)
     if va.shape != (model.d,):
         raise DomainError(f"observation must have shape ({model.d},), got {va.shape}")
-    H = points.points
-    e_vals = boltzmann_energy(H, model)
-    const = -(va @ model.W_v @ va + model.b_v @ va) / model.d
-    cross = -(2.0 * (va @ model.W_h) @ H.T) / model.d
-    f_vals = const + cross
-    return float(np.mean(np.exp(-f_vals - e_vals))) / Z
+    return float(np.mean(_marginal_values(va, points.points, model))) / Z
 
 
 def _mc_mean(
@@ -273,6 +290,23 @@ def mc_marginal(
 _SEED_COLUMNS = ("subgroup", "korobov", "mc")
 
 
+def _mean_rows(
+    d: int, n: int, seed: int, methods: "tuple[str, ...] | list[str]", runs: int,
+    stream: Iterator[tuple[str, int, np.ndarray]], exact: float, divisor: float = 1.0,
+) -> list[dict]:
+    """One row per (run, method), run by run: the mean of the run's values
+    from ``_replicate``'s ``stream`` over ``divisor`` (x / 1.0 is x),
+    scored against ``exact``."""
+    means = {(method, r): float(vals.mean()) / divisor for method, r, vals in stream}
+    rows = []
+    for r in range(runs):
+        for method in methods:
+            est = means[method, r]
+            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r,
+                         "estimate": est, "exact": exact, "rel_error": _relative_error(est, exact)})
+    return rows
+
+
 def run_integration_benchmark(
     d: int,
     n: int,
@@ -300,16 +334,14 @@ def run_integration_benchmark(
     exact = test_integral_exact(spec)
     _relative_error(exact, exact)  # check the reference before building any point set
 
-    def score(ps: LatticePointSet) -> dict:
-        # exp may overflow where the reference does not; _relative_error refuses it
-        with np.errstate(over="ignore"):
-            est = float(test_integrand(ps.points, spec).mean())
-        return {"estimate": est, "exact": exact, "rel_error": _relative_error(est, exact)}
-
-    return _replicate(
-        d, n, methods, score,
-        columns=_SEED_COLUMNS, runs=runs, seed=seed, seed_source=seed, shifted=shifted,
+    w = spec.weights()
+    stream = _replicate(
+        d, n, methods, lambda X: _integrand_values(X, w),
+        columns=_SEED_COLUMNS, runs=runs, seed_source=seed, shifted=shifted,
     )
+    # exp may overflow where the reference does not; _relative_error refuses it
+    with np.errstate(over="ignore"):
+        return _mean_rows(d, n, seed, methods, runs, stream, exact)
 
 
 def run_boltzmann_benchmark(
@@ -342,15 +374,9 @@ def run_boltzmann_benchmark(
         v = np.random.default_rng(s_obs).random(d)
         ground_truth = mc_marginal(v, model, Z, gt_samples, s_gt2)
 
-    def score(ps: LatticePointSet) -> dict:
-        if target == "partition":
-            est = estimate_partition(ps, model)
-        else:
-            est = estimate_marginal(v, ps, model, Z)
-        return {"estimate": est, "exact": ground_truth, "rel_error": _relative_error(est, ground_truth)}
-
-    rows = _replicate(
-        d, n, methods, score,
-        columns=_SEED_COLUMNS, runs=runs, seed=seed, seed_source=s_runs,
-    )
-    return rows, ground_truth
+    if target == "partition":
+        values, divisor = (lambda x: _partition_values(x, model)), 1.0
+    else:
+        values, divisor = (lambda h: _marginal_values(v, h, model)), Z
+    stream = _replicate(d, n, methods, values, columns=_SEED_COLUMNS, runs=runs, seed_source=s_runs)
+    return _mean_rows(d, n, seed, methods, runs, stream, ground_truth, divisor), ground_truth

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, _require_memory
-from .pointset import LatticePointSet, _replicate
+from .lattice import subgroup_generating_vector
+from .pointset import LatticePointSet, _seed_matrix, generate, mc_points, random_shift
 
 __all__ = [
     "KernelSpec",
@@ -125,10 +126,14 @@ def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
     Each family's formula is applied in place to G = X @ X.T, one float
     operation at a time in the formula's order, so at most three N x N
     arrays (two for the Gaussian and arccos0 families) are held at once.
+    Raises ``SizeLimitError`` before allocating when they exceed physical
+    memory.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise DomainError(f"data must be (N, d), got shape {X.shape}")
+    N = X.shape[0]
+    _require_memory((3 if spec.family == "arccos1" else 2) * 8 * N * N, f"exact Gram for N={N}")
     if spec.family == "gaussian":
         sq = (X * X).sum(axis=1)
         d2 = np.multiply(X @ X.T, 2.0)  # d2 = sq_i + sq_j - 2 x_i.x_j, clipped at 0
@@ -167,7 +172,9 @@ def feature_map(
 
     Raises ``DomainError`` if a point row is exactly the origin (an
     unshifted lattice always contains it -- shift first) or if the data
-    dimension does not match the point dimension.
+    dimension does not match the point dimension, and ``SizeLimitError``
+    before allocating when the N x n projection and the features exceed
+    physical memory.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -177,6 +184,8 @@ def feature_map(
         raise DomainError(
             f"dimension mismatch: data has d={X.shape[1]}, points have d={eps.shape[1]}"
         )
+    N, n = X.shape[0], eps.shape[0]
+    _require_memory(_FEATURE_BYTES[spec.family] * N * n, f"features for N={N}, n={n}")
     if (eps == 0.0).all(axis=1).any():
         raise DomainError(
             "point set contains the origin; apply random_shift before mapping"
@@ -185,7 +194,6 @@ def feature_map(
     # long to import as the rest of lattice_forge, and only features use it
     from scipy.special import ndtri
 
-    n = eps.shape[0]
     W = ndtri(np.clip(eps, _EPS_CLAMP, 1.0 - _EPS_CLAMP))
     if spec.family == "gaussian":
         proj = X @ (W / spec.sigma).T
@@ -200,11 +208,17 @@ def feature_map(
 
 
 def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
-    """Relative Frobenius / max-entry errors of an approximate Gram."""
+    """Relative Frobenius / max-entry errors of an approximate Gram.
+
+    Raises ``SizeLimitError`` before allocating when the N x N difference
+    exceeds physical memory.
+    """
     A = np.asarray(exact, dtype=np.float64)
     B = np.asarray(approx, dtype=np.float64)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"expected two equal square matrices, got {A.shape} and {B.shape}")
+    N = A.shape[0]
+    _require_memory(8 * N * N, f"Gram difference for N={N}")
     denom_f = float(np.linalg.norm(A))
     denom_m = float(np.abs(A).max())
     if denom_f == 0.0:
@@ -254,8 +268,8 @@ def run_kernel_benchmark(
     X = np.asarray(data, dtype=np.float64)
     N, d = X.shape if X.ndim == 2 else (0, 0)
     # three N x N arrays (exact_gram's work, or a run's K, G and diff) or K
-    # beside the features, whichever is more; both methods' points, the
-    # lattice base and the normal quantiles add at most five n x d arrays
+    # beside the features, whichever is more; the lattice base, one run's
+    # point set and the normal quantiles add at most five n x d arrays
     per_sample = max(24 * N, 8 * N + _FEATURE_BYTES[spec.family] * n)
     _require_memory(N * per_sample + 40 * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):
@@ -264,13 +278,21 @@ def run_kernel_benchmark(
         raise DomainError("the exact Gram matrix is not finite; rescale the data")
 
     def score(ps: LatticePointSet) -> dict:
+        # a run's arrays are freed on return, before the next run's features
         F = feature_map(X, ps, spec)
         G = F @ F.T
         del F  # free the features before gram_errors allocates its N x N difference
         errs = gram_errors(K, G)
         return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
-    return _replicate(
-        X.shape[1], n, methods, score,
-        columns=("subgroup", "mc"), runs=runs, seed=seed, seed_source=seed,
-    )
+    columns = ("subgroup", "mc")
+    methods, runs, seeds = _seed_matrix(methods, columns, runs, seed)
+    if "subgroup" in methods:
+        base = generate(subgroup_generating_vector(d, n))
+    rows = []
+    for r in range(runs):
+        for method in methods:
+            s = int(seeds[r, columns.index(method)])
+            errs = score(mc_points(n, d, s) if method == "mc" else random_shift(base, s))
+            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r, **errs})
+    return rows

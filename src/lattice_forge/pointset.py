@@ -1,4 +1,4 @@
-"""Materialized point sets: lattice points, random shifts, MC baselines.
+"""Point sets: lattice points, random shifts, MC baselines, and their stream.
 
 Lattice points are x_i = (i * z mod n) / n. The numerators are exact
 int64 residues, so the stored float coordinates are the correctly
@@ -12,6 +12,15 @@ division: a sum of two residues lies in [0, 2n), so one branch-free
 subtraction of n where needed reduces it exactly. The shift fold
 ``_add_mod1`` works in the same row blocks.
 
+The benchmark drivers do not materialize their shifted or MC sets:
+``_replicate`` streams each set through the integrand in cache-sized row
+blocks, folding the shift into (or drawing the MC sample straight into)
+one reused tile. Blocks hold a multiple of 64 rows, and a final block of
+one row joins the block before it, so every per-point value equals what
+the same formula gives on the whole matrix, bit for bit (checked on one
+OpenBLAS build; see ``_replicate``). A method's runs go in chunks of at
+most d runs, so their values take no more memory than one n x d set.
+
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
 reproducible bit-for-bit on any platform with the same numpy.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -114,29 +123,38 @@ def _lattice_rows(z: np.ndarray, n: int, lo: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _add_mod1(points: np.ndarray, delta: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-    """``(points + delta) % 1.0`` bit for bit for entries in [0, 1), into ``out``.
+def _add_mod1(points: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``(points + delta) % 1.0`` bit for bit for entries in [0, 1), as a new array.
 
     ``delta`` holds one value per column (last axis). Works in row blocks
-    of about ``_BLOCK`` elements: add a block-sized tile of ``delta``,
-    mark sums >= 1.0 in one reused bool mask, subtract the mask. Sums lie
-    in [0, 2) and x - 1 is exact on [1, 2), so each result equals the
-    float ``%``.
+    of about ``_BLOCK`` elements with one block-sized tile of ``delta`` and
+    one reused scratch tile (see ``_fold``).
     """
-    if out is None:
-        out = np.empty(points.shape)
+    out = np.empty(points.shape)
     p2, o2 = np.atleast_2d(points, out)
     rows = max(1, min(len(o2), _BLOCK // max(1, o2.shape[1])))
     tile = np.empty((rows, o2.shape[1]))
     tile[:] = delta
-    mask = np.empty(tile.shape, dtype=bool)
+    whole = np.empty(tile.shape)
     for s in range(0, len(o2), rows):
         block = o2[s:s + rows]
-        h = len(block)
-        np.add(p2[s:s + rows], tile[:h], out=block)
-        np.greater_equal(block, 1.0, out=mask[:h])
-        np.subtract(block, mask[:h], out=block)
+        _fold(p2[s:s + rows], tile[:len(block)], block, whole)
     return out
+
+
+def _fold(points: np.ndarray, delta: np.ndarray, out: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """Write ``(points + delta) % 1.0`` for a block of points in [0, 1) into ``out``.
+
+    ``out`` and the float64 scratch ``whole`` have at least as many rows as
+    ``points``. Add, take the sums' whole parts (0.0 or 1.0, as sums lie in
+    [0, 2)) and subtract them: x - 0 and x - 1 on [1, 2) are exact, so each
+    result equals the float ``%``. Every step is a float64 loop; a bool
+    mask in the subtraction would cost a cast per element.
+    """
+    h = len(points)
+    np.add(points, delta, out=out[:h])
+    np.floor(out[:h], out=whole[:h])
+    return np.subtract(out[:h], whole[:h], out=out[:h])
 
 
 def random_shift(ps: LatticePointSet, seed: int) -> LatticePointSet:
@@ -160,14 +178,20 @@ def mc_points(n: int, d: int, seed: int) -> LatticePointSet:
     Raises ``SizeLimitError`` before allocating when the 8*n*d-byte
     result exceeds physical memory.
     """
-    n = operator.index(n)
-    d = operator.index(d)
-    if n < 1 or d < 1:
-        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _mc_shape(n, d)
     _require_memory(8 * n * d, f"points for d={d}, n={n}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d))
     return LatticePointSet(pts)
+
+
+def _mc_shape(n: int, d: int) -> tuple[int, int]:
+    """n and d as ints; ``DomainError`` unless both are >= 1."""
+    n = operator.index(n)
+    d = operator.index(d)
+    if n < 1 or d < 1:
+        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    return n, d
 
 
 def save_csv(matrix: np.ndarray, path_or_file: "str | IO[str]") -> None:
@@ -184,27 +208,18 @@ def load_csv(path_or_file: "str | IO[str]") -> np.ndarray:
     return np.loadtxt(path_or_file, delimiter=",", ndmin=2)
 
 
-def _replicate(
-    d: int,
-    n: int,
+def _seed_matrix(
     methods: "tuple[str, ...] | list[str]",
-    score: Callable[[LatticePointSet], dict],
-    *,
     columns: tuple[str, ...],
     runs: int,
-    seed: int,
     seed_source: "int | np.random.SeedSequence",
-    shifted: bool = True,
-) -> list[dict]:
-    """Seeded replicate runner shared by the benchmark drivers.
+) -> tuple[tuple[str, ...], int, np.ndarray]:
+    """Check the methods and ``runs``; return them with the (runs, columns) seed matrix.
 
     ``columns`` lists the methods the caller accepts. Run r of method
     ``columns[c]`` draws its shift ("subgroup", "korobov" lattices) or
-    sample ("mc") from entry (r, c) of a seed matrix generated from
-    ``seed_source``, so a method's rows do not depend on the other
-    methods. Returns rows of method, d, n, seed, run, **score(points).
-    Private contract: a method writes all its runs into one n x d buffer,
-    so ``score`` must be done with a point set when it returns.
+    sample ("mc") from entry (r, c) of a matrix generated from
+    ``seed_source``, so a method's runs do not depend on the other methods.
     """
     methods = tuple(methods)
     unknown = [m for m in methods if m not in columns]
@@ -216,26 +231,95 @@ def _replicate(
     seeds = np.random.default_rng(seed_source).integers(
         0, 2**63 - 1, size=(runs, len(columns)), dtype=np.int64
     )
+    return methods, runs, seeds
+
+
+def _replicate(
+    d: int,
+    n: int,
+    methods: "tuple[str, ...] | list[str]",
+    values: Callable[[np.ndarray], np.ndarray],
+    *,
+    columns: tuple[str, ...],
+    runs: int,
+    seed_source: "int | np.random.SeedSequence",
+    shifted: bool = True,
+) -> Iterator[tuple[str, int, np.ndarray]]:
+    """Yield (method, run, per-point values) for every run's point set, streamed in row blocks.
+
+    Run r of a method sees the set ``random_shift(base, s)`` of its lattice
+    ("subgroup", "korobov"; the base itself when not ``shifted``) or
+    ``mc_points(n, d, s)`` ("mc"), with s from ``_seed_matrix``. Methods
+    come in order, each with its runs in order; the yielded (n,) float64
+    array is ``values`` applied to run r's set, so a mean over the points
+    is ``float(row.mean())``, the same pairwise sum as on one array.
+    Private contract: the array is a row of a buffer that later runs
+    overwrite, so the caller must be done with it when it asks for the
+    next item.
+
+    No shifted or MC n x d matrix is written. Each lattice base is built
+    once by ``generate``. A method's runs go in chunks of at most d runs,
+    whose (chunk, n) values fit in the n x d floats of one point set, so
+    no request needs more memory than one materialized set per method
+    did. Within a chunk, block by block and run by run, the base rows are
+    folded with the run's shift into one reused tile (``_fold``, as in
+    ``_add_mod1``), or one generator per MC run draws the block into it
+    (PCG64 fills in order, so the blocks concatenate to ``mc_points``'
+    draws), and ``values(tile)`` gives the block's values. Runs are the
+    inner loop, so each base block leaves memory once per chunk.
+
+    Blocks hold R = max(64, (``_BLOCK`` // d) rounded down to a multiple
+    of 64) rows, and a last block of one row joins the block before it, so
+    the tile holds R + 1 rows. The reason is bit identity: a BLAS
+    matrix-vector product works on groups of rows, so blocks of a multiple
+    of 64 rows, plus the matrix's own tail, give each row the same value
+    as the product over the whole matrix; a product of one row takes a dot
+    product path instead and may differ in the last bit. This grouping was
+    verified on one OpenBLAS build only (0.3.31, Haswell kernels); on
+    other kernels it is unverified, so a streamed value that differs there
+    in the last bit is a platform difference, not a fault of the fold.
+    ``values`` must compute each row from that row alone; it never sees a
+    one-row block unless n = 1.
+
+    Raises ``SizeLimitError`` before allocating when a chunk's values or a
+    tile (each at most n x d floats) exceed physical memory; ``generate``
+    checks each base itself.
+    """
+    methods, runs, seeds = _seed_matrix(methods, columns, runs, seed_source)
     bases = {}
     if "subgroup" in methods:
-        bases["subgroup"] = generate(subgroup_generating_vector(d, n))
+        bases["subgroup"] = generate(subgroup_generating_vector(d, n)).points
     if "korobov" in methods:
-        bases["korobov"] = generate(korobov_search(d, n, "l1").vector)
+        bases["korobov"] = generate(korobov_search(d, n, "l1").vector).points
+    if "mc" in methods:
+        n, d = _mc_shape(n, d)
+    block = max(64, (_BLOCK // d) & ~63)
+    tile_rows = min(n, block + 1)
+    chunk = min(runs, d)
+    _require_memory(8 * max(chunk * n, tile_rows * d),
+                    f"point values for d={d}, n={n}, runs={runs}")
+    buf = np.empty((chunk, n))
+    tile = np.empty((tile_rows, d))
+    whole = np.empty((tile_rows, d))
 
-    bufs: dict[str, np.ndarray] = {}
-    rows: list[dict] = []
-    for r in range(runs):
-        for method in methods:
-            s = int(seeds[r, columns.index(method)])
-            buf = bufs.get(method)
-            if method == "mc":  # the first run allocates via mc_points, which checks n and d
-                buf = (mc_points(n, d, s).points if buf is None
-                       else np.random.default_rng(s).random((n, d), out=buf))
-            elif shifted:  # random_shift's values, written into the buffer
-                buf = _add_mod1(bases[method].points, np.random.default_rng(s).random(d), buf)
-            else:
-                buf = bases[method].points
-            bufs[method] = buf
-            rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r,
-                         **score(LatticePointSet(buf))})
-    return rows
+    for method in methods:
+        col = [int(s) for s in seeds[:, columns.index(method)]]
+        for first in range(0, runs, chunk):
+            vals = buf[:min(chunk, runs - first)]
+            rngs = [np.random.default_rng(s) for s in col[first:first + len(vals)]]
+            deltas = [rng.random(d) for rng in rngs] if method != "mc" and shifted else []
+            lo = 0
+            while lo < n:
+                hi = n if n - lo <= block + 1 else lo + block
+                rows = slice(lo, hi)
+                if method == "mc":
+                    for r, rng in enumerate(rngs):
+                        vals[r, rows] = values(rng.random((hi - lo, d), out=tile[:hi - lo]))
+                elif shifted:
+                    for r, delta in enumerate(deltas):
+                        vals[r, rows] = values(_fold(bases[method][rows], delta, tile, whole))
+                else:  # every run sees the same block
+                    vals[:, rows] = values(bases[method][rows])
+                lo = hi
+            for r, row in enumerate(vals):
+                yield method, first + r, row

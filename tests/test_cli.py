@@ -106,6 +106,9 @@ def test_exit_four_on_domain_errors(capsys):
 # a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
 # frame plus its residue matrix, and integrate --d 32 for a 238 GiB point set
 _BIG_PRIME = "1000000321"
+# MC points are streamed, never held: one run of 10**12 points needs only
+# its 7450.6 GiB of values, which the values guard refuses on any machine
+_BIG_MC_N = "1000000000000"
 
 
 def _run_capped(*argv, timeout=120):
@@ -127,14 +130,14 @@ def _run_capped(*argv, timeout=120):
 
 
 def test_exit_four_on_out_of_memory():
-    # 32 columns of 14680067 MC points need 3.5 GiB: no size guard refuses
-    # them on a machine with that much memory, and the child's 3 GiB address
-    # space makes the allocation fail there
-    n = 14680067
+    # one MC run of 469762049 points needs 3.5 GiB of values: no size guard
+    # refuses them on a machine with that much memory, and the child's 3 GiB
+    # address space makes the allocation fail there
+    n = 469762049
     mem = exceptions._physical_memory()
-    if mem is not None and mem < 8 * 32 * n:
-        pytest.skip("the points guard refuses this request on a machine this small")
-    proc = _run_capped("integrate", "--d", "32", "--n", str(n), "--runs", "1", "--method", "mc")
+    if mem is not None and mem < 8 * n:
+        pytest.skip("the values guard refuses this request on a machine this small")
+    proc = _run_capped("integrate", "--d", "1", "--n", str(n), "--runs", "1", "--method", "mc")
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -160,14 +163,22 @@ def test_exit_four_on_oversized_sphere_frame():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("method", ["subgroup", "mc"])
-def test_exit_four_on_oversized_point_set(method):
-    # 32 columns of n = 1000000321 points need 238 GiB, so the size guard
-    # refuses them on any smaller machine before the capped child could
-    # reach the out-of-memory backstop
-    proc = _run_capped("integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1", "--method", method)
+@pytest.mark.parametrize(
+    "method, n, line",
+    [
+        # 32 columns of the lattice base need 238 GiB
+        ("subgroup", _BIG_PRIME, f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
+        # one run of 10**12 MC values needs 7450.6 GiB
+        ("mc", _BIG_MC_N, f"point values for d=32, n={_BIG_MC_N}, runs=1 needs 7450.6 GiB, "),
+    ],
+    ids=["subgroup", "mc"],
+)
+def test_exit_four_on_oversized_point_set(method, n, line):
+    # the size guard refuses the request on any smaller machine before the
+    # capped child could reach the out-of-memory backstop
+    proc = _run_capped("integrate", "--d", "32", "--n", n, "--runs", "1", "--method", method)
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr.startswith(f"error: points for d=32, n={_BIG_PRIME} needs 238.4 GiB, ")
+    assert proc.stderr.startswith(f"error: {line}")
     assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
@@ -536,8 +547,9 @@ def _fuzz_argv(draw):
     elif cmd == "integrate" and draw(st.booleans()):
         if draw(st.booleans()):
             return list(draw(st.sampled_from(_OVERFLOWING)))
-        argv = ["integrate", "--d", "32", "--n", _BIG_PRIME, "--runs", "1"]
-        argv += draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
+        method = draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
+        n = _BIG_MC_N if method == ["--method", "mc"] else _BIG_PRIME
+        argv = ["integrate", "--d", "32", "--n", n, "--runs", "1", *method]
     elif cmd == "integrate":
         argv = ["integrate", "--d", draw(_dims), "--n", draw(_moduli),
                 "--runs", draw(st.integers(-1, 2).map(str))]
@@ -590,3 +602,7 @@ def test_fuzz_exit_codes_and_no_traceback(tmp_path_factory, argv):
         assert code == 4 and err.getvalue().startswith("error: kernel benchmark for N=200000, "), argv
     if argv in _OVERFLOWING:
         assert code == 4 and err.getvalue().count("error: ") == 1, argv
+    if _BIG_MC_N in argv and code != 2:
+        # the values guard refuses, unless a --b or --c reference is refused first
+        assert code == 4 and err.getvalue().startswith(
+            (f"error: point values for d=32, n={_BIG_MC_N}, ", "error: reference value")), argv

@@ -10,11 +10,16 @@ The estimators' float output is not pinned here: BLAS kernels and numpy's
 SIMD ``exp`` may differ in the last bit between CPUs. What they are fed
 is pinned instead: the shifted lattice and MC point sets of a sweep-size
 ``integrate`` run are exact lattice rationals, PCG64 draws and correctly
-rounded additions, so their bytes are the same on every platform.
+rounded additions, so their bytes are the same on every platform. The
+driver streams each set through the integrand in row blocks; the test
+puts each run's blocks back together before hashing, so the digest is
+that of the whole sets.
 """
 
 import hashlib
+import tempfile
 
+import numpy as np
 import pytest
 
 from lattice_forge.cli import main
@@ -83,13 +88,24 @@ def test_deterministic_output_digest(capsys, tmp_path, argv, digest):
 
 def test_sweep_point_sets_digest():
     # the point sets ``integrate --d 32 --n 60161 --runs 16 --seed 1
-    # --method subgroup`` (and ``--method mc``) score, in run order
+    # --method subgroup`` (and ``--method mc``) stream, in run order. Each
+    # block is spooled to a file as it comes (the sets take 493 MB), and the
+    # values name the block, so each run's row of values lists its blocks.
     h = hashlib.sha256()
+    with tempfile.TemporaryFile() as spool:
+        offsets = []
 
-    def score(ps):
-        h.update(ps.points.astype("<f8", copy=False).tobytes())
-        return {}
+        def values(block):
+            offsets.append(spool.tell())
+            spool.write(block.astype("<f8", copy=False).tobytes())
+            return np.full(len(block), len(offsets) - 1.0)
 
-    _replicate(32, 60161, ("subgroup", "mc"), score,
-               columns=_SEED_COLUMNS, runs=16, seed=1, seed_source=1)
+        vals = {(method, r): row.copy() for method, r, row in _replicate(
+            32, 60161, ("subgroup", "mc"), values, columns=_SEED_COLUMNS, runs=16, seed_source=1)}
+        for r in range(16):
+            for method in ("subgroup", "mc"):
+                calls, first, rows = np.unique(vals[method, r], return_index=True, return_counts=True)
+                for i in np.argsort(first):
+                    spool.seek(offsets[int(calls[i])])
+                    h.update(spool.read(8 * 32 * int(rows[i])))
     assert h.hexdigest() == "14232d708e45b422c4dd96f6f4497eb041f692bba9d8a5674b94b0208425fe4f"

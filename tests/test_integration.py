@@ -13,7 +13,7 @@ import pytest
 from lattice_forge import integration as integ
 from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
-from lattice_forge.pointset import LatticePointSet, generate, mc_points, random_shift
+from lattice_forge.pointset import LatticePointSet, _replicate, generate, mc_points, random_shift
 
 # ---------------------------------------------------------------------------
 # integrand and exact integral
@@ -306,6 +306,55 @@ def test_boltzmann_benchmark_shapes():
     )
     assert len(rows2) == 4
     assert gt2 > 0
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "no-shift"])
+def test_integration_benchmark_matches_materialized_sets(reference_sets, shifted):
+    # d = 64 streams blocks of 512 rows, and n = 7681 = 15 * 512 + 1 ends in
+    # the one-row remainder: every estimate is still the mean of the
+    # integrand on the whole materialized set, bit for bit
+    d, n, runs = 64, 7681, 2
+    methods = ("subgroup", "korobov", "mc")
+    rows = integ.run_integration_benchmark(d, n, runs=runs, seed=7, methods=methods, shifted=shifted)
+    w = integ.TestIntegrand(d=d).weights()
+    for method in methods:
+        got = [r["estimate"] for r in rows if r["method"] == method]
+        expect = [float(np.exp(P @ w).mean()) for P in reference_sets(d, n, method, runs, 7, shifted)]
+        assert got == expect, method
+
+
+def _boltzmann_reference(P, model, v):
+    """The per-point partition and marginal integrands on a whole set,
+    written out as the estimators once computed them."""
+    e = -(np.einsum("ij,jk,ik->i", P, model.W, P) + P @ model.b) / model.d
+    const = -(v @ model.W_v @ v + model.b_v @ v) / model.d
+    cross = -(2.0 * (v @ model.W_h) @ P.T) / model.d
+    return np.exp(-e), np.exp(-(const + cross) - e)
+
+
+@pytest.mark.parametrize("target", ["partition", "marginal"])
+@pytest.mark.parametrize("method, n", [("subgroup", 3851), ("korobov", 3851), ("mc", 3841)])
+def test_streamed_boltzmann_values_match_materialized_sets_bitwise(reference_sets, target, method, n):
+    # d = 25 streams blocks of 1280 rows: n = 3851 in four blocks, n = 3841
+    # in three with the one-row remainder joined to the last
+    d, runs, Z = 25, 2, 1.5
+    model = integ.random_boltzmann_model(d, 4)
+    v = np.random.default_rng(5).random(d)
+    if target == "partition":
+        values = lambda x: integ._partition_values(x, model)  # noqa: E731
+    else:
+        values = lambda h: integ._marginal_values(v, h, model)  # noqa: E731
+    vals = [row.copy() for _, _, row in _replicate(d, n, (method,), values,
+                                                    columns=integ._SEED_COLUMNS, runs=runs,
+                                                    seed_source=6)]
+    for r, P in enumerate(reference_sets(d, n, method, runs, 6)):
+        expect = _boltzmann_reference(P, model, v)[target == "marginal"]
+        assert vals[r].tobytes() == expect.tobytes(), r
+        # the public estimators use the same per-point functions
+        if target == "partition":
+            assert float(vals[r].mean()) == integ.estimate_partition(LatticePointSet(P), model)
+        else:
+            assert float(vals[r].mean()) / Z == integ.estimate_marginal(v, LatticePointSet(P), model, Z)
 
 
 def test_benchmark_method_validation():

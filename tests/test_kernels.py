@@ -211,6 +211,55 @@ def test_kernel_benchmark_memory_guard_threshold(no_numpy, monkeypatch, family, 
         ker.run_kernel_benchmark(data, n, spec, runs=1)
 
 
+@pytest.mark.parametrize("family, arrays", [("gaussian", 2), ("arccos0", 2), ("arccos1", 3)])
+def test_exact_gram_memory_guard_threshold(no_numpy, monkeypatch, family, arrays):
+    # the N x N result and its N x N temporaries, counted before any is
+    # allocated; the data is a zero-stride view
+    N = 200_000
+    need = arrays * 8 * N * N
+    data = np.broadcast_to(np.ones(2), (N, 2))
+    spec = ker.KernelSpec(family)
+    no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"^exact Gram for N=200000 needs {need / 2**30:.1f} GiB"):
+        ker.exact_gram(data, spec)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        ker.exact_gram(data, spec)
+
+
+@pytest.mark.parametrize("family, per_pair", [("gaussian", 40), ("arccos0", 17), ("arccos1", 24)])
+def test_feature_map_memory_guard_threshold(no_numpy, monkeypatch, family, per_pair):
+    # the N x n projection and the features built from it, per (sample,
+    # point) pair, counted before the quantiles are taken
+    N, n = 10**9, 5
+    need = per_pair * N * n
+    data = np.broadcast_to(np.ones(2), (N, 2))
+    points = LatticePointSet(np.full((n, 2), 0.5))
+    spec = ker.KernelSpec(family)
+    no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match=f"^features for N={N}, n={n} needs "):
+        ker.feature_map(data, points, spec)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        ker.feature_map(data, points, spec)
+
+
+def test_gram_errors_memory_guard_threshold(no_numpy, monkeypatch):
+    # the N x N difference, counted before the norms are taken
+    N = 10**6
+    need = 8 * N * N
+    A = np.broadcast_to(np.ones(1), (N, N))
+    no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SizeLimitError, match="^Gram difference for N=1000000 needs 7450.6 GiB"):
+        ker.gram_errors(A, A)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="scan started"):
+        ker.gram_errors(A, A)
+
+
 def test_arccos_rejects_zero_rows():
     X = np.array([[0.0, 0.0], [1.0, 2.0]])
     with pytest.raises(DomainError):

@@ -212,9 +212,6 @@ def test_add_mod1_matches_float_mod_bitwise(pairs):
     p, delta = np.array(pairs, dtype=np.float64).T.copy()
     expect = ((p + delta) % 1.0).view(np.int64)
     np.testing.assert_array_equal(_add_mod1(p, delta).view(np.int64), expect)
-    buf = np.full_like(p, 7.0)
-    assert _add_mod1(p, delta, buf) is buf
-    np.testing.assert_array_equal(buf.view(np.int64), expect)
 
 
 def test_add_mod1_blocks_match_float_mod_bitwise():
@@ -232,9 +229,6 @@ def test_add_mod1_blocks_match_float_mod_bitwise():
     assert ((p + delta) == 1.0).sum() >= 3 * (n // 97)
     expect = ((p + delta) % 1.0).view(np.int64)
     np.testing.assert_array_equal(_add_mod1(p, delta).view(np.int64), expect)
-    buf = np.full_like(p, 7.0)
-    assert _add_mod1(p, delta, out=buf) is buf
-    np.testing.assert_array_equal(buf.view(np.int64), expect)
 
 
 def test_random_shift_rejects_points_outside_unit_interval():
@@ -292,34 +286,153 @@ def test_csv_round_trip_is_exact():
     np.testing.assert_array_equal(back, ps.points)
 
 
+# ---------------------------------------------------------------------------
+# the streaming driver against materialized sets, bit for bit
+# ---------------------------------------------------------------------------
+
+_COLUMNS = ("subgroup", "korobov", "mc")
+
+
+def _streamed_sets(d, n, methods, runs, seed, shifted=True):
+    """Each run's set as ``_replicate`` streams it, reassembled from its blocks.
+
+    ``values`` returns its call's index at every row, so each run's row of
+    values names, in row order, the blocks that make up its set. Also
+    returns the blocks, the address of each block's first element, and
+    the address of each yielded row of values.
+    """
+    blocks, addresses, row_addresses = [], [], []
+
+    def values(block):
+        blocks.append(block.copy())
+        addresses.append(block.__array_interface__["data"][0])
+        return np.full(len(block), len(blocks) - 1.0)
+
+    sets = {}
+    for method, r, row in _replicate(d, n, methods, values, columns=_COLUMNS, runs=runs,
+                                     seed_source=seed, shifted=shifted):
+        assert r == len(sets.setdefault(method, [])), (method, r)
+        row_addresses.append(row.__array_interface__["data"][0])
+        calls, first = np.unique(row, return_index=True)
+        sets[method].append(np.concatenate([blocks[int(k)] for k in calls[np.argsort(first)]]))
+    return sets, blocks, addresses, row_addresses
+
+
+def _block_rows(d):
+    return max(64, (_BLOCK // d) & ~63)
+
+
+def _stream_cases():
+    """(method, d, n): n mod R in {0, 1, 2, 63, R - 1} for MC, and for each
+    lattice the odd residues among them that a small enough prime n hits."""
+    cases = []
+    for d in (1, 7, 16, 17, 64, 100, 600):
+        R = _block_rows(d)
+        cases += [("mc", d, 2 * R + rem) for rem in (0, 1, 2, 63, R - 1)]
+        for method in ("korobov", "subgroup"):
+            for rem in sorted({1, 63, R - 1}):
+                for n in range(R + rem, 400 * R, R):
+                    ok = method == "korobov" or (n - 1) % (2 * d) == 0
+                    if n >= 2 * d + 1 and ok and is_prime(n):
+                        # the Korobov search is slow past n = 2e4, except at d = 1
+                        if n * d <= 7_000_000 and (method == "subgroup" or d == 1 or n <= 20_000):
+                            cases.append((method, d, n))
+                        break
+    return cases
+
+
+_STREAM_CASES = _stream_cases()
+
+
+def test_stream_cases_cover_every_residue():
+    # MC hits every residue; each lattice at least the one-row remainder
+    for d in (1, 7, 16, 17, 64, 100, 600):
+        R = _block_rows(d)
+        for method, rems in (("mc", {0, 1, 2, 63, R - 1}), ("korobov", {1}), ("subgroup", {1})):
+            got = {n % R for m, dd, n in _STREAM_CASES if (m, dd) == (method, d)}
+            assert rems <= got, (method, d, sorted(got))
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "no-shift"])
+@pytest.mark.parametrize(
+    "method, d, n", _STREAM_CASES, ids=[f"{m}-d{d}-n{n}" for m, d, n in _STREAM_CASES]
+)
+def test_streamed_integrand_matches_materialized_sets_bitwise(reference_sets, method, d, n, shifted):
+    # the integrand's values exp(X @ w), streamed block by block, equal the
+    # same formula on each run's whole materialized set, and so do the means
+    runs, seed = (3 if n % 4 == 3 else 1), n
+    w = 1.0 / np.arange(1, d + 1) ** 2
+    vals = {(m, r): row.copy() for m, r, row in _replicate(
+        d, n, (method,), lambda X: np.exp(X @ w), columns=_COLUMNS, runs=runs,
+        seed_source=seed, shifted=shifted)}
+    assert list(vals) == [(method, r) for r in range(runs)]
+    for r, points in enumerate(reference_sets(d, n, method, runs, seed, shifted)):
+        expect = np.exp(points @ w)
+        assert vals[method, r].tobytes() == expect.tobytes(), r
+        assert float(vals[method, r].mean()) == float(expect.mean()), r
+
+
 @pytest.mark.parametrize("shifted", [True, False])
-def test_replicate_reuses_one_buffer_with_fresh_set_values(shifted):
-    # every run's points equal a fresh random_shift / mc_points for its seed,
-    # and each method writes all its runs into one array
-    d, n, runs, columns = 4, 41, 3, ("subgroup", "korobov", "mc")
-    seen: list[tuple[np.ndarray, np.ndarray]] = []
+def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, shifted):
+    # every run streams the bytes of a fresh random_shift / mc_points set (the
+    # base itself unshifted), shifted and MC blocks all land in one reused
+    # tile, a last block of one row joins the block before it, and every
+    # method's runs yield rows of one (runs, n) buffer
+    d, runs = 100, 3
+    R = _block_rows(d)
+    n = 5 * R + 1  # 1601 is prime with 200 | n - 1
+    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _COLUMNS, runs, 9, shifted)
+    for method in _COLUMNS:
+        for r, expect in enumerate(reference_sets(d, n, method, runs, 9, shifted)):
+            assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
+    assert sorted({len(b) for b in blocks}) == [R, R + 1]
+    # 5 blocks per run, with the unshifted lattices' blocks shared by all runs;
+    # every shifted or MC block starts at the tile's first element
+    assert len(blocks) == 5 * (3 * runs if shifted else runs + 2)
+    assert max(map(addresses.count, addresses)) == 5 * (3 * runs if shifted else runs)
+    assert len(set(row_addresses)) == runs
 
-    def score(ps):
-        seen.append((ps.points, ps.points.copy()))
-        return {}
 
-    rows = _replicate(d, n, columns, score, columns=columns, runs=runs, seed=9,
-                      seed_source=9, shifted=shifted)
-    seeds = np.random.default_rng(9).integers(0, 2**63 - 1, size=(runs, 3), dtype=np.int64)
-    bases = {"subgroup": generate(subgroup_generating_vector(d, n)),
-             "korobov": generate(korobov_search(d, n, "l1").vector)}
-    arrays = {}
-    for row, (points, copy) in zip(rows, seen, strict=True):
-        s = int(seeds[row["run"], columns.index(row["method"])])
-        if row["method"] == "mc":
-            expect = mc_points(n, d, s)
-        else:
-            expect = random_shift(bases[row["method"]], s) if shifted else bases[row["method"]]
-        assert copy.tobytes() == expect.points.tobytes(), row
-        assert arrays.setdefault(row["method"], points) is points, row
-    assert len(arrays) == 3
+@pytest.mark.parametrize("shifted", [True, False])
+def test_replicate_chunks_runs_past_d(reference_sets, shifted):
+    # 5 runs at d = 2 go in chunks of 2, 2 and 1 runs, so their values share
+    # one (2, n) buffer, no more floats than one n x d set; each run still
+    # streams its own set's bytes
+    d, n, runs = 2, 101, 5
+    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _COLUMNS, runs, 4, shifted)
+    for method in _COLUMNS:
+        for r, expect in enumerate(reference_sets(d, n, method, runs, 4, shifted)):
+            assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
+    assert len(set(row_addresses)) == d
+    # an unshifted lattice block is computed once per chunk, not once per run
+    assert len(blocks) == (3 * runs if shifted else runs + 2 * 3)
 
 
 def test_replicate_mc_keeps_the_size_check():
     with pytest.raises(DomainError, match="need n >= 1"):
-        _replicate(2, 0, ("mc",), lambda ps: {}, columns=("mc",), runs=1, seed=0, seed_source=0)
+        next(_replicate(2, 0, ("mc",), lambda X: X[:, 0], columns=("mc",), runs=1, seed_source=0))
+
+
+@pytest.mark.parametrize(
+    "n, d, runs, need",
+    [
+        # 3 runs of values, more than the two tiles of R + 1 = 1025 rows
+        (10**12, 32, 3, 8 * 3 * 10**12),
+        # 50 runs > d go in chunks of d: the 8 n d bytes mc_points checks
+        (10**12, 4, 50, 8 * 4 * 10**12),
+        # a tile of all n = 65 rows of 10**9 columns outweighs the values
+        (65, 10**9, 1, 8 * 65 * 10**9),
+    ],
+    ids=["values", "runs-past-d", "tile"],
+)
+def test_replicate_memory_guard_threshold(no_numpy, monkeypatch, n, d, runs, need):
+    # checked before any array is allocated (the seed matrix is the one use
+    # of numpy before it), and never above mc_points' own 8 n d bytes
+    assert need <= 8 * n * d
+    no_numpy("lattice_forge.pointset", allow=("random", "int64"))
+    for limit, err, match in ((need - 1, SizeLimitError, rf"^point values for d={d}, n={n}, "
+                               rf"runs={runs} needs {need / 2**30:.1f} GiB"),
+                              (need, AssertionError, "scan started")):
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: limit)
+        with pytest.raises(err, match=match):
+            next(_replicate(d, n, ("mc",), None, columns=("mc",), runs=runs, seed_source=0))
