@@ -139,7 +139,8 @@ def _cmd_construct(args: argparse.Namespace):
     else:
         vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
     bounds = min_distance_bounds(args.d, args.n)
-    # generate first, so that its size guard refuses oversized points
+    # generate first, so that its guard (the residues) and the first read
+    # of points (the floats and the residues) refuse oversized points
     # before the census runs
     points = generate(vec).points if args.points_out else None
     rows = []

@@ -268,10 +268,11 @@ def run_kernel_benchmark(
     X = np.asarray(data, dtype=np.float64)
     N, d = X.shape if X.ndim == 2 else (0, 0)
     # three N x N arrays (exact_gram's work, or a run's K, G and diff) or K
-    # beside the features, whichever is more; the lattice base, one run's
-    # point set and the normal quantiles add at most five n x d arrays
+    # beside the features, whichever is more; the lattice's points (whose
+    # first read frees the residues they are built from), one run's shifted
+    # set, its clip and the normal quantiles add at most four n x d arrays
     per_sample = max(24 * N, 8 * N + _FEATURE_BYTES[spec.family] * n)
-    _require_memory(N * per_sample + 40 * n * d, f"kernel benchmark for N={N}, n={n}")
+    _require_memory(N * per_sample + 32 * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):
         K = exact_gram(X, spec)  # also rejects data that is not (N, d)
     if not np.isfinite(K).all():

@@ -1,10 +1,12 @@
 """Point sets: lattice points, random shifts, MC baselines, and their stream.
 
-Lattice points are x_i = (i * z mod n) / n. The numerators are exact
-int64 residues, so the stored float coordinates are the correctly
-rounded values of the exact rationals i*z_j mod n / n.
+Lattice points are x_i = (i * z mod n) / n. ``generate`` stores the exact
+residues i * z_j mod n, as int32 when n < 2**31 and as int64 otherwise;
+``points`` divides them by n on its first read and drops them. A residue
+converts to float64 exactly, so every coordinate is the correctly rounded
+value of the exact rational i*z_j mod n / n.
 
-``generate`` fills the n x d matrix in row blocks of R rows (about
+``generate`` fills the n x d residue matrix in row blocks of R rows (about
 ``_BLOCK`` elements, so a block's passes stay in cache). The first
 block's residues r * z mod n (r < R) are computed once with ``%``; each
 later block is the one before plus the row R * z mod n, with no integer
@@ -12,10 +14,11 @@ division: a sum of two residues lies in [0, 2n), so one branch-free
 subtraction of n where needed reduces it exactly. The shift fold
 ``_add_mod1`` works in the same row blocks.
 
-The benchmark drivers do not materialize their shifted or MC sets:
-``_replicate`` streams each set through the integrand in cache-sized row
-blocks, folding the shift into (or drawing the MC sample straight into)
-one reused tile. Blocks hold a multiple of 64 rows, and a final block of
+The benchmark drivers do not materialize their point sets: ``_replicate``
+streams each set through the integrand in cache-sized row blocks. It
+divides a block of a lattice's residues by n into one reused tile and
+folds each run's shift from there into another (or draws the MC sample
+straight into it). Blocks hold a multiple of 64 rows, and a final block of
 one row joins the block before it, so every per-point value equals what
 the same formula gives on the whole matrix, bit for bit (checked on one
 OpenBLAS build; see ``_replicate``). A method's runs go in chunks of at
@@ -32,7 +35,6 @@ matrices: point sets, frame matrices, data.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
 import numpy as np
@@ -51,36 +53,61 @@ __all__ = [
 ]
 
 # Elements in one row block of ``generate`` and ``_add_mod1``. A block's
-# few int64/float64 scratch arrays then fit in a core's L2 cache; of
+# few integer/float64 scratch arrays then fit in a core's L2 cache; of
 # 2**14 .. 2**17, 2**15 was fastest on the sweep benchmark's sizes
 # (n 1e3 .. 1.5e5, d 16 .. 64).
 _BLOCK = 1 << 15
 
 
-@dataclass(frozen=True, eq=False)
 class LatticePointSet:
-    """An (n, d) float64 array ``points`` with every entry in [0, 1)."""
+    """An (n, d) float64 array ``points`` with every entry in [0, 1).
 
-    points: np.ndarray
+    ``LatticePointSet(points)`` wraps a float set. A lattice from
+    ``generate`` holds its exact residues i * z_j mod n instead and builds
+    ``points`` = residues / n on the first read, once, then drops the
+    residues; later reads return the same array. That read raises
+    ``SizeLimitError`` before allocating when its 8*n*d bytes and the
+    residues exceed physical memory.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        self._points = points
+        self._residues: "np.ndarray | None" = None
+
+    @classmethod
+    def _from_residues(cls, residues: np.ndarray) -> "LatticePointSet":
+        ps = cls(None)
+        ps._residues = residues
+        return ps
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            n, d = self._residues.shape
+            _require_memory(8 * n * d + self._residues.nbytes, f"points for d={d}, n={n}")
+            self._points = np.divide(self._residues, float(n))
+            self._residues = None
+        return self._points
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return (self._points if self._residues is None else self._residues).shape[0]
 
     @property
     def d(self) -> int:
-        return self.points.shape[1]
+        return (self._points if self._residues is None else self._residues).shape[1]
 
 
 def generate(z: GeneratingVector) -> LatticePointSet:
-    """Materialize the n x d point matrix of a rank-1 lattice.
+    """The rank-1 lattice of ``z`` as its n x d matrix of residues i * z_j mod n.
 
-    Rows are filled block by block from int64 residues, with no integer
-    division past the first block (see ``_lattice_rows``), and each
-    residue is divided by float(n), so every entry is the correctly
-    rounded (i * z_j mod n) / n. Raises ``SizeLimitError`` before
-    allocating when i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2
-    does, or when the 8*n*d-byte result exceeds physical memory.
+    Rows are filled block by block with no integer division past the
+    first block (see ``_lattice_rows``), as int32 when n < 2**31 and int64
+    otherwise. ``points`` divides each residue by float(n) on its first
+    read, so every entry is the correctly rounded (i * z_j mod n) / n, and
+    then drops the residues. Raises ``SizeLimitError`` before allocating when
+    i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2 does, or when the
+    residues exceed physical memory.
 
     Examples
     --------
@@ -90,36 +117,41 @@ def generate(z: GeneratingVector) -> LatticePointSet:
     n, d = z.n, z.d
     if (n - 1) ** 2 > _INT64_MAX:
         raise SizeLimitError(f"i * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
-    _require_memory(8 * n * d, f"points for d={d}, n={n}")
-    return LatticePointSet(_lattice_rows(z.as_array(), n, 0, np.empty((n, d))))
+    # int32 cannot overflow below 2**31: residues lie in [0, n), and
+    # _lattice_rows' sums of a residue and a step in [-n, 0) in [-n, n)
+    size = 4 if n < 2**31 else 8
+    _require_memory(size * n * d, f"points for d={d}, n={n}")
+    residues = _lattice_rows(z.as_array(), n, 0, np.empty((n, d), f"i{size}"))
+    return LatticePointSet._from_residues(residues)
 
 
 def _lattice_rows(z: np.ndarray, n: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """Write rows lo .. lo + len(out) - 1 (< n) of the lattice with int64 vector z into ``out``.
+    """Write the residues of rows lo .. lo + len(out) - 1 (< n) of the lattice with int64 vector z into ``out``.
 
-    Blocks hold R = _BLOCK // d rows. The first block, (lo + r) * z mod n
-    for r < R, is the only ``%`` on the matrix; its products stay at most
-    (n-1)**2. Each later block is the one before plus R * z mod n in every
-    row, reduced without division: with t = block + (R * z mod n - n) in
-    [-n, n - 1), the arithmetic shift t >> 63 is all ones exactly where
-    t < 0, so t + ((t >> 63) & n) adds n back to those entries and to no
-    others.
+    ``out`` is int32 (n < 2**31) or int64. Blocks hold R = _BLOCK // d
+    rows. The first block, (lo + r) * z mod n for r < R, is the only ``%``
+    on the matrix; its products are int64 and stay at most (n-1)**2. Each
+    later block is the one before plus R * z mod n in every row, reduced
+    without division: with t = block + (R * z mod n - n) in [-n, n - 1),
+    the arithmetic shift of t by its sign bit (31 or 63) is all ones
+    exactly where t < 0, so t + ((t >> 31) & n) adds n back to those
+    entries and to no others.
     """
     m, d = out.shape
     rows = max(1, min(m, _BLOCK // d))
-    block = np.arange(lo, lo + rows, dtype=np.int64)[:, None] * z
-    np.remainder(block, n, out=block)
-    fix = np.empty_like(block)
-    step = np.empty_like(block)
+    first = np.arange(lo, lo + rows, dtype=np.int64)[:, None] * z
+    out[:rows] = np.remainder(first, n, out=first)
+    step = np.empty((rows, d), out.dtype)
     step[:] = rows * z % n - n
-    for s in range(0, m, rows):
-        if s:
-            np.add(block, step, out=block)
-            np.right_shift(block, 63, out=fix)
-            np.bitwise_and(fix, n, out=fix)
-            np.add(block, fix, out=block)
+    fix = np.empty_like(step)
+    sign = 8 * out.itemsize - 1
+    for s in range(rows, m, rows):
         h = min(rows, m - s)
-        np.divide(block[:h], float(n), out=out[s:s + h])
+        block = out[s:s + h]
+        np.add(out[s - rows:s - rows + h], step[:h], out=block)
+        np.right_shift(block, sign, out=fix[:h])
+        np.bitwise_and(fix[:h], n, out=fix[:h])
+        np.add(block, fix[:h], out=block)
     return out
 
 
@@ -257,20 +289,23 @@ def _replicate(
     overwrite, so the caller must be done with it when it asks for the
     next item.
 
-    No shifted or MC n x d matrix is written. Each lattice base is built
-    once by ``generate``. A method's runs go in chunks of at most d runs,
-    whose (chunk, n) values fit in the n x d floats of one point set, so
-    no request needs more memory than one materialized set per method
-    did. Within a chunk, block by block and run by run, the base rows are
-    folded with the run's shift into one reused tile (``_fold``, as in
-    ``_add_mod1``), or one generator per MC run draws the block into it
-    (PCG64 fills in order, so the blocks concatenate to ``mc_points``'
-    draws), and ``values(tile)`` gives the block's values. Runs are the
-    inner loop, so each base block leaves memory once per chunk.
+    No point set is written whole. Each lattice's residues are built once
+    by ``generate``; its ``points`` are never read. A method's runs go in
+    chunks of at most d runs, whose (chunk, n) values fit in the n x d
+    floats of one point set, so no request needs more memory than one
+    materialized set per method did. Within a chunk, block by block, a
+    lattice's residue rows are divided by n into one reused base tile, the
+    same floats as ``points``. Run by run, the base tile is folded with the
+    run's shift into a second reused tile (``_fold``, as in ``_add_mod1``),
+    or one generator per MC run draws the block into it (PCG64 fills in
+    order, so the blocks concatenate to ``mc_points``' draws), and
+    ``values(tile)`` gives the block's values; unshifted runs all get
+    ``values`` of the base tile at once. Runs are the inner loop, so each
+    residue block leaves memory once per chunk.
 
     Blocks hold R = max(64, (``_BLOCK`` // d) rounded down to a multiple
     of 64) rows, and a last block of one row joins the block before it, so
-    the tile holds R + 1 rows. The reason is bit identity: a BLAS
+    the tiles hold R + 1 rows. The reason is bit identity: a BLAS
     matrix-vector product works on groups of rows, so blocks of a multiple
     of 64 rows, plus the matrix's own tail, give each row the same value
     as the product over the whole matrix; a product of one row takes a dot
@@ -281,26 +316,30 @@ def _replicate(
     ``values`` must compute each row from that row alone; it never sees a
     one-row block unless n = 1.
 
-    Raises ``SizeLimitError`` before allocating when a chunk's values or a
-    tile (each at most n x d floats) exceed physical memory; ``generate``
-    checks each base itself.
+    Raises ``SizeLimitError`` before allocating when a chunk's values or
+    the tiles (the fold tile, and the base tile when a lattice is
+    streamed) exceed physical memory; ``generate`` checks each lattice's
+    residues itself.
     """
     methods, runs, seeds = _seed_matrix(methods, columns, runs, seed_source)
-    bases = {}
+    residues = {}
     if "subgroup" in methods:
-        bases["subgroup"] = generate(subgroup_generating_vector(d, n)).points
+        residues["subgroup"] = generate(subgroup_generating_vector(d, n))._residues
     if "korobov" in methods:
-        bases["korobov"] = generate(korobov_search(d, n, "l1").vector).points
+        residues["korobov"] = generate(korobov_search(d, n, "l1").vector)._residues
     if "mc" in methods:
         n, d = _mc_shape(n, d)
     block = max(64, (_BLOCK // d) & ~63)
     tile_rows = min(n, block + 1)
     chunk = min(runs, d)
-    _require_memory(8 * max(chunk * n, tile_rows * d),
+    tiles = 2 if residues else 1
+    _require_memory(8 * max(chunk * n, tiles * tile_rows * d),
                     f"point values for d={d}, n={n}, runs={runs}")
     buf = np.empty((chunk, n))
     tile = np.empty((tile_rows, d))
     whole = np.empty((tile_rows, d))
+    base = np.empty((tile_rows, d)) if residues else None
+    scale = float(n)
 
     for method in methods:
         col = [int(s) for s in seeds[:, columns.index(method)]]
@@ -315,11 +354,13 @@ def _replicate(
                 if method == "mc":
                     for r, rng in enumerate(rngs):
                         vals[r, rows] = values(rng.random((hi - lo, d), out=tile[:hi - lo]))
-                elif shifted:
-                    for r, delta in enumerate(deltas):
-                        vals[r, rows] = values(_fold(bases[method][rows], delta, tile, whole))
-                else:  # every run sees the same block
-                    vals[:, rows] = values(bases[method][rows])
+                else:
+                    points = np.divide(residues[method][rows], scale, out=base[:hi - lo])
+                    if shifted:
+                        for r, delta in enumerate(deltas):
+                            vals[r, rows] = values(_fold(points, delta, tile, whole))
+                    else:  # every run sees the same block
+                        vals[:, rows] = values(points)
                 lo = hi
             for r, row in enumerate(vals):
                 yield method, first + r, row

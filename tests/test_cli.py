@@ -104,7 +104,7 @@ def test_exit_four_on_domain_errors(capsys):
 
 
 # a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
-# frame plus its residue matrix, and integrate --d 32 for a 238 GiB point set
+# frame plus its residue matrix, and integrate --d 32 for 119 GiB of lattice residues
 _BIG_PRIME = "1000000321"
 # MC points are streamed, never held: one run of 10**12 points needs only
 # its 7450.6 GiB of values, which the values guard refuses on any machine
@@ -166,8 +166,8 @@ def test_exit_four_on_oversized_sphere_frame():
 @pytest.mark.parametrize(
     "method, n, line",
     [
-        # 32 columns of the lattice base need 238 GiB
-        ("subgroup", _BIG_PRIME, f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
+        # 32 columns of the lattice's int32 residues need 119 GiB
+        ("subgroup", _BIG_PRIME, f"points for d=32, n={_BIG_PRIME} needs 119.2 GiB, "),
         # one run of 10**12 MC values needs 7450.6 GiB
         ("mc", _BIG_MC_N, f"point values for d=32, n={_BIG_MC_N}, runs=1 needs 7450.6 GiB, "),
     ],
@@ -186,9 +186,9 @@ def test_exit_four_on_oversized_point_set(method, n, line):
 @pytest.mark.parametrize(
     "argv, line",
     [
-        # 32 columns of points need 238 GiB: refused before the census runs
+        # 32 columns of residues need 119 GiB: refused before the census runs
         (("--d", "32", "--n", _BIG_PRIME, "--points-out", "p.csv"),
-         f"points for d=32, n={_BIG_PRIME} needs 238.4 GiB, "),
+         f"points for d=32, n={_BIG_PRIME} needs 119.2 GiB, "),
         # up to (n-1)/2 = 1.5e9 distinct keys: 102 GiB
         (("--d", "1", "--n", "3037000493"), "census for d=1, n=3037000493 needs 101.9 GiB, "),
         # the search's tables of n residues and one key's scratch: 62 GiB

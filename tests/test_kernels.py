@@ -183,17 +183,17 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
     "family, N, n, need",
     [
         # three N x N float64 arrays for every family (a run's K, G and diff,
-        # or the order-1 arc-cosine exact Gram's in-place work), plus five
+        # or the order-1 arc-cosine exact Gram's in-place work), plus four
         # 5 x 2 arrays
-        ("gaussian", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
-        ("arccos0", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
-        ("arccos1", 200_000, 5, 3 * 8 * 200_000**2 + 40 * 5 * 2),
+        ("gaussian", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
+        ("arccos0", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
+        ("arccos1", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
         # K with the features being built: a float projection, cos and sin,
         # their concatenation and its scaled copy (40 bytes per sample and
         # point), or a projection, its mask or ReLU and the scaled result
-        ("gaussian", 1000, 10**8, 8 * 1000**2 + 40 * 1000 * 10**8 + 40 * 10**8 * 2),
-        ("arccos0", 1000, 10**8, 8 * 1000**2 + 17 * 1000 * 10**8 + 40 * 10**8 * 2),
-        ("arccos1", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 40 * 10**8 * 2),
+        ("gaussian", 1000, 10**8, 8 * 1000**2 + 40 * 1000 * 10**8 + 32 * 10**8 * 2),
+        ("arccos0", 1000, 10**8, 8 * 1000**2 + 17 * 1000 * 10**8 + 32 * 10**8 * 2),
+        ("arccos1", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 32 * 10**8 * 2),
     ],
     ids=[f"{f}-{part}" for part in ("gram", "features") for f in ("gaussian", "arccos0", "arccos1")],
 )

@@ -1,6 +1,7 @@
 """Point materialization, random shifts, and CSV round trips."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,20 +63,43 @@ def test_generate_refuses_int64_overflow_before_allocating(no_numpy, monkeypatch
         generate(GeneratingVector((1,), n))
 
 
-# a prime with 64 | n - 1; 32 columns of it need 238.4 GiB
+# a prime with 64 | n - 1; 32 columns of it need 238.4 GiB as floats
 _BIG_N, _BIG_D = 1000000321, 32
+# the largest prime below 2**31 and the first above it
+_INT32_N, _INT64_N = 2147483647, 2147483659
 
 
 def test_generate_memory_guard_threshold(no_numpy, monkeypatch):
-    vec = GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N)
-    need = 8 * _BIG_N * _BIG_D
+    # generate holds int32 residues below n = 2**31 and int64 ones from there
+    cases = [
+        (GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N), 4 * _BIG_N * _BIG_D,
+         r"^points for d=32, n=1000000321 needs 119\.2 GiB"),
+        (GeneratingVector((1,), _INT32_N), 4 * _INT32_N, r"^points for d=1, n=2147483647 needs 8\.0 GiB"),
+        (GeneratingVector((1,), _INT64_N), 8 * _INT64_N, r"^points for d=1, n=2147483659 needs 16\.0 GiB"),
+    ]
     no_numpy("lattice_forge.pointset")
+    for vec, need, line in cases:
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match=line):
+            generate(vec)
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="scan started"):
+            generate(vec)
+
+
+def test_points_first_read_memory_guard_threshold(no_numpy, monkeypatch):
+    # the residues are a zero-stride int32 view, so nothing n x d is
+    # allocated; the first read of points needs its floats and the residues
+    ps = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (_BIG_N, _BIG_D)))
+    need = 12 * _BIG_N * _BIG_D
+    no_numpy("lattice_forge.pointset")
+    assert (ps.n, ps.d) == (_BIG_N, _BIG_D)  # the shape does not build points
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 238\.4 GiB"):
-        generate(vec)
+    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 357\.6 GiB"):
+        ps.points
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="scan started"):
-        generate(vec)
+        ps.points
 
 
 def test_mc_points_memory_guard_threshold(no_numpy, monkeypatch):
@@ -96,8 +120,24 @@ def test_mc_points_memory_guard_threshold(no_numpy, monkeypatch):
 
 def _product_formula(vec):
     """The one-shot formula: int64 products i * z_j, reduced, divided by n."""
+    return _product_residues(vec) / vec.n
+
+
+def _product_residues(vec):
     i = np.arange(vec.n, dtype=np.int64)[:, None]
-    return (i * vec.as_array()[None, :] % vec.n) / vec.n
+    return i * vec.as_array()[None, :] % vec.n
+
+
+def _check_generate(vec):
+    """generate's int32 residues and its points equal the product formula's,
+    bit for bit, and the points are built once, freeing the residues."""
+    ps = generate(vec)
+    assert ps._residues.dtype == np.int32
+    assert ps._residues.tobytes() == _product_residues(vec).astype(np.int32).tobytes()
+    points = ps.points
+    assert points.tobytes() == _product_formula(vec).tobytes()
+    assert ps.points is points and ps._residues is None
+    assert (ps.n, ps.d) == (vec.n, vec.d)
 
 
 def _prime_at_block_rows(offset):
@@ -134,8 +174,7 @@ _CASES = _block_cases()
 
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_generate_matches_product_formula_bitwise(name):
-    vec = _CASES[name]
-    assert generate(vec).points.tobytes() == _product_formula(vec).tobytes()
+    _check_generate(_CASES[name])
 
 
 def test_block_cases_cover_the_block_edges():
@@ -160,23 +199,25 @@ def _vectors(draw):
 
 @given(_vectors())
 def test_generate_matches_product_formula_property(vec):
-    assert generate(vec).points.tobytes() == _product_formula(vec).tobytes()
+    _check_generate(vec)
 
 
 def test_lattice_rows_near_the_int64_limit():
-    # the last rows of the largest n generate accepts, against Python ints,
-    # with no n x d allocation: one full block ending three rows short of n,
-    # then the ragged tail
-    n = 3037000500
-    while not is_prime(n):
-        n -= 1
-    z = (1, 2, n - 1, 2_718_281_828)
-    rows = _BLOCK // len(z) + 3
-    lo = n - rows
-    out = _lattice_rows(np.array(z, dtype=np.int64), n, lo, np.empty((rows, len(z))))
-    expect = np.array([[(i * zj) % n / n for zj in z] for i in range(lo, n)])
-    assert out.tobytes() == expect.tobytes()
-    assert out[-1, 0] == (n - 1) / n and out[-1, 2] == 1 / n
+    # the last rows of the largest n below 2**31 (int32 residues), of the
+    # first n above it (int64) and of the largest n generate accepts (int64),
+    # against Python ints, with no n x d allocation: one full block ending
+    # three rows short of n, then the ragged tail
+    top = 3037000500
+    while not is_prime(top):
+        top -= 1
+    for n, dtype in ((_INT32_N, np.int32), (_INT64_N, np.int64), (top, np.int64)):
+        z = (1, 2, n - 1, n // 3 + 12345)
+        rows = _BLOCK // len(z) + 3
+        lo = n - rows
+        out = _lattice_rows(np.array(z, dtype=np.int64), n, lo, np.empty((rows, len(z)), dtype))
+        expect = np.array([[(i * zj) % n for zj in z] for i in range(lo, n)], dtype=dtype)
+        assert out.tobytes() == expect.tobytes(), n
+        assert out[-1, 0] == n - 1 and out[-1, 2] == 1
 
 
 def test_add_mod1_zero_is_identity():
@@ -390,6 +431,8 @@ def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, shift
     # every shifted or MC block starts at the tile's first element
     assert len(blocks) == 5 * (3 * runs if shifted else runs + 2)
     assert max(map(addresses.count, addresses)) == 5 * (3 * runs if shifted else runs)
+    # the unshifted lattices' blocks all start at one reused base tile
+    assert len(set(addresses)) == (1 if shifted else 2)
     assert len(set(row_addresses)) == runs
 
 
@@ -406,6 +449,22 @@ def test_replicate_chunks_runs_past_d(reference_sets, shifted):
     assert len(set(row_addresses)) == d
     # an unshifted lattice block is computed once per chunk, not once per run
     assert len(blocks) == (3 * runs if shifted else runs + 2 * 3)
+
+
+def test_replicate_holds_less_than_a_float_base():
+    # a subgroup lattice is streamed from its int32 residues through tiles
+    # of R + 1 rows, so no n x d float base is ever held
+    d, n = 64, 40961  # 40961 = 320 * 128 + 1
+    w = 1.0 / np.arange(1, d + 1) ** 2
+    tracemalloc.start()
+    try:
+        for _ in _replicate(d, n, ("subgroup",), lambda X: np.exp(X @ w), columns=_COLUMNS,
+                            runs=2, seed_source=0):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * n * d < peak < 8 * n * d
 
 
 def test_replicate_mc_keeps_the_size_check():
