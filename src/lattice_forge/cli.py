@@ -143,9 +143,11 @@ def _cmd_construct(args: argparse.Namespace):
     # of points (the floats and the residues) refuse oversized points
     # before the census runs
     points = generate(vec).points if args.points_out else None
+    # l2 first, so its key limit refuses before either census runs
+    reports = {norm: lattice_min_distance(vec, norm) for norm in ("l2", "l1")}
     rows = []
     for norm in ("l1", "l2"):
-        rep = lattice_min_distance(vec, norm)
+        rep = reports[norm]
         lower, upper = (
             (bounds.l1_lower, bounds.l1_upper)
             if norm == "l1"

@@ -17,7 +17,7 @@ repeated-shift experiments that the CLI serializes. They never hold a
 shifted or MC point set: ``pointset._replicate`` streams each run's set
 through the per-point formula in cache-sized row blocks, and each run's
 estimate is the mean of its n values, the same float as the estimator
-gives on the materialized set (on the BLAS build ``_replicate`` names).
+gives on the materialized set (on the BLAS kernels ``_replicate`` names).
 """
 
 from __future__ import annotations
@@ -285,11 +285,6 @@ def mc_marginal(
 # Benchmark drivers
 # ---------------------------------------------------------------------------
 
-# Seed-matrix column of each method; fixed, so a method's rows do not depend
-# on which other methods run.
-_SEED_COLUMNS = ("subgroup", "korobov", "mc")
-
-
 def _mean_rows(
     d: int, n: int, seed: int, methods: "tuple[str, ...] | list[str]", runs: int,
     stream: Iterator[tuple[str, int, np.ndarray]], exact: float, divisor: float = 1.0,
@@ -335,10 +330,8 @@ def run_integration_benchmark(
     _relative_error(exact, exact)  # check the reference before building any point set
 
     w = spec.weights()
-    stream = _replicate(
-        d, n, methods, lambda X: _integrand_values(X, w),
-        columns=_SEED_COLUMNS, runs=runs, seed_source=seed, shifted=shifted,
-    )
+    stream = _replicate(d, n, methods, lambda X: _integrand_values(X, w),
+                        runs=runs, seed_source=seed, shifted=shifted)
     # exp may overflow where the reference does not; _relative_error refuses it
     with np.errstate(over="ignore"):
         return _mean_rows(d, n, seed, methods, runs, stream, exact)
@@ -378,5 +371,5 @@ def run_boltzmann_benchmark(
         values, divisor = (lambda x: _partition_values(x, model)), 1.0
     else:
         values, divisor = (lambda h: _marginal_values(v, h, model)), Z
-    stream = _replicate(d, n, methods, values, columns=_SEED_COLUMNS, runs=runs, seed_source=s_runs)
+    stream = _replicate(d, n, methods, values, runs=runs, seed_source=s_runs)
     return _mean_rows(d, n, seed, methods, runs, stream, ground_truth, divisor), ground_truth

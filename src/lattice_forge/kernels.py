@@ -286,14 +286,14 @@ def run_kernel_benchmark(
         errs = gram_errors(K, G)
         return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
-    columns = ("subgroup", "mc")
-    methods, runs, seeds = _seed_matrix(methods, columns, runs, seed)
+    # its own two columns: the rows are pinned to this (runs, 2) seed matrix
+    methods, runs, seeds = _seed_matrix(methods, ("subgroup", "mc"), runs, seed)
     if "subgroup" in methods:
         base = generate(subgroup_generating_vector(d, n))
     rows = []
     for r in range(runs):
         for method in methods:
-            s = int(seeds[r, columns.index(method)])
+            s = seeds[method][r]
             errs = score(mc_points(n, d, s) if method == "mc" else random_shift(base, s))
             rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r, **errs})
     return rows

@@ -20,8 +20,8 @@ divides a block of a lattice's residues by n into one reused tile and
 folds each run's shift from there into another (or draws the MC sample
 straight into it). Blocks hold a multiple of 64 rows, and a final block of
 one row joins the block before it, so every per-point value equals what
-the same formula gives on the whole matrix, bit for bit (checked on one
-OpenBLAS build; see ``_replicate``). A method's runs go in chunks of at
+the same formula gives on the whole matrix, bit for bit (on the OpenBLAS
+kernels ``_replicate`` names). A method's runs go in chunks of at
 most d runs, so their values take no more memory than one n x d set.
 
 Randomness contract: every stochastic operation takes an explicit seed
@@ -240,13 +240,18 @@ def load_csv(path_or_file: "str | IO[str]") -> np.ndarray:
     return np.loadtxt(path_or_file, delimiter=",", ndmin=2)
 
 
+# The stream's seed-matrix column of each method: fixed, so that a method's
+# runs do not depend on which other methods run.
+_SEED_COLUMNS = ("subgroup", "korobov", "mc")
+
+
 def _seed_matrix(
     methods: "tuple[str, ...] | list[str]",
     columns: tuple[str, ...],
     runs: int,
     seed_source: "int | np.random.SeedSequence",
-) -> tuple[tuple[str, ...], int, np.ndarray]:
-    """Check the methods and ``runs``; return them with the (runs, columns) seed matrix.
+) -> tuple[tuple[str, ...], int, dict[str, list[int]]]:
+    """Check the methods and ``runs``; return them with each method's run seeds by name.
 
     ``columns`` lists the methods the caller accepts. Run r of method
     ``columns[c]`` draws its shift ("subgroup", "korobov" lattices) or
@@ -260,10 +265,10 @@ def _seed_matrix(
     if not methods:
         raise DomainError("need at least one method")
     runs = _at_least(runs, 1, "runs")
-    seeds = np.random.default_rng(seed_source).integers(
+    matrix = np.random.default_rng(seed_source).integers(
         0, 2**63 - 1, size=(runs, len(columns)), dtype=np.int64
     )
-    return methods, runs, seeds
+    return methods, runs, {m: [int(s) for s in matrix[:, columns.index(m)]] for m in methods}
 
 
 def _replicate(
@@ -272,7 +277,6 @@ def _replicate(
     methods: "tuple[str, ...] | list[str]",
     values: Callable[[np.ndarray], np.ndarray],
     *,
-    columns: tuple[str, ...],
     runs: int,
     seed_source: "int | np.random.SeedSequence",
     shifted: bool = True,
@@ -281,10 +285,11 @@ def _replicate(
 
     Run r of a method sees the set ``random_shift(base, s)`` of its lattice
     ("subgroup", "korobov"; the base itself when not ``shifted``) or
-    ``mc_points(n, d, s)`` ("mc"), with s from ``_seed_matrix``. Methods
-    come in order, each with its runs in order; the yielded (n,) float64
-    array is ``values`` applied to run r's set, so a mean over the points
-    is ``float(row.mean())``, the same pairwise sum as on one array.
+    ``mc_points(n, d, s)`` ("mc"), with s from ``_seed_matrix`` over
+    ``_SEED_COLUMNS``. Methods come in order, each with its runs in order;
+    the yielded (n,) float64 array is ``values`` applied to run r's set,
+    so a mean over the points is ``float(row.mean())``, the same pairwise
+    sum as on one array.
     Private contract: the array is a row of a buffer that later runs
     overwrite, so the caller must be done with it when it asks for the
     next item.
@@ -309,10 +314,11 @@ def _replicate(
     matrix-vector product works on groups of rows, so blocks of a multiple
     of 64 rows, plus the matrix's own tail, give each row the same value
     as the product over the whole matrix; a product of one row takes a dot
-    product path instead and may differ in the last bit. This grouping was
-    verified on one OpenBLAS build only (0.3.31, Haswell kernels); on
-    other kernels it is unverified, so a streamed value that differs there
-    in the last bit is a platform difference, not a fault of the fold.
+    product path instead and may differ in the last bit. Of OpenBLAS
+    0.3.31's kernels, Haswell, SkylakeX and Zen give every row this bit
+    identity; Sandybridge, Nehalem and Prescott give a few lattice rows of
+    a whole-matrix product a different last bit, a platform difference,
+    not a fault of the fold.
     ``values`` must compute each row from that row alone; it never sees a
     one-row block unless n = 1.
 
@@ -321,7 +327,7 @@ def _replicate(
     streamed) exceed physical memory; ``generate`` checks each lattice's
     residues itself.
     """
-    methods, runs, seeds = _seed_matrix(methods, columns, runs, seed_source)
+    methods, runs, seeds = _seed_matrix(methods, _SEED_COLUMNS, runs, seed_source)
     residues = {}
     if "subgroup" in methods:
         residues["subgroup"] = generate(subgroup_generating_vector(d, n))._residues
@@ -342,10 +348,9 @@ def _replicate(
     scale = float(n)
 
     for method in methods:
-        col = [int(s) for s in seeds[:, columns.index(method)]]
         for first in range(0, runs, chunk):
             vals = buf[:min(chunk, runs - first)]
-            rngs = [np.random.default_rng(s) for s in col[first:first + len(vals)]]
+            rngs = [np.random.default_rng(s) for s in seeds[method][first:first + len(vals)]]
             deltas = [rng.random(d) for rng in rngs] if method != "mc" and shifted else []
             lo = 0
             while lo < n:

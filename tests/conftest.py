@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from lattice_forge import exceptions
+from lattice_forge.exceptions import SizeLimitError
 from lattice_forge.lattice import korobov_search, subgroup_generating_vector
+from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import generate, mc_points, random_shift
+
+
+def _scan_started(*args, **kwargs):
+    """Stands in for a call's first work after its size guards."""
+    raise AssertionError("the scan started")
 
 
 class _NoScan:
@@ -16,7 +24,7 @@ class _NoScan:
     def __getattr__(self, name):
         if name in self._allow:
             return getattr(np, name)
-        raise AssertionError("the scan started")
+        _scan_started()
 
 
 @pytest.fixture
@@ -34,6 +42,51 @@ def no_numpy(monkeypatch):
         monkeypatch.setattr(f"{module}.np", _NoScan(allow))
 
     return block
+
+
+@pytest.fixture
+def first_work(monkeypatch):
+    """``first_work("lattice_forge.numtheory.primitive_root")`` makes that
+    function raise ``AssertionError("the scan started")``, for a call whose
+    first work after its guards is not a numpy use."""
+
+    def stub(target):
+        monkeypatch.setattr(target, _scan_started)
+
+    return stub
+
+
+@pytest.fixture
+def guard_threshold(monkeypatch):
+    """``guard_threshold(call, need, line)`` tests a size guard on both sides.
+
+    With ``need - 1`` bytes of physical memory ``call()`` must raise the
+    ``SizeLimitError`` that ``line`` matches; with ``need`` bytes it must
+    get past the guard to its first work, which ``no_numpy`` or
+    ``first_work`` makes raise ``AssertionError("the scan started")``.
+    ``past`` = (exception, match) names what it reaches there instead,
+    such as a later guard. Physical memory stays stubbed at ``need``.
+    """
+
+    def check(call, need, line, past=(AssertionError, "scan started")):
+        for memory, (error, match) in ((need - 1, (SizeLimitError, line)), (need, past)):
+            monkeypatch.setattr(exceptions, "_physical_memory", lambda: memory)
+            with pytest.raises(error, match=match):
+                call()
+
+    return check
+
+
+@pytest.fixture
+def prime_at_most():
+    """``prime_at_most(n)`` is the largest prime <= n."""
+
+    def below(n):
+        while not is_prime(n):
+            n -= 1
+        return n
+
+    return below
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from lattice_forge import cli, exceptions
 from lattice_forge.cli import main
 from lattice_forge.metrics import lattice_min_distance
 from lattice_forge.lattice import subgroup_generating_vector
+from lattice_forge.numtheory import is_prime
 from lattice_forge.sphere import mutual_coherence, sphere_frame
 
 
@@ -206,6 +207,23 @@ def test_exit_four_on_oversized_construct(tmp_path, argv, line):
     assert proc.stderr.startswith(f"error: {line}")
     assert " GiB of physical memory" in proc.stderr and proc.stderr.count("\n") == 1
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_construct_checks_the_l2_key_limit_before_any_census(no_numpy, capsys):
+    # at d = 10**5 the l2 keys d*((n-1)//2)**2 pass 2**63 - 1 from n = 2d*97 + 1;
+    # 21600001 is the first admissible prime above that and 17800001 the
+    # last below. The l2 census runs first, so its limit refuses before
+    # the l1 census reaches numpy; below the limit the census starts.
+    no_numpy("lattice_forge.metrics")
+    d, above, below = 100000, 21600001, 17800001
+    assert [k for k in range(89, 109) if is_prime(2 * d * k + 1)] == [89, 108]
+    assert d * ((below - 1) // 2) ** 2 <= 2**63 - 1 < d * ((above - 1) // 2) ** 2
+    code, out, err = _run(capsys, "construct", "--d", str(d), "--n", str(above))
+    assert (code, out) == (4, "")
+    assert err == (f"error: l2 keys overflow int64 for d={d}, n={above}; "
+                   "need d*((n-1)//2)**2 < 2**63\n")
+    with pytest.raises(AssertionError, match="scan started"):
+        main(["construct", "--d", str(d), "--n", str(below)])
 
 
 @pytest.mark.parametrize(

@@ -344,8 +344,7 @@ def test_streamed_boltzmann_values_match_materialized_sets_bitwise(reference_set
         values = lambda x: integ._partition_values(x, model)  # noqa: E731
     else:
         values = lambda h: integ._marginal_values(v, h, model)  # noqa: E731
-    vals = [row.copy() for _, _, row in _replicate(d, n, (method,), values,
-                                                    columns=integ._SEED_COLUMNS, runs=runs,
+    vals = [row.copy() for _, _, row in _replicate(d, n, (method,), values, runs=runs,
                                                     seed_source=6)]
     for r, P in enumerate(reference_sets(d, n, method, runs, 6)):
         expect = _boltzmann_reference(P, model, v)[target == "marginal"]

@@ -13,9 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from lattice_forge import exceptions
 from lattice_forge import kernels as ker
-from lattice_forge.exceptions import DomainError, SizeLimitError
+from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
 from lattice_forge.pointset import (
     LatticePointSet,
@@ -197,22 +196,18 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
     ],
     ids=[f"{f}-{part}" for part in ("gram", "features") for f in ("gaussian", "arccos0", "arccos1")],
 )
-def test_kernel_benchmark_memory_guard_threshold(no_numpy, monkeypatch, family, N, n, need):
+def test_kernel_benchmark_memory_guard_threshold(no_numpy, guard_threshold, family, N, n, need):
     # the data is a zero-stride view, so nothing of size N is allocated;
     # asarray keeps it a float64 view, and the next numpy use comes after the guard
     data = np.broadcast_to(np.zeros(2), (N, 2))
     no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
     spec = ker.KernelSpec(family)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"kernel benchmark for N={N}, n={n} needs "):
-        ker.run_kernel_benchmark(data, n, spec, runs=1)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        ker.run_kernel_benchmark(data, n, spec, runs=1)
+    guard_threshold(lambda: ker.run_kernel_benchmark(data, n, spec, runs=1), need,
+                    f"kernel benchmark for N={N}, n={n} needs ")
 
 
 @pytest.mark.parametrize("family, arrays", [("gaussian", 2), ("arccos0", 2), ("arccos1", 3)])
-def test_exact_gram_memory_guard_threshold(no_numpy, monkeypatch, family, arrays):
+def test_exact_gram_memory_guard_threshold(no_numpy, guard_threshold, family, arrays):
     # the N x N result and its N x N temporaries, counted before any is
     # allocated; the data is a zero-stride view
     N = 200_000
@@ -220,44 +215,30 @@ def test_exact_gram_memory_guard_threshold(no_numpy, monkeypatch, family, arrays
     data = np.broadcast_to(np.ones(2), (N, 2))
     spec = ker.KernelSpec(family)
     no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"^exact Gram for N=200000 needs {need / 2**30:.1f} GiB"):
-        ker.exact_gram(data, spec)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        ker.exact_gram(data, spec)
+    guard_threshold(lambda: ker.exact_gram(data, spec), need,
+                    f"^exact Gram for N=200000 needs {need / 2**30:.1f} GiB")
 
 
 @pytest.mark.parametrize("family, per_pair", [("gaussian", 40), ("arccos0", 17), ("arccos1", 24)])
-def test_feature_map_memory_guard_threshold(no_numpy, monkeypatch, family, per_pair):
+def test_feature_map_memory_guard_threshold(no_numpy, guard_threshold, family, per_pair):
     # the N x n projection and the features built from it, per (sample,
     # point) pair, counted before the quantiles are taken
     N, n = 10**9, 5
-    need = per_pair * N * n
     data = np.broadcast_to(np.ones(2), (N, 2))
     points = LatticePointSet(np.full((n, 2), 0.5))
     spec = ker.KernelSpec(family)
     no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"^features for N={N}, n={n} needs "):
-        ker.feature_map(data, points, spec)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        ker.feature_map(data, points, spec)
+    guard_threshold(lambda: ker.feature_map(data, points, spec), per_pair * N * n,
+                    f"^features for N={N}, n={n} needs ")
 
 
-def test_gram_errors_memory_guard_threshold(no_numpy, monkeypatch):
+def test_gram_errors_memory_guard_threshold(no_numpy, guard_threshold):
     # the N x N difference, counted before the norms are taken
     N = 10**6
-    need = 8 * N * N
     A = np.broadcast_to(np.ones(1), (N, N))
     no_numpy("lattice_forge.kernels", allow=("asarray", "float64"))
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match="^Gram difference for N=1000000 needs 7450.6 GiB"):
-        ker.gram_errors(A, A)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        ker.gram_errors(A, A)
+    guard_threshold(lambda: ker.gram_errors(A, A), 8 * N * N,
+                    "^Gram difference for N=1000000 needs 7450.6 GiB")
 
 
 def test_arccos_rejects_zero_rows():

@@ -299,59 +299,41 @@ def test_korobov_search_validation():
         korobov_search(2, 5, "l3")
 
 
-def _prime_at_most(n):
-    while not is_prime(n):
-        n -= 1
-    return n
-
-
 def test_korobov_search_refuses_int64_overflow_before_building_tables(
-    no_numpy, monkeypatch
+    no_numpy, first_work, prime_at_most, monkeypatch
 ):
     # the bound (n-1) * ((n-1)//2)**2 on l2 prefix sums passes 2**63 - 1 at
     # n = 3329023, a prime; (n-1)**2 on index products at n = 3037000501.
     # Physical memory is stubbed high so that the byte guard, which would
     # refuse n ~ 3e9 on a smaller machine, lets the sizes below by.
     no_numpy("lattice_forge.lattice")
+    first_work("lattice_forge.lattice._powers")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
-
-    def no_table(*args):
-        raise AssertionError("the scan started")
-
-    monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
     assert is_prime(3329023) and is_prime(3037000507)
     for n, norm in ((3329023, "l2"), (3037000507, "l1"), (3037000507, "l2")):
         with pytest.raises(SizeLimitError, match="overflows int64"):
             korobov_search(1, n, norm)
     # just below each threshold the guard lets the search start
     for n, norm in (
-        (_prime_at_most(3329022), "l2"),
+        (prime_at_most(3329022), "l2"),
         (3329023, "l1"),
-        (_prime_at_most(3037000500), "l1"),
+        (prime_at_most(3037000500), "l1"),
     ):
         with pytest.raises(AssertionError, match="scan started"):
             korobov_search(1, n, norm)
 
 
-def test_korobov_search_memory_guard_threshold(no_numpy, monkeypatch):
+def test_korobov_search_memory_guard_threshold(no_numpy, first_work, guard_threshold):
     # 48 bytes per residue plus 48 MiB of block scratch while the bound is
     # formed, or 66 bytes per residue while a key is scored: the first is
     # more at n = 10**6 + 3, the second at n = 10**9 + 9, where the int64
     # guard passes and the byte guard refuses 61.5 GiB
     no_numpy("lattice_forge.lattice")
-
-    def no_table(*args):
-        raise AssertionError("the scan started")
-
-    monkeypatch.setattr("lattice_forge.lattice._powers", no_table)
+    first_work("lattice_forge.lattice._powers")
     cases = ((1000003, 48 * 1000003 + 24 * 2**21, "0.1"), (1000000009, 66 * 1000000009, "61.5"))
     for n, need, gib in cases:
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-        with pytest.raises(SizeLimitError, match=f"korobov search for d=2, n={n} needs {gib} GiB"):
-            korobov_search(2, n, "l1")
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-        with pytest.raises(AssertionError, match="scan started"):
-            korobov_search(2, n, "l1")
+        guard_threshold(lambda: korobov_search(2, n, "l1"), need,
+                        f"korobov search for d=2, n={n} needs {gib} GiB")
 
 
 # ---------------------------------------------------------------------------

@@ -353,21 +353,15 @@ def test_census_refuses_int64_overflow_before_scanning(no_numpy):
             lattice_min_distance(GeneratingVector((1,), n), norm)
 
 
-def _prime_at_most(n):
-    while not is_prime(n):
-        n -= 1
-    return n
-
-
-def test_census_accepts_sizes_just_below_int64_limits(no_numpy, monkeypatch):
+def test_census_accepts_sizes_just_below_int64_limits(no_numpy, prime_at_most, monkeypatch):
     # the largest primes under each threshold pass the guard and start
     # scanning; physical memory is stubbed high so that the census's byte
     # guard, which would refuse these sizes on a smaller machine, lets them by
     no_numpy("lattice_forge.metrics")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
-    n_l2 = _prime_at_most(2 * math.isqrt((2**63 - 1) // 50) + 1)
+    n_l2 = prime_at_most(2 * math.isqrt((2**63 - 1) // 50) + 1)
     assert 50 * ((n_l2 - 1) // 2) ** 2 <= 2**63 - 1
-    n_kz = _prime_at_most(math.isqrt(2**63 - 1) + 1)
+    n_kz = prime_at_most(math.isqrt(2**63 - 1) + 1)
     assert (n_kz - 1) ** 2 <= 2**63 - 1
     for z, norm in (
         (GeneratingVector(tuple(range(1, 51)), n_l2), "l2"),
@@ -378,7 +372,7 @@ def test_census_accepts_sizes_just_below_int64_limits(no_numpy, monkeypatch):
             lattice_min_distance(z, norm)
 
 
-def test_census_memory_guard_threshold(no_numpy, monkeypatch):
+def test_census_memory_guard_threshold(no_numpy, guard_threshold, monkeypatch):
     # 72 bytes per coset or scanned k, plus 64 MiB of block scratch; the
     # int64 guards pass at these sizes and run first. The subgroup test,
     # which sorts its d-entry residues with numpy, runs before this guard,
@@ -398,14 +392,9 @@ def test_census_memory_guard_threshold(no_numpy, monkeypatch):
         (GeneratingVector((1,), n), (n - 1) // 2),  # cosets of {+-1}
         (GeneratingVector((2, 3, 5), n), (n - 1) // 2),  # scanned k
     ):
-        need = 72 * rows + 2**26
         for norm in ("l1", "l2"):
-            monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-            with pytest.raises(SizeLimitError, match=f"census for d={vec.d}, n={n} needs "):
-                lattice_min_distance(vec, norm)
-            monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-            with pytest.raises(AssertionError, match="scan started"):
-                lattice_min_distance(vec, norm)
+            guard_threshold(lambda: lattice_min_distance(vec, norm), 72 * rows + 2**26,
+                            f"census for d={vec.d}, n={n} needs ")
 
 
 class _Components:
@@ -421,7 +410,7 @@ class _Components:
         raise AssertionError("the scan started")
 
 
-def test_census_component_guard_threshold(no_numpy, monkeypatch):
+def test_census_component_guard_threshold(no_numpy, guard_threshold):
     # 32 bytes per component: the subgroup test's int64 z_j and n - z_j,
     # then both together sorted, checked before it converts z
     n = 3037000493
@@ -429,14 +418,9 @@ def test_census_component_guard_threshold(no_numpy, monkeypatch):
     vec = object.__new__(GeneratingVector)
     for name, value in (("z", _Components(d)), ("n", n), ("method", "explicit")):
         object.__setattr__(vec, name, value)
-    need = 32 * d
     no_numpy("lattice_forge.metrics")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=f"census for d={d}, n={n} needs 45.3 GiB"):
-        lattice_min_distance(vec, "l1")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        lattice_min_distance(vec, "l1")
+    guard_threshold(lambda: lattice_min_distance(vec, "l1"), 32 * d,
+                    f"census for d={d}, n={n} needs 45.3 GiB")
 
 
 def test_census_entries_are_python_numbers():

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_forge import exceptions, numtheory
-from lattice_forge.exceptions import DomainError, SizeLimitError
+from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import (
     GeneratingVector,
     korobov_search,
@@ -267,24 +266,16 @@ def test_every_modulus_check_refuses_with_one_message(call, n):
     assert str(exc.value) == f"n must be prime, got {n}"
 
 
-def test_subgroup_memory_guard_threshold(monkeypatch):
+def test_subgroup_memory_guard_threshold(first_work, guard_threshold):
     # each listed power of an order-2*10**9 subgroup's generator mod
     # 6000000001 holds 16 bytes of pointers and a 32-byte int: the vector
     # lists d = 10**9 of them (48 GB), the index set all 2*10**9 (96 GB).
     # primitive_root is the first work after the guard, so it stands in for
     # the list being built.
-    def no_root(p):
-        raise AssertionError("the scan started")
-
-    monkeypatch.setattr(numtheory, "primitive_root", no_root)
+    first_work("lattice_forge.numtheory.primitive_root")
     n, order = 6000000001, 2 * 10**9
     for call, need, gib in (
         (lambda: subgroup_generating_vector(order // 2, n), 48 * (order // 2), "44.7"),
         (lambda: sphere_index_set(order, n), 48 * order, "89.4"),
     ):
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-        with pytest.raises(SizeLimitError, match=f"subgroup of order {order} for n={n} needs {gib} GiB"):
-            call()
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-        with pytest.raises(AssertionError, match="scan started"):
-            call()
+        guard_threshold(call, need, f"subgroup of order {order} for n={n} needs {gib} GiB")

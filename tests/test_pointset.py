@@ -48,7 +48,7 @@ def test_generate_first_row_is_origin():
     assert ps.points.max() < 1.0
 
 
-def test_generate_refuses_int64_overflow_before_allocating(no_numpy, monkeypatch):
+def test_generate_refuses_int64_overflow_before_allocating(no_numpy, prime_at_most, monkeypatch):
     # i * z_j wraps in int64 once (n - 1)**2 > 2**63 - 1, from n = 3037000501;
     # memory is stubbed high so the 24 GB set below reaches the int64 guard
     no_numpy("lattice_forge.pointset")
@@ -56,11 +56,8 @@ def test_generate_refuses_int64_overflow_before_allocating(no_numpy, monkeypatch
     with pytest.raises(SizeLimitError, match="i \\* z"):
         generate(GeneratingVector((1,), 3037000507))
     # the largest prime below the threshold passes the guard and starts work
-    n = 3037000500
-    while not is_prime(n):
-        n -= 1
     with pytest.raises(AssertionError, match="scan started"):
-        generate(GeneratingVector((1,), n))
+        generate(GeneratingVector((1,), prime_at_most(3037000500)))
 
 
 # a prime with 64 | n - 1; 32 columns of it need 238.4 GiB as floats
@@ -69,7 +66,7 @@ _BIG_N, _BIG_D = 1000000321, 32
 _INT32_N, _INT64_N = 2147483647, 2147483659
 
 
-def test_generate_memory_guard_threshold(no_numpy, monkeypatch):
+def test_generate_memory_guard_threshold(no_numpy, guard_threshold):
     # generate holds int32 residues below n = 2**31 and int64 ones from there
     cases = [
         (GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N), 4 * _BIG_N * _BIG_D,
@@ -79,38 +76,23 @@ def test_generate_memory_guard_threshold(no_numpy, monkeypatch):
     ]
     no_numpy("lattice_forge.pointset")
     for vec, need, line in cases:
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-        with pytest.raises(SizeLimitError, match=line):
-            generate(vec)
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-        with pytest.raises(AssertionError, match="scan started"):
-            generate(vec)
+        guard_threshold(lambda: generate(vec), need, line)
 
 
-def test_points_first_read_memory_guard_threshold(no_numpy, monkeypatch):
+def test_points_first_read_memory_guard_threshold(no_numpy, guard_threshold):
     # the residues are a zero-stride int32 view, so nothing n x d is
     # allocated; the first read of points needs its floats and the residues
     ps = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (_BIG_N, _BIG_D)))
-    need = 12 * _BIG_N * _BIG_D
     no_numpy("lattice_forge.pointset")
     assert (ps.n, ps.d) == (_BIG_N, _BIG_D)  # the shape does not build points
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 357\.6 GiB"):
-        ps.points
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        ps.points
+    guard_threshold(lambda: ps.points, 12 * _BIG_N * _BIG_D,
+                    r"^points for d=32, n=1000000321 needs 357\.6 GiB")
 
 
-def test_mc_points_memory_guard_threshold(no_numpy, monkeypatch):
-    need = 8 * _BIG_N * _BIG_D
+def test_mc_points_memory_guard_threshold(no_numpy, guard_threshold):
     no_numpy("lattice_forge.pointset")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match=r"^points for d=32, n=1000000321 needs 238\.4 GiB"):
-        mc_points(_BIG_N, _BIG_D, seed=0)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        mc_points(_BIG_N, _BIG_D, seed=0)
+    guard_threshold(lambda: mc_points(_BIG_N, _BIG_D, seed=0), 8 * _BIG_N * _BIG_D,
+                    r"^points for d=32, n=1000000321 needs 238\.4 GiB")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +313,7 @@ def test_csv_round_trip_is_exact():
 # the streaming driver against materialized sets, bit for bit
 # ---------------------------------------------------------------------------
 
-_COLUMNS = ("subgroup", "korobov", "mc")
+_METHODS = ("subgroup", "korobov", "mc")
 
 
 def _streamed_sets(d, n, methods, runs, seed, shifted=True):
@@ -350,8 +332,8 @@ def _streamed_sets(d, n, methods, runs, seed, shifted=True):
         return np.full(len(block), len(blocks) - 1.0)
 
     sets = {}
-    for method, r, row in _replicate(d, n, methods, values, columns=_COLUMNS, runs=runs,
-                                     seed_source=seed, shifted=shifted):
+    for method, r, row in _replicate(d, n, methods, values, runs=runs, seed_source=seed,
+                                     shifted=shifted):
         assert r == len(sets.setdefault(method, [])), (method, r)
         row_addresses.append(row.__array_interface__["data"][0])
         calls, first = np.unique(row, return_index=True)
@@ -404,8 +386,7 @@ def test_streamed_integrand_matches_materialized_sets_bitwise(reference_sets, me
     runs, seed = (3 if n % 4 == 3 else 1), n
     w = 1.0 / np.arange(1, d + 1) ** 2
     vals = {(m, r): row.copy() for m, r, row in _replicate(
-        d, n, (method,), lambda X: np.exp(X @ w), columns=_COLUMNS, runs=runs,
-        seed_source=seed, shifted=shifted)}
+        d, n, (method,), lambda X: np.exp(X @ w), runs=runs, seed_source=seed, shifted=shifted)}
     assert list(vals) == [(method, r) for r in range(runs)]
     for r, points in enumerate(reference_sets(d, n, method, runs, seed, shifted)):
         expect = np.exp(points @ w)
@@ -422,8 +403,8 @@ def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, shift
     d, runs = 100, 3
     R = _block_rows(d)
     n = 5 * R + 1  # 1601 is prime with 200 | n - 1
-    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _COLUMNS, runs, 9, shifted)
-    for method in _COLUMNS:
+    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _METHODS, runs, 9, shifted)
+    for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 9, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
     assert sorted({len(b) for b in blocks}) == [R, R + 1]
@@ -442,8 +423,8 @@ def test_replicate_chunks_runs_past_d(reference_sets, shifted):
     # one (2, n) buffer, no more floats than one n x d set; each run still
     # streams its own set's bytes
     d, n, runs = 2, 101, 5
-    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _COLUMNS, runs, 4, shifted)
-    for method in _COLUMNS:
+    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _METHODS, runs, 4, shifted)
+    for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 4, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
     assert len(set(row_addresses)) == d
@@ -458,8 +439,8 @@ def test_replicate_holds_less_than_a_float_base():
     w = 1.0 / np.arange(1, d + 1) ** 2
     tracemalloc.start()
     try:
-        for _ in _replicate(d, n, ("subgroup",), lambda X: np.exp(X @ w), columns=_COLUMNS,
-                            runs=2, seed_source=0):
+        for _ in _replicate(d, n, ("subgroup",), lambda X: np.exp(X @ w), runs=2,
+                            seed_source=0):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -469,7 +450,7 @@ def test_replicate_holds_less_than_a_float_base():
 
 def test_replicate_mc_keeps_the_size_check():
     with pytest.raises(DomainError, match="need n >= 1"):
-        next(_replicate(2, 0, ("mc",), lambda X: X[:, 0], columns=("mc",), runs=1, seed_source=0))
+        next(_replicate(2, 0, ("mc",), lambda X: X[:, 0], runs=1, seed_source=0))
 
 
 @pytest.mark.parametrize(
@@ -484,14 +465,10 @@ def test_replicate_mc_keeps_the_size_check():
     ],
     ids=["values", "runs-past-d", "tile"],
 )
-def test_replicate_memory_guard_threshold(no_numpy, monkeypatch, n, d, runs, need):
+def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, n, d, runs, need):
     # checked before any array is allocated (the seed matrix is the one use
     # of numpy before it), and never above mc_points' own 8 n d bytes
     assert need <= 8 * n * d
     no_numpy("lattice_forge.pointset", allow=("random", "int64"))
-    for limit, err, match in ((need - 1, SizeLimitError, rf"^point values for d={d}, n={n}, "
-                               rf"runs={runs} needs {need / 2**30:.1f} GiB"),
-                              (need, AssertionError, "scan started")):
-        monkeypatch.setattr(exceptions, "_physical_memory", lambda: limit)
-        with pytest.raises(err, match=match):
-            next(_replicate(d, n, ("mc",), None, columns=("mc",), runs=runs, seed_source=0))
+    guard_threshold(lambda: next(_replicate(d, n, ("mc",), None, runs=runs, seed_source=0)), need,
+                    rf"^point values for d={d}, n={n}, runs={runs} needs {need / 2**30:.1f} GiB")

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_forge import exceptions, numtheory
+from lattice_forge import exceptions
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import load_csv, save_csv
@@ -158,54 +158,40 @@ def test_coherence_method_validation():
 # ---------------------------------------------------------------------------
 
 
-def _no_root(p):
-    raise AssertionError("the scan started")
-
-
-def test_frame_memory_guard_threshold(no_numpy, monkeypatch):
+def test_frame_memory_guard_threshold(no_numpy, first_work, guard_threshold):
     # the frame is built on its first read, so the accepted side trips on
     # primitive_root, the index set's first work
     m, n = 64, 1000000321  # 64 | n - 1
-    need = 8 * (4 * m * n + m * n + 2 * n)  # frame, int64 residues, two tables
-    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
+    first_work("lattice_forge.numtheory.primitive_root")
     no_numpy("lattice_forge.sphere")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    expect = r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB"
-    with pytest.raises(SizeLimitError, match=expect):
-        sphere_frame(m, n)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        sphere_frame(m, n)
+    guard_threshold(lambda: sphere_frame(m, n),
+                    8 * (4 * m * n + m * n + 2 * n),  # frame, int64 residues, two tables
+                    r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB")
 
 
-def test_frame_checks_every_size_before_building(no_numpy, monkeypatch):
+def test_frame_checks_every_size_before_building(no_numpy, first_work, guard_threshold):
     # the index set's guard, the int64 bound and the frame's guard all run
     # before the index set is listed; primitive_root is its first work
-    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
+    first_work("lattice_forge.numtheory.primitive_root")
     no_numpy("lattice_forge.sphere")
-    need = 48 * 2 * 10**9  # the index set of m = 2*10**9
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match="subgroup of order 2000000000 for n=6000000001 needs"):
-        sphere_frame(2 * 10**9, 6000000001)
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(SizeLimitError, match="overflows int64"):
-        sphere_frame(2 * 10**9, 6000000001)
+    guard_threshold(lambda: sphere_frame(2 * 10**9, 6000000001),
+                    48 * 2 * 10**9,  # the index set of m = 2*10**9
+                    "subgroup of order 2000000000 for n=6000000001 needs",
+                    past=(SizeLimitError, "overflows int64"))
     # an index set that fits, of a frame that does not
     with pytest.raises(SizeLimitError, match="sphere frame for m=100000000, n=600000001 needs"):
         sphere_frame(10**8, 600000001)
 
 
-def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
+def test_frame_int64_guard_threshold(no_numpy, first_work, prime_at_most, monkeypatch):
     # the largest prime with (n-1)*n < 2**63 passes; the next prime does not
     limit = 2**63 - 1
-    n_ok = math.isqrt(limit)
-    while not is_prime(n_ok):
-        n_ok -= 1
+    n_ok = prime_at_most(math.isqrt(limit))
     n_bad = n_ok + 1
     while not is_prime(n_bad):
         n_bad += 1
     assert (n_ok - 1) * n_ok <= limit < (n_bad - 1) ** 2
-    monkeypatch.setattr(numtheory, "primitive_root", _no_root)
+    first_work("lattice_forge.numtheory.primitive_root")
     no_numpy("lattice_forge.sphere")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="overflows int64"):
@@ -214,16 +200,12 @@ def test_frame_int64_guard_threshold(no_numpy, monkeypatch):
         sphere_frame(1, n_ok)
 
 
-def test_pairwise_memory_guard_threshold(no_numpy, monkeypatch):
+def test_pairwise_memory_guard_threshold(no_numpy, guard_threshold):
     frame = sphere_frame(2, 5)
-    need = 2 * 8 * (2 * 5) ** 2  # the Gram and its absolute value
     no_numpy("lattice_forge.sphere")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
-    with pytest.raises(SizeLimitError, match="pairwise Gram for n=5 needs"):
-        mutual_coherence(frame, method="pairwise")
-    monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="scan started"):
-        mutual_coherence(frame, method="pairwise")
+    guard_threshold(lambda: mutual_coherence(frame, method="pairwise"),
+                    2 * 8 * (2 * 5) ** 2,  # the Gram and its absolute value
+                    "pairwise Gram for n=5 needs")
 
 
 # ---------------------------------------------------------------------------
