@@ -145,6 +145,7 @@ def _cmd_construct(args: argparse.Namespace):
     points = generate(vec).points if args.points_out else None
     # l2 first, so its key limit refuses before either census runs
     reports = {norm: lattice_min_distance(vec, norm) for norm in ("l2", "l1")}
+    z = " ".join(str(c) for c in vec.z)
     rows = []
     for norm in ("l1", "l2"):
         rep = reports[norm]
@@ -168,7 +169,7 @@ def _cmd_construct(args: argparse.Namespace):
                 "bound_upper": upper,
                 "bound_holds": lower - 1e-12 <= rep.min_distance <= upper + 1e-12,
                 "multiplier": multiplier,
-                "z": " ".join(str(c) for c in vec.z),
+                "z": z,
             }
         )
     if args.points_out:

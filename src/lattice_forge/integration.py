@@ -263,7 +263,7 @@ def mc_partition(
     """
     return _mc_mean(
         model.d, n_samples, seed,
-        lambda X: float(np.exp(-boltzmann_energy(X, model)).sum()),
+        lambda X: float(_partition_values(X, model).sum()),
     )
 
 

@@ -322,10 +322,13 @@ def _replicate(
     ``values`` must compute each row from that row alone; it never sees a
     one-row block unless n = 1.
 
-    Raises ``SizeLimitError`` before allocating when a chunk's values or
-    the tiles (the fold tile, and the base tile when a lattice is
-    streamed) exceed physical memory; ``generate`` checks each lattice's
-    residues itself.
+    Raises ``SizeLimitError`` before allocating when the lattices'
+    residues, held through the stream, plus a chunk's values or the tiles
+    (the fold tile, and the base tile when a lattice is streamed) exceed
+    physical memory. Each ``generate`` call also checks its own residues
+    first, so a call that streams both subgroup and korobov still runs two
+    ``generate`` guards one at a time: the second does not count the
+    first's residues, and only this guard counts both.
     """
     methods, runs, seeds = _seed_matrix(methods, _SEED_COLUMNS, runs, seed_source)
     residues = {}
@@ -339,7 +342,8 @@ def _replicate(
     tile_rows = min(n, block + 1)
     chunk = min(runs, d)
     tiles = 2 if residues else 1
-    _require_memory(8 * max(chunk * n, tiles * tile_rows * d),
+    held = sum(r.nbytes for r in residues.values())
+    _require_memory(held + 8 * max(chunk * n, tiles * tile_rows * d),
                     f"point values for d={d}, n={n}, runs={runs}")
     buf = np.empty((chunk, n))
     tile = np.empty((tile_rows, d))

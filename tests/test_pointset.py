@@ -454,21 +454,28 @@ def test_replicate_mc_keeps_the_size_check():
 
 
 @pytest.mark.parametrize(
-    "n, d, runs, need",
+    "method, n, d, runs, need",
     [
         # 3 runs of values, more than the two tiles of R + 1 = 1025 rows
-        (10**12, 32, 3, 8 * 3 * 10**12),
+        ("mc", 10**12, 32, 3, 8 * 3 * 10**12),
         # 50 runs > d go in chunks of d: the 8 n d bytes mc_points checks
-        (10**12, 4, 50, 8 * 4 * 10**12),
+        ("mc", 10**12, 4, 50, 8 * 4 * 10**12),
         # a tile of all n = 65 rows of 10**9 columns outweighs the values
-        (65, 10**9, 1, 8 * 65 * 10**9),
+        ("mc", 65, 10**9, 1, 8 * 65 * 10**9),
+        # the lattice's int32 residues (0.36 GiB) are held through the
+        # stream, beside 16 runs of values (0.72 GiB)
+        ("subgroup", 6000481, 16, 16, 4 * 6000481 * 16 + 8 * 16 * 6000481),
     ],
-    ids=["values", "runs-past-d", "tile"],
+    ids=["values", "runs-past-d", "tile", "residues"],
 )
-def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, n, d, runs, need):
+def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, monkeypatch, method, n, d, runs, need):
     # checked before any array is allocated (the seed matrix is the one use
-    # of numpy before it), and never above mc_points' own 8 n d bytes
-    assert need <= 8 * n * d
+    # of numpy before it), and never above the bytes of one materialized
+    # set: mc_points' 8 n d, or a lattice's residues and their floats
+    assert need <= (8 if method == "mc" else 12) * n * d
+    # generate's residues are a zero-stride int32 view: nothing n x d is allocated
+    base = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (n, d)))
+    monkeypatch.setattr("lattice_forge.pointset.generate", lambda z: base)
     no_numpy("lattice_forge.pointset", allow=("random", "int64"))
-    guard_threshold(lambda: next(_replicate(d, n, ("mc",), None, runs=runs, seed_source=0)), need,
+    guard_threshold(lambda: next(_replicate(d, n, (method,), None, runs=runs, seed_source=0)), need,
                     rf"^point values for d={d}, n={n}, runs={runs} needs {need / 2**30:.1f} GiB")
