@@ -15,16 +15,16 @@ Integrands and energies take an (m, d) batch of points and return the
 ``run_integration_benchmark`` / ``run_boltzmann_benchmark`` drive the
 repeated-shift experiments that the CLI serializes. They never hold a
 shifted or MC point set: ``pointset._replicate`` streams each run's set
-through the per-point formula in cache-sized row blocks, and each run's
-estimate is the mean of its n values, the same float as the estimator
-gives on the materialized set (on the BLAS kernels ``_replicate`` names).
+through the per-point formula in cache-sized row blocks and returns each
+run's mean of its n values, the same float as the estimator gives on the
+materialized set (on the BLAS kernels ``_replicate`` names).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -287,16 +287,14 @@ def mc_marginal(
 
 def _mean_rows(
     d: int, n: int, seed: int, methods: "tuple[str, ...] | list[str]", runs: int,
-    stream: Iterator[tuple[str, int, np.ndarray]], exact: float, divisor: float = 1.0,
+    means: dict[str, list[float]], exact: float, divisor: float = 1.0,
 ) -> list[dict]:
-    """One row per (run, method), run by run: the mean of the run's values
-    from ``_replicate``'s ``stream`` over ``divisor`` (x / 1.0 is x),
-    scored against ``exact``."""
-    means = {(method, r): float(vals.mean()) / divisor for method, r, vals in stream}
+    """One row per (run, method), run by run: the run's mean from
+    ``_replicate`` over ``divisor`` (x / 1.0 is x), scored against ``exact``."""
     rows = []
     for r in range(runs):
         for method in methods:
-            est = means[method, r]
+            est = means[method][r] / divisor
             rows.append({"method": method, "d": d, "n": n, "seed": seed, "run": r,
                          "estimate": est, "exact": exact, "rel_error": _relative_error(est, exact)})
     return rows
@@ -330,11 +328,11 @@ def run_integration_benchmark(
     _relative_error(exact, exact)  # check the reference before building any point set
 
     w = spec.weights()
-    stream = _replicate(d, n, methods, lambda X: _integrand_values(X, w),
-                        runs=runs, seed_source=seed, shifted=shifted)
     # exp may overflow where the reference does not; _relative_error refuses it
     with np.errstate(over="ignore"):
-        return _mean_rows(d, n, seed, methods, runs, stream, exact)
+        means = _replicate(d, n, methods, lambda X: _integrand_values(X, w),
+                           runs=runs, seed_source=seed, shifted=shifted)
+    return _mean_rows(d, n, seed, methods, runs, means, exact)
 
 
 def run_boltzmann_benchmark(
@@ -371,5 +369,5 @@ def run_boltzmann_benchmark(
         values, divisor = (lambda x: _partition_values(x, model)), 1.0
     else:
         values, divisor = (lambda h: _marginal_values(v, h, model)), Z
-    stream = _replicate(d, n, methods, values, runs=runs, seed_source=s_runs)
-    return _mean_rows(d, n, seed, methods, runs, stream, ground_truth, divisor), ground_truth
+    means = _replicate(d, n, methods, values, runs=runs, seed_source=s_runs)
+    return _mean_rows(d, n, seed, methods, runs, means, ground_truth, divisor), ground_truth

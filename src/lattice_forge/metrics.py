@@ -210,7 +210,8 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
         raise SizeLimitError(
             f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
         )
-    # _is_subgroup's int64 z and n - z, then both sorted: 32 bytes per component
+    # _is_subgroup's int64 z and n - z, then both sorted, its powers taken in
+    # place in the sorted array: 32 bytes per component (tracemalloc)
     _require_memory(32 * z.d, f"census for d={z.d}, n={n}")
     subgroup = _is_subgroup(z.z, n)
     rows = (n - 1) // (2 * z.d) if subgroup else max(1, (n - 1) // 2)  # n = 2: k = 1
@@ -228,13 +229,28 @@ def _is_subgroup(z: tuple[int, ...], n: int) -> bool:
 
     That subgroup is {x : x**(2d) = 1}, which has exactly 2d elements when
     2d | n-1, so 2d residues +-z_j that solve it, distinct in one sorted
-    int64 array (n < 2**63), are all of it.
+    int64 array (n < 2**63), are all of it. Once they are distinct, the
+    sorted array's lower half holds one of c, n - c for each component,
+    and (n - c)**(2d) = c**(2d) mod n; its powers are taken by int64
+    square-and-multiply over the whole half, written into the upper half.
+    Every product is of two residues, at most (n-1)**2, which
+    ``lattice_min_distance`` refuses above 2**63 - 1 before calling this.
     """
     two_d = 2 * len(z)
     if (n - 1) % two_d:
         return False
     r = np.sort(np.concatenate((z, np.subtract(n, z)), dtype=np.int64))
-    return bool((r[1:] != r[:-1]).all()) and all(pow(c, two_d, n) == 1 for c in z)
+    if not (r[1:] != r[:-1]).all():
+        return False
+    base, power = r[:len(z)], r[len(z):]
+    power[:] = base
+    for bit in bin(two_d)[3:]:  # the exponent's bits after its leading 1
+        np.multiply(power, power, out=power)
+        np.remainder(power, n, out=power)
+        if bit == "1":
+            np.multiply(power, base, out=power)
+            np.remainder(power, n, out=power)
+    return bool((power == 1).all())
 
 
 def _wrapped_keys(residues: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:

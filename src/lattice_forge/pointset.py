@@ -15,14 +15,15 @@ subtraction of n where needed reduces it exactly. The shift fold
 ``_add_mod1`` works in the same row blocks.
 
 The benchmark drivers do not materialize their point sets: ``_replicate``
-streams each set through the integrand in cache-sized row blocks. It
-divides a block of a lattice's residues by n into one reused tile and
-folds each run's shift from there into another (or draws the MC sample
-straight into it). Blocks hold a multiple of 64 rows, and a final block of
-one row joins the block before it, so every per-point value equals what
-the same formula gives on the whole matrix, bit for bit (on the OpenBLAS
-kernels ``_replicate`` names). A method's runs go in chunks of at
-most d runs, so their values take no more memory than one n x d set.
+streams each set through the integrand in cache-sized row blocks and
+returns each run's mean of the per-point values. It divides a block of a
+lattice's residues by n into one reused tile and folds each run's shift
+from there into another (or draws the MC sample straight into it). Blocks
+hold a multiple of 64 rows, and a final block of one row joins the block
+before it, so every per-point value equals what the same formula gives on
+the whole matrix, bit for bit (on the OpenBLAS kernels ``_replicate``
+names). A method's runs go in chunks of at most d runs, so their values
+take no more memory than one n x d set.
 
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
@@ -35,7 +36,7 @@ matrices: point sets, frame matrices, data.
 from __future__ import annotations
 
 import operator
-from typing import IO, Callable, Iterator
+from typing import IO, Callable
 
 import numpy as np
 
@@ -280,19 +281,18 @@ def _replicate(
     runs: int,
     seed_source: "int | np.random.SeedSequence",
     shifted: bool = True,
-) -> Iterator[tuple[str, int, np.ndarray]]:
-    """Yield (method, run, per-point values) for every run's point set, streamed in row blocks.
+) -> dict[str, list[float]]:
+    """Each method's run means: ``values`` applied to every run's point set, streamed in row blocks.
 
     Run r of a method sees the set ``random_shift(base, s)`` of its lattice
     ("subgroup", "korobov"; the base itself when not ``shifted``) or
     ``mc_points(n, d, s)`` ("mc"), with s from ``_seed_matrix`` over
-    ``_SEED_COLUMNS``. Methods come in order, each with its runs in order;
-    the yielded (n,) float64 array is ``values`` applied to run r's set,
-    so a mean over the points is ``float(row.mean())``, the same pairwise
-    sum as on one array.
-    Private contract: the array is a row of a buffer that later runs
-    overwrite, so the caller must be done with it when it asks for the
-    next item.
+    ``_SEED_COLUMNS``. ``values`` maps an (m, d) block of a set to its (m,)
+    float64 values; run r's mean ``means[method][r]`` is ``float(row.mean())``
+    of its (n,) row of values, the same pairwise sum as on one array.
+    ``values`` is called method by method, then chunk by chunk, then block
+    by block, then run by run inside a chunk; an unshifted lattice block is
+    passed once for its whole chunk.
 
     No point set is written whole. Each lattice's residues are built once
     by ``generate``; its ``points`` are never read. A method's runs go in
@@ -351,6 +351,7 @@ def _replicate(
     base = np.empty((tile_rows, d)) if residues else None
     scale = float(n)
 
+    means = {method: [] for method in methods}
     for method in methods:
         for first in range(0, runs, chunk):
             vals = buf[:min(chunk, runs - first)]
@@ -371,5 +372,5 @@ def _replicate(
                     else:  # every run sees the same block
                         vals[:, rows] = values(points)
                 lo = hi
-            for r, row in enumerate(vals):
-                yield method, first + r, row
+            means[method] += [float(row.mean()) for row in vals]
+    return means

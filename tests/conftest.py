@@ -115,3 +115,37 @@ def reference_sets():
                 yield random_shift(base, s).points if shifted else base.points
 
     return sets
+
+
+@pytest.fixture
+def stream_order():
+    """``stream_order(lengths, d, n, methods, runs, shifted=True)`` maps each
+    method to its runs' ``values`` calls in row order: a list per run of
+    indices into ``lengths``, the row counts of ``_replicate``'s calls.
+
+    It decodes the documented call order: method by method, then chunk by
+    chunk (at most d runs each), then block by block, then run by run inside
+    a chunk; an unshifted lattice block is one call for its whole chunk.
+    """
+
+    def order(lengths, d, n, methods, runs, shifted=True):
+        calls = iter(enumerate(lengths))
+        out = {}
+        for method in methods:
+            per_run = method == "mc" or shifted
+            out[method] = []
+            for first in range(0, runs, min(runs, d)):
+                chunk = [[] for _ in range(min(d, runs - first))]
+                rows = 0
+                while rows < n:
+                    block = [next(calls) for _ in (chunk if per_run else chunk[:1])]
+                    assert len({h for _, h in block}) == 1, (method, first, rows)
+                    for r, run in enumerate(chunk):
+                        run.append(block[r if per_run else 0][0])
+                    rows += block[0][1]
+                assert rows == n, (method, first)
+                out[method] += chunk
+        assert next(calls, None) is None, "calls left over"
+        return out
+
+    return order

@@ -17,7 +17,8 @@ are exact lattice rationals, PCG64 draws and correctly rounded
 additions, so their bytes are the same on every platform, and the digest
 below held under all six kernels. The driver streams each set through
 the integrand in row blocks; the test puts each run's blocks back
-together before hashing, so the digest is that of the whole sets.
+together in ``_replicate``'s documented call order before hashing, so
+the digest is that of the whole sets.
 """
 
 import hashlib
@@ -89,26 +90,26 @@ def test_deterministic_output_digest(capsys, tmp_path, argv, digest):
     assert h.hexdigest() == digest
 
 
-def test_sweep_point_sets_digest():
+def test_sweep_point_sets_digest(stream_order):
     # the point sets ``integrate --d 32 --n 60161 --runs 16 --seed 1
     # --method subgroup`` (and ``--method mc``) stream, in run order. Each
     # block is spooled to a file as it comes (the sets take 493 MB), and the
-    # values name the block, so each run's row of values lists its blocks.
+    # documented call order names each run's blocks.
     h = hashlib.sha256()
     with tempfile.TemporaryFile() as spool:
-        offsets = []
+        offsets, lengths = [], []
 
         def values(block):
             offsets.append(spool.tell())
+            lengths.append(len(block))
             spool.write(block.astype("<f8", copy=False).tobytes())
-            return np.full(len(block), len(offsets) - 1.0)
+            return np.zeros(len(block))
 
-        vals = {(method, r): row.copy() for method, r, row in _replicate(
-            32, 60161, ("subgroup", "mc"), values, runs=16, seed_source=1)}
+        _replicate(32, 60161, ("subgroup", "mc"), values, runs=16, seed_source=1)
+        calls = stream_order(lengths, 32, 60161, ("subgroup", "mc"), 16)
         for r in range(16):
             for method in ("subgroup", "mc"):
-                calls, first, rows = np.unique(vals[method, r], return_index=True, return_counts=True)
-                for i in np.argsort(first):
-                    spool.seek(offsets[int(calls[i])])
-                    h.update(spool.read(8 * 32 * int(rows[i])))
+                for k in calls[method][r]:
+                    spool.seek(offsets[k])
+                    h.update(spool.read(8 * 32 * lengths[k]))
     assert h.hexdigest() == "14232d708e45b422c4dd96f6f4497eb041f692bba9d8a5674b94b0208425fe4f"

@@ -1,5 +1,6 @@
 """Point materialization, random shifts, and CSV round trips."""
 
+import inspect
 import io
 import tracemalloc
 
@@ -316,29 +317,28 @@ def test_csv_round_trip_is_exact():
 _METHODS = ("subgroup", "korobov", "mc")
 
 
-def _streamed_sets(d, n, methods, runs, seed, shifted=True):
-    """Each run's set as ``_replicate`` streams it, reassembled from its blocks.
+def _streamed_sets(stream_order, d, n, methods, runs, seed, shifted=True, f=lambda X: X.sum(1)):
+    """Each run's set and per-point values as ``_replicate`` streams them, and its means.
 
-    ``values`` returns its call's index at every row, so each run's row of
-    values names, in row order, the blocks that make up its set. Also
-    returns the blocks, the address of each block's first element, and
-    the address of each yielded row of values.
+    Every ``values`` call is recorded: a copy of its block, the address of
+    the block's first element and the values ``f`` gives. Each run's set
+    and values are put back together in the documented call order (see
+    ``stream_order``). Also returns the blocks and their addresses.
     """
-    blocks, addresses, row_addresses = [], [], []
+    blocks, addresses, outs = [], [], []
 
     def values(block):
         blocks.append(block.copy())
         addresses.append(block.__array_interface__["data"][0])
-        return np.full(len(block), len(blocks) - 1.0)
+        outs.append(f(block))
+        return outs[-1]
 
-    sets = {}
-    for method, r, row in _replicate(d, n, methods, values, runs=runs, seed_source=seed,
-                                     shifted=shifted):
-        assert r == len(sets.setdefault(method, [])), (method, r)
-        row_addresses.append(row.__array_interface__["data"][0])
-        calls, first = np.unique(row, return_index=True)
-        sets[method].append(np.concatenate([blocks[int(k)] for k in calls[np.argsort(first)]]))
-    return sets, blocks, addresses, row_addresses
+    means = _replicate(d, n, methods, values, runs=runs, seed_source=seed, shifted=shifted)
+    assert {m: len(v) for m, v in means.items()} == {m: runs for m in methods}
+    calls = stream_order([len(b) for b in blocks], d, n, methods, runs, shifted)
+    sets = {m: [np.concatenate([blocks[k] for k in run]) for run in calls[m]] for m in methods}
+    vals = {m: [np.concatenate([outs[k] for k in run]) for run in calls[m]] for m in methods}
+    return sets, vals, means, blocks, addresses
 
 
 def _block_rows(d):
@@ -380,33 +380,35 @@ def test_stream_cases_cover_every_residue():
 @pytest.mark.parametrize(
     "method, d, n", _STREAM_CASES, ids=[f"{m}-d{d}-n{n}" for m, d, n in _STREAM_CASES]
 )
-def test_streamed_integrand_matches_materialized_sets_bitwise(reference_sets, method, d, n, shifted):
+def test_streamed_integrand_matches_materialized_sets_bitwise(reference_sets, stream_order, method, d, n,
+                                                              shifted):
     # the integrand's values exp(X @ w), streamed block by block, equal the
-    # same formula on each run's whole materialized set, and so do the means
+    # same formula on each run's whole materialized set, and so do the
+    # returned means
     runs, seed = (3 if n % 4 == 3 else 1), n
     w = 1.0 / np.arange(1, d + 1) ** 2
-    vals = {(m, r): row.copy() for m, r, row in _replicate(
-        d, n, (method,), lambda X: np.exp(X @ w), runs=runs, seed_source=seed, shifted=shifted)}
-    assert list(vals) == [(method, r) for r in range(runs)]
+    sets, vals, means, _, _ = _streamed_sets(stream_order, d, n, (method,), runs, seed, shifted,
+                                             lambda X: np.exp(X @ w))
     for r, points in enumerate(reference_sets(d, n, method, runs, seed, shifted)):
         expect = np.exp(points @ w)
-        assert vals[method, r].tobytes() == expect.tobytes(), r
-        assert float(vals[method, r].mean()) == float(expect.mean()), r
+        assert sets[method][r].tobytes() == points.tobytes(), r
+        assert vals[method][r].tobytes() == expect.tobytes(), r
+        assert means[method][r] == float(expect.mean()), r
 
 
 @pytest.mark.parametrize("shifted", [True, False])
-def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, shifted):
+def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, stream_order, shifted):
     # every run streams the bytes of a fresh random_shift / mc_points set (the
     # base itself unshifted), shifted and MC blocks all land in one reused
-    # tile, a last block of one row joins the block before it, and every
-    # method's runs yield rows of one (runs, n) buffer
+    # tile, and a last block of one row joins the block before it
     d, runs = 100, 3
     R = _block_rows(d)
     n = 5 * R + 1  # 1601 is prime with 200 | n - 1
-    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _METHODS, runs, 9, shifted)
+    sets, vals, means, blocks, addresses = _streamed_sets(stream_order, d, n, _METHODS, runs, 9, shifted)
     for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 9, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
+            assert means[method][r] == float(vals[method][r].mean()), (method, r)
     assert sorted({len(b) for b in blocks}) == [R, R + 1]
     # 5 blocks per run, with the unshifted lattices' blocks shared by all runs;
     # every shifted or MC block starts at the tile's first element
@@ -414,20 +416,18 @@ def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, shift
     assert max(map(addresses.count, addresses)) == 5 * (3 * runs if shifted else runs)
     # the unshifted lattices' blocks all start at one reused base tile
     assert len(set(addresses)) == (1 if shifted else 2)
-    assert len(set(row_addresses)) == runs
 
 
 @pytest.mark.parametrize("shifted", [True, False])
-def test_replicate_chunks_runs_past_d(reference_sets, shifted):
-    # 5 runs at d = 2 go in chunks of 2, 2 and 1 runs, so their values share
-    # one (2, n) buffer, no more floats than one n x d set; each run still
+def test_replicate_chunks_runs_past_d(reference_sets, stream_order, shifted):
+    # 5 runs at d = 2 go in chunks of 2, 2 and 1 runs; each run still
     # streams its own set's bytes
     d, n, runs = 2, 101, 5
-    sets, blocks, addresses, row_addresses = _streamed_sets(d, n, _METHODS, runs, 4, shifted)
+    sets, vals, means, blocks, _ = _streamed_sets(stream_order, d, n, _METHODS, runs, 4, shifted)
     for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 4, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
-    assert len(set(row_addresses)) == d
+            assert means[method][r] == float(vals[method][r].mean()), (method, r)
     # an unshifted lattice block is computed once per chunk, not once per run
     assert len(blocks) == (3 * runs if shifted else runs + 2 * 3)
 
@@ -439,18 +439,39 @@ def test_replicate_holds_less_than_a_float_base():
     w = 1.0 / np.arange(1, d + 1) ** 2
     tracemalloc.start()
     try:
-        for _ in _replicate(d, n, ("subgroup",), lambda X: np.exp(X @ w), runs=2,
-                            seed_source=0):
-            pass
+        _replicate(d, n, ("subgroup",), lambda X: np.exp(X @ w), runs=2, seed_source=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert 4 * n * d < peak < 8 * n * d
 
 
+def test_replicate_holds_the_values_of_at_most_d_runs():
+    # 50 MC runs at d = 2 go in 25 chunks of 2 runs, so their values take
+    # 8 * 2 * n bytes beside tiles of R + 1 rows, not the 8 * 50 * n of
+    # every run's values at once
+    d, n, runs = 2, 200003, 50
+    # a process's first call imports numpy.random, which numpy loads lazily
+    _replicate(d, 1, ("mc",), lambda X: X.sum(1), runs=1, seed_source=0)
+    tracemalloc.start()
+    try:
+        _replicate(d, n, ("mc",), lambda X: X.sum(1), runs=runs, seed_source=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (d + 1) * n
+
+
+def test_replicate_is_a_plain_call():
+    # a call that runs the whole stream, so a wrapper around _replicate (a
+    # profiler's, say) times the stream; a generator's call would return
+    # before its first block
+    assert not inspect.isgeneratorfunction(_replicate)
+
+
 def test_replicate_mc_keeps_the_size_check():
     with pytest.raises(DomainError, match="need n >= 1"):
-        next(_replicate(2, 0, ("mc",), lambda X: X[:, 0], runs=1, seed_source=0))
+        _replicate(2, 0, ("mc",), lambda X: X[:, 0], runs=1, seed_source=0)
 
 
 @pytest.mark.parametrize(
@@ -477,5 +498,5 @@ def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, monkeypatch
     base = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (n, d)))
     monkeypatch.setattr("lattice_forge.pointset.generate", lambda z: base)
     no_numpy("lattice_forge.pointset", allow=("random", "int64"))
-    guard_threshold(lambda: next(_replicate(d, n, (method,), None, runs=runs, seed_source=0)), need,
+    guard_threshold(lambda: _replicate(d, n, (method,), None, runs=runs, seed_source=0), need,
                     rf"^point values for d={d}, n={n}, runs={runs} needs {need / 2**30:.1f} GiB")
