@@ -44,8 +44,8 @@ import numpy as np
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
 from .integration import run_boltzmann_benchmark, run_integration_benchmark
 from .kernels import KernelSpec, run_kernel_benchmark, synthetic_data
-from .lattice import find_admissible_n, korobov_search, subgroup_generating_vector
-from .metrics import lattice_min_distance, min_distance_bounds
+from .lattice import _korobov_args, _subgroup_args, find_admissible_n, korobov_search, subgroup_generating_vector
+from .metrics import _census_limits, lattice_min_distance, min_distance_bounds
 from .pointset import generate, load_csv, save_csv
 from .sphere import asymptotic_coherence_bound, mutual_coherence, sphere_frame
 
@@ -133,15 +133,25 @@ def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...])
 
 
 def _cmd_construct(args: argparse.Namespace):
+    # the census limits (l2's covers l1's) refuse before the vector is
+    # listed or searched for; the method's own argument checks and guards
+    # still come first, so a refused request runs them before it re-raises
+    try:
+        _census_limits(args.d, args.n, 2)
+    except SizeLimitError:
+        if args.method == "korobov":
+            _korobov_args(args.d, args.n, args.norm)
+        else:
+            _subgroup_args(args.d, args.n)
+        raise
     if args.method == "korobov":
         res = korobov_search(args.d, args.n, args.norm)
         vec, multiplier = res.vector, res.multiplier
     else:
         vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
     bounds = min_distance_bounds(args.d, args.n)
-    # generate first, so that its guard (the residues) and the first read
-    # of points (the floats and the residues) refuse oversized points
-    # before the census runs
+    # the first read of points (8*n*d bytes and one residue tile) refuses
+    # oversized points before the census runs
     points = generate(vec).points if args.points_out else None
     # l2 first, so its key limit refuses before either census runs
     reports = {norm: lattice_min_distance(vec, norm) for norm in ("l2", "l1")}

@@ -268,9 +268,10 @@ def run_kernel_benchmark(
     X = np.asarray(data, dtype=np.float64)
     N, d = X.shape if X.ndim == 2 else (0, 0)
     # three N x N arrays (exact_gram's work, or a run's K, G and diff) or K
-    # beside the features, whichever is more; the lattice's points (whose
-    # first read frees the residues they are built from), one run's shifted
-    # set, its clip and the normal quantiles add at most four n x d arrays
+    # beside the features, whichever is more; the point sets add at most 32
+    # bytes per coordinate: the lattice's points (8) and, while they are
+    # built, one residue tile (at most 24), or later one run's shifted set,
+    # its clip and the normal quantiles (8 each)
     per_sample = max(24 * N, 8 * N + _FEATURE_BYTES[spec.family] * n)
     _require_memory(N * per_sample + 32 * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
 from .metrics import _BLOCK, _INT64_MAX, _norm_exponent, _powers
-from .numtheory import _prime_modulus, _subgroup, is_prime, primitive_root
+from .numtheory import _prime_modulus, _subgroup, _subgroup_guard, is_prime, primitive_root
 
 __all__ = [
     "GeneratingVector",
@@ -147,13 +147,23 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
     >>> subgroup_generating_vector(3, 13).z
     (1, 4, 3)
     """
+    d, n = _subgroup_args(d, n)
+    return GeneratingVector(z=_subgroup(2 * d, n, d), n=n, method="subgroup")
+
+
+def _subgroup_args(d: int, n: int) -> tuple[int, int]:
+    """d and n as ints, checked as ``subgroup_generating_vector`` takes them.
+
+    Runs every check that refuses before the d powers are listed: d >= 1,
+    2d | n - 1, n prime, and the powers' size guard.
+    """
     d = _at_least(d, 1, "d")
     n = operator.index(n)
     if n >= 2 and (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
     _prime_modulus(n)
-    z = _subgroup(2 * d, n, d)
-    return GeneratingVector(z=z, n=n, method="subgroup")
+    _subgroup_guard(d, 2 * d, n)
+    return d, n
 
 
 def _weight_table(n: int, p: int) -> np.ndarray:
@@ -267,16 +277,8 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     >>> (res.multiplier, res.score)
     (2, 0.6)
     """
-    d, n = operator.index(d), operator.index(n)
-    p = _norm_exponent(norm)
-    _at_least(d, 1, "d")
-    _prime_modulus(n)
-    if n < 2 * d + 1:
-        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    d, n, p = _korobov_args(d, n, norm)
     half = (n - 1) // 2
-    max_w = half if p == 1 else half * half
-    if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
-        raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
     # while the bound is formed the search holds four int64 tables of n
     # entries (powers, W, steps, the bound), the doubled W and at most three
     # int64 blocks of scratch; while a key is scored, the four tables, the
@@ -303,6 +305,26 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
     z = tuple(pow(best_alpha, j, n) for j in range(d))
     return SearchResult(GeneratingVector(z, n, "korobov"), score, best_alpha)
+
+
+def _korobov_args(d: int, n: int, norm: str) -> tuple[int, int, int]:
+    """d, n and the norm's exponent p, checked as ``korobov_search`` takes them.
+
+    Runs every check that refuses before any table is built, except the
+    memory guard: the norm, d >= 1, n prime, n >= 2d + 1 and the int64
+    bound on the search's intermediates.
+    """
+    d, n = operator.index(d), operator.index(n)
+    p = _norm_exponent(norm)
+    _at_least(d, 1, "d")
+    _prime_modulus(n)
+    if n < 2 * d + 1:
+        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    half = (n - 1) // 2
+    max_w = half if p == 1 else half * half
+    if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
+        raise SizeLimitError(f"korobov_search overflows int64 for n={n}, {norm} norm")
+    return d, n, p
 
 
 def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:

@@ -204,12 +204,7 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     """
     p = _norm_exponent(norm)
     n = z.n
-    if (n - 1) ** 2 > _INT64_MAX:
-        raise SizeLimitError(f"k * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
-    if p == 2 and z.d * ((n - 1) // 2) ** 2 > _INT64_MAX:
-        raise SizeLimitError(
-            f"l2 keys overflow int64 for d={z.d}, n={n}; need d*((n-1)//2)**2 < 2**63"
-        )
+    _census_limits(z.d, n, p)
     # _is_subgroup's int64 z and n - z, then both sorted, its powers taken in
     # place in the sorted array: 32 bytes per component (tracemalloc)
     _require_memory(32 * z.d, f"census for d={z.d}, n={n}")
@@ -222,6 +217,19 @@ def lattice_min_distance(z: "GeneratingVector", norm: str) -> DistanceReport:
     _require_memory(72 * rows + 32 * _BLOCK, f"census for d={z.d}, n={n}")
     blocks = (_coset_blocks if subgroup else _scan_blocks)(z.as_array(), n, p, rows)
     return DistanceReport(*_tally(blocks, (n - 1) // rows), norm=norm, n=n)
+
+
+def _census_limits(d: int, n: int, p: int) -> None:
+    """Raise ``SizeLimitError`` when a census of d components mod n under
+    the l_p norm could overflow int64: a product k * z_j ((n-1)**2), or
+    for l2 a key (d*((n-1)//2)**2), above 2**63 - 1. Plain arithmetic, so
+    callers can run it before a vector is built."""
+    if (n - 1) ** 2 > _INT64_MAX:
+        raise SizeLimitError(f"k * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
+    if p == 2 and d * ((n - 1) // 2) ** 2 > _INT64_MAX:
+        raise SizeLimitError(
+            f"l2 keys overflow int64 for d={d}, n={n}; need d*((n-1)//2)**2 < 2**63"
+        )
 
 
 def _is_subgroup(z: tuple[int, ...], n: int) -> bool:

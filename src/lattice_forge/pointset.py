@@ -1,29 +1,29 @@
 """Point sets: lattice points, random shifts, MC baselines, and their stream.
 
-Lattice points are x_i = (i * z mod n) / n. ``generate`` stores the exact
-residues i * z_j mod n, as int32 when n < 2**31 and as int64 otherwise;
-``points`` divides them by n on its first read and drops them. A residue
-converts to float64 exactly, so every coordinate is the correctly rounded
-value of the exact rational i*z_j mod n / n.
+Lattice points are x_i = (i * z mod n) / n. A rank-1 lattice is defined
+by its vector z and n alone, so ``generate`` holds only z, and no n x d
+array of residues exists anywhere. ``_residue_blocks`` writes the exact
+residues i * z_j mod n block by block into one reused tile (int32 when
+n < 2**31, int64 otherwise): the first block's residues r * z mod n come
+from ``%``; each later block is the one before plus the row R * z mod n,
+with no integer division: a sum of two residues lies in [0, 2n), so one
+branch-free subtraction of n where needed reduces it exactly. A residue
+converts to float64 exactly, so dividing it by n gives the correctly
+rounded value of the exact rational i*z_j mod n / n.
 
-``generate`` fills the n x d residue matrix in row blocks of R rows (about
-``_BLOCK`` elements, so a block's passes stay in cache). The first
-block's residues r * z mod n (r < R) are computed once with ``%``; each
-later block is the one before plus the row R * z mod n, with no integer
-division: a sum of two residues lies in [0, 2n), so one branch-free
-subtraction of n where needed reduces it exactly. The shift fold
-``_add_mod1`` works in the same row blocks.
-
-The benchmark drivers do not materialize their point sets: ``_replicate``
-streams each set through the integrand in cache-sized row blocks and
-returns each run's mean of the per-point values. It divides a block of a
-lattice's residues by n into one reused tile and folds each run's shift
-from there into another (or draws the MC sample straight into it). Blocks
-hold a multiple of 64 rows, and a final block of one row joins the block
-before it, so every per-point value equals what the same formula gives on
-the whole matrix, bit for bit (on the OpenBLAS kernels ``_replicate``
-names). A method's runs go in chunks of at most d runs, so their values
-take no more memory than one n x d set.
+Two users divide the writer's blocks by n: the first read of ``points``
+writes them into the n x d float array, and the benchmark drivers'
+stream, ``_replicate``, into one reused base tile. ``_replicate`` feeds
+each shifted or MC set through the integrand in those row blocks and
+returns each run's mean of the per-point values. It folds each run's
+shift from the base tile into another tile (or draws the MC sample
+straight into it). Blocks hold a multiple of 64 rows, and a final block
+of one row joins the block before it, so every per-point value equals
+what the same formula gives on the whole matrix, bit for bit (on the
+OpenBLAS kernels ``_replicate`` names). A method's runs go in chunks of
+at most d runs, so their values take no more memory than one n x d set.
+The shift fold ``_add_mod1`` works in row blocks of about ``_BLOCK``
+elements too.
 
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
@@ -41,7 +41,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .exceptions import DomainError, SizeLimitError, _at_least, _require_memory
-from .lattice import GeneratingVector, korobov_search, subgroup_generating_vector
+from .lattice import GeneratingVector, _korobov_args, korobov_search, subgroup_generating_vector
 from .metrics import _INT64_MAX
 
 __all__ = [
@@ -53,10 +53,10 @@ __all__ = [
     "load_csv",
 ]
 
-# Elements in one row block of ``generate`` and ``_add_mod1``. A block's
-# few integer/float64 scratch arrays then fit in a core's L2 cache; of
-# 2**14 .. 2**17, 2**15 was fastest on the sweep benchmark's sizes
-# (n 1e3 .. 1.5e5, d 16 .. 64).
+# Elements in one row block of the residue writer and of ``_add_mod1``. A
+# block's few integer/float64 scratch arrays then fit in a core's L2
+# cache; of 2**14 .. 2**17, 2**15 was fastest on the sweep benchmark's
+# sizes (n 1e3 .. 1.5e5, d 16 .. 64).
 _BLOCK = 1 << 15
 
 
@@ -64,96 +64,120 @@ class LatticePointSet:
     """An (n, d) float64 array ``points`` with every entry in [0, 1).
 
     ``LatticePointSet(points)`` wraps a float set. A lattice from
-    ``generate`` holds its exact residues i * z_j mod n instead and builds
-    ``points`` = residues / n on the first read, once, then drops the
-    residues; later reads return the same array. That read raises
-    ``SizeLimitError`` before allocating when its 8*n*d bytes and the
-    residues exceed physical memory.
+    ``generate``, ``LatticePointSet(None, vector)``, holds only its
+    generating vector and builds ``points`` =
+    (i * z mod n) / n on the first read, once, through one residue tile;
+    later reads return the same array. That read raises ``SizeLimitError``
+    before allocating when its 8*n*d bytes and the tile exceed physical
+    memory.
     """
 
-    def __init__(self, points: np.ndarray) -> None:
+    def __init__(self, points: "np.ndarray | None", vector: "GeneratingVector | None" = None) -> None:
         self._points = points
-        self._residues: "np.ndarray | None" = None
-
-    @classmethod
-    def _from_residues(cls, residues: np.ndarray) -> "LatticePointSet":
-        ps = cls(None)
-        ps._residues = residues
-        return ps
+        self._vector = vector
 
     @property
     def points(self) -> np.ndarray:
         if self._points is None:
-            n, d = self._residues.shape
-            _require_memory(8 * n * d + self._residues.nbytes, f"points for d={d}, n={n}")
-            self._points = np.divide(self._residues, float(n))
-            self._residues = None
+            n, d = self.n, self.d
+            _require_memory(8 * n * d + _tile_bytes(n, d), f"points for d={d}, n={n}")
+            points = np.empty((n, d))
+            for span, residues in _residue_blocks(self._vector.as_array(), n, _block_rows(d)):
+                np.divide(residues, float(n), out=points[span])
+            self._points = points
         return self._points
 
     @property
     def n(self) -> int:
-        return (self._points if self._residues is None else self._residues).shape[0]
+        return self._vector.n if self._points is None else self._points.shape[0]
 
     @property
     def d(self) -> int:
-        return (self._points if self._residues is None else self._residues).shape[1]
+        return self._vector.d if self._points is None else self._points.shape[1]
 
 
 def generate(z: GeneratingVector) -> LatticePointSet:
-    """The rank-1 lattice of ``z`` as its n x d matrix of residues i * z_j mod n.
+    """The rank-1 lattice of ``z``, holding only ``z`` until ``points`` is read.
 
-    Rows are filled block by block with no integer division past the
-    first block (see ``_lattice_rows``), as int32 when n < 2**31 and int64
-    otherwise. ``points`` divides each residue by float(n) on its first
-    read, so every entry is the correctly rounded (i * z_j mod n) / n, and
-    then drops the residues. Raises ``SizeLimitError`` before allocating when
-    i * z_j could exceed 2**63 - 1, i.e. when (n-1)**2 does, or when the
-    residues exceed physical memory.
+    ``points`` is built on its first read from the exact residues
+    i * z_j mod n, divided by float(n) one block at a time (see
+    ``_residue_blocks``), so every entry is the correctly rounded
+    (i * z_j mod n) / n. Raises ``SizeLimitError`` when i * z_j could
+    exceed 2**63 - 1, i.e. when (n-1)**2 does; the first read of
+    ``points`` checks its memory.
 
     Examples
     --------
     >>> generate(GeneratingVector(z=(1, 2), n=5)).points[1]
     array([0.2, 0.4])
     """
-    n, d = z.n, z.d
-    if (n - 1) ** 2 > _INT64_MAX:
-        raise SizeLimitError(f"i * z overflows int64 for n={n}; need (n-1)**2 < 2**63")
-    # int32 cannot overflow below 2**31: residues lie in [0, n), and
-    # _lattice_rows' sums of a residue and a step in [-n, 0) in [-n, n)
-    size = 4 if n < 2**31 else 8
-    _require_memory(size * n * d, f"points for d={d}, n={n}")
-    residues = _lattice_rows(z.as_array(), n, 0, np.empty((n, d), f"i{size}"))
-    return LatticePointSet._from_residues(residues)
+    if (z.n - 1) ** 2 > _INT64_MAX:
+        raise SizeLimitError(f"i * z overflows int64 for n={z.n}; need (n-1)**2 < 2**63")
+    return LatticePointSet(None, z)
 
 
-def _lattice_rows(z: np.ndarray, n: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """Write the residues of rows lo .. lo + len(out) - 1 (< n) of the lattice with int64 vector z into ``out``.
+def _block_rows(d: int) -> int:
+    """R, the rows of a stream block: about ``_BLOCK`` elements, a multiple of 64, at least 64."""
+    return max(64, (_BLOCK // d) & ~63)
 
-    ``out`` is int32 (n < 2**31) or int64. Blocks hold R = _BLOCK // d
-    rows. The first block, (lo + r) * z mod n for r < R, is the only ``%``
-    on the matrix; its products are int64 and stay at most (n-1)**2. Each
-    later block is the one before plus R * z mod n in every row, reduced
-    without division: with t = block + (R * z mod n - n) in [-n, n - 1),
-    the arithmetic shift of t by its sign bit (31 or 63) is all ones
-    exactly where t < 0, so t + ((t >> 31) & n) adds n back to those
-    entries and to no others.
+
+def _spans(n: int, rows: int, lo: int = 0):
+    """Slices of consecutive row blocks lo .. n - 1: ``rows`` rows each,
+    except the last, which has at most rows + 1 (a one-row tail joins the
+    block before it)."""
+    while lo < n:
+        hi = n if n - lo <= rows + 1 else lo + rows
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _tile_bytes(n: int, d: int) -> int:
+    """At most the bytes ``_residue_blocks`` allocates for d components in
+    blocks of R = ``_block_rows(d)`` rows: its tile, step and scratch of at
+    most min(n, R + 1) rows, int32 (n < 2**31) or int64, and the first
+    block's int64 products."""
+    return (3 * (4 if n < 2**31 else 8) + 8) * min(n, _block_rows(d) + 1) * d
+
+
+def _residue_blocks(z: np.ndarray, n: int, rows: int, lo: int = 0):
+    """Yield (span, residues): rows lo .. n - 1 of the lattice of int64 vector z, block by block.
+
+    Blocks follow ``_spans(n, rows, lo)``, and each is a view of one reused
+    tile, int32 when n < 2**31 and int64 otherwise; a block is valid until
+    the next is yielded. The first block, (lo + r) * z mod n, is computed
+    with ``%`` on int64 products, which stay at most (n-1)**2. Each later
+    block is the one before plus R * z mod n in every row (R = ``rows``),
+    reduced without division: with t = block + (R * z mod n - n) in
+    [-n, n - 1), the arithmetic shift of t by its sign bit (31 or 63) is
+    all ones exactly where t < 0, so t + ((t >> 31) & n) adds n back to
+    those entries and to no others. The final row of a last block of
+    R + 1 rows comes from ``%``. int32 cannot overflow below 2**31: every
+    entry and sum lies in [-n, n).
     """
-    m, d = out.shape
-    rows = max(1, min(m, _BLOCK // d))
-    first = np.arange(lo, lo + rows, dtype=np.int64)[:, None] * z
-    out[:rows] = np.remainder(first, n, out=first)
-    step = np.empty((rows, d), out.dtype)
-    step[:] = rows * z % n - n
-    fix = np.empty_like(step)
-    sign = 8 * out.itemsize - 1
-    for s in range(rows, m, rows):
-        h = min(rows, m - s)
-        block = out[s:s + h]
-        np.add(out[s - rows:s - rows + h], step[:h], out=block)
-        np.right_shift(block, sign, out=fix[:h])
-        np.bitwise_and(fix[:h], n, out=fix[:h])
-        np.add(block, fix[:h], out=block)
-    return out
+    tile = np.empty((min(n - lo, rows + 1), len(z)), np.int32 if n < 2**31 else np.int64)
+    if n - lo > rows + 1:
+        # a second block follows: its step in whole rows (adding one
+        # broadcast row is 2-4x slower) and a scratch tile
+        step = np.empty((rows, len(z)), tile.dtype)
+        step[:] = rows * z % n - n
+        fix = np.empty_like(step)
+    sign = 8 * tile.itemsize - 1
+    for k, span in enumerate(_spans(n, rows, lo)):
+        h = span.stop - span.start
+        if k == 0:
+            first = np.arange(span.start, span.stop, dtype=np.int64)[:, None] * z
+            tile[:h] = np.remainder(first, n, out=first)
+            del first
+        else:
+            m = min(h, rows)
+            block, scratch = tile[:m], fix[:m]
+            np.add(block, step[:m], out=block)
+            np.right_shift(block, sign, out=scratch)
+            np.bitwise_and(scratch, n, out=scratch)
+            np.add(block, scratch, out=block)
+            if h > rows:
+                tile[rows] = (span.start + rows) * z % n
+        yield span, tile[:h]
 
 
 def _add_mod1(points: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -294,23 +318,24 @@ def _replicate(
     by block, then run by run inside a chunk; an unshifted lattice block is
     passed once for its whole chunk.
 
-    No point set is written whole. Each lattice's residues are built once
-    by ``generate``; its ``points`` are never read. A method's runs go in
-    chunks of at most d runs, whose (chunk, n) values fit in the n x d
-    floats of one point set, so no request needs more memory than one
-    materialized set per method did. Within a chunk, block by block, a
-    lattice's residue rows are divided by n into one reused base tile, the
-    same floats as ``points``. Run by run, the base tile is folded with the
-    run's shift into a second reused tile (``_fold``, as in ``_add_mod1``),
-    or one generator per MC run draws the block into it (PCG64 fills in
-    order, so the blocks concatenate to ``mc_points``' draws), and
-    ``values(tile)`` gives the block's values; unshifted runs all get
-    ``values`` of the base tile at once. Runs are the inner loop, so each
-    residue block leaves memory once per chunk.
+    No point set is written whole, and no lattice's residues either. Each
+    lattice comes from ``generate``, which holds only its vector; its
+    ``points`` are never read. A method's runs go in chunks of at most d
+    runs, whose (chunk, n) values fit in the n x d floats of one point set.
+    Within a chunk, block by block, ``_residue_blocks`` writes a lattice's
+    residue rows into its tile and they are divided by n into one reused
+    base tile, the same floats as ``points``. Run by run, the base tile is
+    folded with the run's shift into a second reused tile (``_fold``, as in
+    ``_add_mod1``), or one generator per MC run draws the block into it
+    (PCG64 fills in order, so the blocks concatenate to ``mc_points``'
+    draws), and ``values(tile)`` gives the block's values; unshifted runs
+    all get ``values`` of the base tile at once. Runs are the inner loop,
+    so each residue block is written once per chunk.
 
-    Blocks hold R = max(64, (``_BLOCK`` // d) rounded down to a multiple
-    of 64) rows, and a last block of one row joins the block before it, so
-    the tiles hold R + 1 rows. The reason is bit identity: a BLAS
+    Blocks hold R = ``_block_rows(d)`` rows: ``_BLOCK`` // d rounded down
+    to a multiple of 64, at least 64. A last block of one row joins the
+    block before it, so the tiles hold R + 1 rows. The reason is bit
+    identity: a BLAS
     matrix-vector product works on groups of rows, so blocks of a multiple
     of 64 rows, plus the matrix's own tail, give each row the same value
     as the product over the whole matrix; a product of one row takes a dot
@@ -322,33 +347,34 @@ def _replicate(
     ``values`` must compute each row from that row alone; it never sees a
     one-row block unless n = 1.
 
-    Raises ``SizeLimitError`` before allocating when the lattices'
-    residues, held through the stream, plus a chunk's values or the tiles
-    (the fold tile, and the base tile when a lattice is streamed) exceed
-    physical memory. Each ``generate`` call also checks its own residues
-    first, so a call that streams both subgroup and korobov still runs two
-    ``generate`` guards one at a time: the second does not count the
-    first's residues, and only this guard counts both.
+    Raises ``SizeLimitError`` before allocating, and before any Korobov
+    search, when a chunk's values plus every tile exceed physical memory:
+    the fold or MC tile, and when a lattice is streamed its base tile, the
+    fold's scratch (shifted runs) and the residue writer's tiles. The
+    methods' argument checks (``AdmissibilityError`` among them) run first.
     """
     methods, runs, seeds = _seed_matrix(methods, _SEED_COLUMNS, runs, seed_source)
-    residues = {}
+    lattices = {}
     if "subgroup" in methods:
-        residues["subgroup"] = generate(subgroup_generating_vector(d, n))._residues
+        lattices["subgroup"] = generate(subgroup_generating_vector(d, n))
     if "korobov" in methods:
-        residues["korobov"] = generate(korobov_search(d, n, "l1").vector)._residues
+        _korobov_args(d, n, "l1")  # the search itself runs past the guard
     if "mc" in methods:
         n, d = _mc_shape(n, d)
-    block = max(64, (_BLOCK // d) & ~63)
+    block = _block_rows(d)
     tile_rows = min(n, block + 1)
     chunk = min(runs, d)
-    tiles = 2 if residues else 1
-    held = sum(r.nbytes for r in residues.values())
-    _require_memory(held + 8 * max(chunk * n, tiles * tile_rows * d),
-                    f"point values for d={d}, n={n}, runs={runs}")
+    lattice = any(m != "mc" for m in methods)
+    folds = "mc" in methods or (lattice and shifted)  # a tile that runs write
+    tiles = folds + lattice + (lattice and shifted)  # that tile, the base tile, the fold's scratch
+    need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
+    _require_memory(need, f"point values for d={d}, n={n}, runs={runs}")
+    if "korobov" in methods:
+        lattices["korobov"] = generate(korobov_search(d, n, "l1").vector)
     buf = np.empty((chunk, n))
-    tile = np.empty((tile_rows, d))
-    whole = np.empty((tile_rows, d))
-    base = np.empty((tile_rows, d)) if residues else None
+    tile = np.empty((tile_rows, d)) if folds else None
+    whole = np.empty((tile_rows, d)) if lattice and shifted else None
+    base = np.empty((tile_rows, d)) if lattice else None
     scale = float(n)
 
     means = {method: [] for method in methods}
@@ -356,21 +382,19 @@ def _replicate(
         for first in range(0, runs, chunk):
             vals = buf[:min(chunk, runs - first)]
             rngs = [np.random.default_rng(s) for s in seeds[method][first:first + len(vals)]]
-            deltas = [rng.random(d) for rng in rngs] if method != "mc" and shifted else []
-            lo = 0
-            while lo < n:
-                hi = n if n - lo <= block + 1 else lo + block
-                rows = slice(lo, hi)
-                if method == "mc":
+            if method == "mc":
+                for rows in _spans(n, block):
+                    h = rows.stop - rows.start
                     for r, rng in enumerate(rngs):
-                        vals[r, rows] = values(rng.random((hi - lo, d), out=tile[:hi - lo]))
-                else:
-                    points = np.divide(residues[method][rows], scale, out=base[:hi - lo])
+                        vals[r, rows] = values(rng.random((h, d), out=tile[:h]))
+            else:
+                deltas = [rng.random(d) for rng in rngs] if shifted else []
+                for rows, residues in _residue_blocks(lattices[method]._vector.as_array(), n, block):
+                    points = np.divide(residues, scale, out=base[:len(residues)])
                     if shifted:
                         for r, delta in enumerate(deltas):
                             vals[r, rows] = values(_fold(points, delta, tile, whole))
                     else:  # every run sees the same block
                         vals[:, rows] = values(points)
-                lo = hi
             means[method] += [float(row.mean()) for row in vals]
     return means

@@ -7,7 +7,7 @@ from lattice_forge import exceptions
 from lattice_forge.exceptions import SizeLimitError
 from lattice_forge.lattice import korobov_search, subgroup_generating_vector
 from lattice_forge.numtheory import is_prime
-from lattice_forge.pointset import generate, mc_points, random_shift
+from lattice_forge.pointset import LatticePointSet, mc_points, random_shift
 
 
 def _scan_started(*args, **kwargs):
@@ -93,7 +93,9 @@ def prime_at_most():
 def reference_sets():
     """``reference_sets(d, n, method, runs, seed_source, shifted=True)``
     yields, in run order, the point sets the benchmark drivers' runs see,
-    built whole by ``generate`` + ``random_shift`` or ``mc_points``.
+    built whole by ``random_shift`` or ``mc_points``. A lattice's base is
+    the one-shot product formula (i * z_j mod n) / n on int64 products, not
+    ``generate``, so it shares no residue arithmetic with the stream.
 
     Seeds come from the drivers' (runs, 3) seed matrix, with the column
     order subgroup, korobov, mc.
@@ -107,7 +109,8 @@ def reference_sets():
         if method != "mc":
             vec = (subgroup_generating_vector(d, n) if method == "subgroup"
                    else korobov_search(d, n, "l1").vector)
-            base = generate(vec)
+            i = np.arange(n, dtype=np.int64)[:, None]
+            base = LatticePointSet(i * vec.as_array() % n / n)
         for s in col:
             if method == "mc":
                 yield mc_points(n, d, s).points

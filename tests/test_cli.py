@@ -120,7 +120,8 @@ _ROWS = [
 ]
 
 # a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
-# frame plus its residue matrix, and integrate --d 32 for 119 GiB of lattice residues
+# frame plus its residue matrix, and integrate --d 32 --runs 16 for the
+# 119.2 GiB of 16 runs' values; one run's 7.45 GiB could fit a machine
 _BIG_PRIME = "1000000321"
 # MC points are streamed, never held: one run of 10**12 points needs only
 # its 7450.6 GiB of values, which the values guard refuses on any machine
@@ -144,15 +145,17 @@ _CAPPED_ROWS = [
     pytest.param(f"sphere --d 128 --n {_BIG_PRIME}", 4,
                  f"error: sphere frame for m=64, n={_BIG_PRIME} needs 2399.1 GiB" + _MORE, 60,
                  id="sphere-frame"),
-    # 32 columns of the lattice's int32 residues
-    pytest.param(f"integrate --d 32 --n {_BIG_PRIME} --runs 1 --method subgroup", 4,
-                 f"error: points for d=32, n={_BIG_PRIME} needs 119.2 GiB" + _MORE, 60, id="points-subgroup"),
+    # a lattice is streamed, never held: 16 runs of values
+    pytest.param(f"integrate --d 32 --n {_BIG_PRIME} --runs 16 --method subgroup", 4,
+                 f"error: point values for d=32, n={_BIG_PRIME}, runs=16 needs 119.2 GiB" + _MORE, 60,
+                 id="points-subgroup"),
     pytest.param(f"integrate --d 32 --n {_BIG_MC_N} --runs 1 --method mc", 4,
                  f"error: point values for d=32, n={_BIG_MC_N}, runs=1 needs 7450.6 GiB" + _MORE, 60,
                  id="points-mc"),
-    # construct refuses the points before the census runs
+    # construct refuses the points (their floats and one residue tile)
+    # before the census runs
     pytest.param(f"construct --d 32 --n {_BIG_PRIME} --points-out {{tmp}}/p.csv", 4,
-                 f"error: points for d=32, n={_BIG_PRIME} needs 119.2 GiB" + _MORE, 60,
+                 f"error: points for d=32, n={_BIG_PRIME} needs 238.4 GiB" + _MORE, 60,
                  id="construct-points"),
     # up to (n-1)/2 = 1.5e9 distinct keys
     pytest.param("construct --d 1 --n 3037000493", 4,
@@ -175,6 +178,13 @@ _CAPPED_ROWS = [
     pytest.param("construct --d 100000 --n 1000200001", 4,
                  "error: l2 keys overflow int64 for d=100000, n=1000200001; need d*((n-1)//2)**2 < 2**63", 3,
                  id="l2-limit-first"),
+    # the l2 key limit refuses before the 10**8 subgroup powers are listed,
+    # once their own size guard (4.1 GiB) has passed
+    pytest.param("construct --d 100000000 --n 600000001", 4,
+                 "error: l2 keys overflow int64 for d=100000000, n=600000001; need d*((n-1)//2)**2 < 2**63", 3,
+                 id="l2-limit-before-vector", marks=pytest.mark.skipif(
+                     _PHYSICAL is not None and _PHYSICAL < 44 * 10**8,
+                     reason="the subgroup guard refuses this request on a machine this small")),
     # at d = 1 every orbit ties the first one's key, so one key settles the
     # search: seconds would mean the scan no longer stops at ties
     pytest.param("construct --d 1 --n 100003 --method korobov --deterministic", 0, None, 10,
@@ -233,6 +243,23 @@ def test_construct_checks_the_l2_key_limit_before_any_census(no_numpy, capsys):
                    "need d*((n-1)//2)**2 < 2**63\n")
     with pytest.raises(AssertionError, match="scan started"):
         main(["construct", "--d", str(d), "--n", str(below)])
+
+
+@pytest.mark.parametrize("method", ["subgroup", "korobov"])
+def test_construct_checks_the_census_limits_before_the_vector(no_numpy, first_work, capsys, method):
+    # the same pair: above the l2 limit construct refuses after the method's
+    # own argument checks but before its vector is listed or searched for;
+    # below it the vector is built
+    no_numpy("lattice_forge.lattice")
+    no_numpy("lattice_forge.metrics")
+    first_work(f"lattice_forge.cli.{'korobov_search' if method == 'korobov' else 'subgroup_generating_vector'}")
+    d, above, below = 100000, 21600001, 17800001
+    code, out, err = _run(capsys, "construct", "--d", str(d), "--n", str(above), "--method", method)
+    assert (code, out) == (4, "")
+    assert err == (f"error: l2 keys overflow int64 for d={d}, n={above}; "
+                   "need d*((n-1)//2)**2 < 2**63\n")
+    with pytest.raises(AssertionError, match="scan started"):
+        main(["construct", "--d", str(d), "--n", str(below), "--method", method])
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])
@@ -548,8 +575,9 @@ def _fuzz_argv(draw):
         if draw(st.booleans()):
             return list(draw(st.sampled_from(_OVERFLOWING)))
         method = draw(st.sampled_from([[], ["--method", "subgroup"], ["--method", "mc"]]))
-        n = _BIG_MC_N if method == ["--method", "mc"] else _BIG_PRIME
-        argv = ["integrate", "--d", "32", "--n", n, "--runs", "1", *method]
+        # one run of MC values is 7450.6 GiB; a lattice's 16 runs are 119.2 GiB
+        n, runs = (_BIG_MC_N, "1") if method == ["--method", "mc"] else (_BIG_PRIME, "16")
+        argv = ["integrate", "--d", "32", "--n", n, "--runs", runs, *method]
     elif cmd == "integrate":
         argv = ["integrate", "--d", draw(_dims), "--n", draw(_moduli),
                 "--runs", draw(st.integers(-1, 2).map(str))]
@@ -602,7 +630,8 @@ def test_fuzz_exit_codes_and_no_traceback(tmp_path_factory, argv):
         assert code == 4 and err.getvalue().startswith("error: kernel benchmark for N=200000, "), argv
     if argv in _OVERFLOWING:
         assert code == 4 and err.getvalue().count("error: ") == 1, argv
-    if _BIG_MC_N in argv and code != 2:
-        # the values guard refuses, unless a --b or --c reference is refused first
-        assert code == 4 and err.getvalue().startswith(
-            (f"error: point values for d=32, n={_BIG_MC_N}, ", "error: reference value")), argv
+    for n in (_BIG_MC_N, _BIG_PRIME):
+        if argv[0] == "integrate" and n in argv and code != 2:
+            # the values guard refuses, unless a --b or --c reference is refused first
+            assert code == 4 and err.getvalue().startswith(
+                (f"error: point values for d=32, n={n}, ", "error: reference value")), argv

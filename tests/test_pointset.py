@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lattice_forge import exceptions
-from lattice_forge.exceptions import DomainError, SizeLimitError
+from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
     korobov_search,
@@ -22,8 +22,10 @@ from lattice_forge.pointset import (
     _BLOCK,
     LatticePointSet,
     _add_mod1,
-    _lattice_rows,
+    _block_rows,
     _replicate,
+    _residue_blocks,
+    _spans,
     generate,
     load_csv,
     mc_points,
@@ -51,14 +53,16 @@ def test_generate_first_row_is_origin():
 
 def test_generate_refuses_int64_overflow_before_allocating(no_numpy, prime_at_most, monkeypatch):
     # i * z_j wraps in int64 once (n - 1)**2 > 2**63 - 1, from n = 3037000501;
-    # memory is stubbed high so the 24 GB set below reaches the int64 guard
+    # memory is stubbed high so the first read of the 24 GB set below
+    # passes its memory guard and starts work
     no_numpy("lattice_forge.pointset")
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="i \\* z"):
         generate(GeneratingVector((1,), 3037000507))
-    # the largest prime below the threshold passes the guard and starts work
+    # the largest prime below the threshold passes the check
+    ps = generate(GeneratingVector((1,), prime_at_most(3037000500)))
     with pytest.raises(AssertionError, match="scan started"):
-        generate(GeneratingVector((1,), prime_at_most(3037000500)))
+        ps.points
 
 
 # a prime with 64 | n - 1; 32 columns of it need 238.4 GiB as floats
@@ -67,27 +71,31 @@ _BIG_N, _BIG_D = 1000000321, 32
 _INT32_N, _INT64_N = 2147483647, 2147483659
 
 
-def test_generate_memory_guard_threshold(no_numpy, guard_threshold):
-    # generate holds int32 residues below n = 2**31 and int64 ones from there
-    cases = [
-        (GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N), 4 * _BIG_N * _BIG_D,
-         r"^points for d=32, n=1000000321 needs 119\.2 GiB"),
-        (GeneratingVector((1,), _INT32_N), 4 * _INT32_N, r"^points for d=1, n=2147483647 needs 8\.0 GiB"),
-        (GeneratingVector((1,), _INT64_N), 8 * _INT64_N, r"^points for d=1, n=2147483659 needs 16\.0 GiB"),
-    ]
+def test_generate_holds_only_its_vector(no_numpy, monkeypatch):
+    # with no memory and no numpy, generate still returns the lattice: it
+    # allocates nothing, and its shape does not build points
     no_numpy("lattice_forge.pointset")
-    for vec, need, line in cases:
-        guard_threshold(lambda: generate(vec), need, line)
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 0)
+    vec = GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N)
+    ps = generate(vec)
+    assert (ps.n, ps.d) == (_BIG_N, _BIG_D)
+    assert ps._vector is vec and ps._points is None
 
 
 def test_points_first_read_memory_guard_threshold(no_numpy, guard_threshold):
-    # the residues are a zero-stride int32 view, so nothing n x d is
-    # allocated; the first read of points needs its floats and the residues
-    ps = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (_BIG_N, _BIG_D)))
+    # the first read needs its n x d floats and the residue writer's tiles of
+    # R + 1 rows: a tile, its step and scratch, int32 below n = 2**31 and
+    # int64 from there, and the first block's int64 products. R = 1024 at
+    # d = 32 and 32768 at d = 1.
+    cases = [
+        (GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N), 8 * _BIG_N * _BIG_D + 20 * 1025 * _BIG_D,
+         r"^points for d=32, n=1000000321 needs 238\.4 GiB"),
+        (GeneratingVector((1,), _INT32_N), 8 * _INT32_N + 20 * 32769, r"^points for d=1, n=2147483647 needs 16\.0 GiB"),
+        (GeneratingVector((1,), _INT64_N), 8 * _INT64_N + 32 * 32769, r"^points for d=1, n=2147483659 needs 16\.0 GiB"),
+    ]
     no_numpy("lattice_forge.pointset")
-    assert (ps.n, ps.d) == (_BIG_N, _BIG_D)  # the shape does not build points
-    guard_threshold(lambda: ps.points, 12 * _BIG_N * _BIG_D,
-                    r"^points for d=32, n=1000000321 needs 357\.6 GiB")
+    for vec, need, line in cases:
+        guard_threshold(lambda: generate(vec).points, need, line)
 
 
 def test_mc_points_memory_guard_threshold(no_numpy, guard_threshold):
@@ -97,7 +105,7 @@ def test_mc_points_memory_guard_threshold(no_numpy, guard_threshold):
 
 
 # ---------------------------------------------------------------------------
-# blocked generate against the product formula, bit for bit
+# the residue writer and generate's points against the product formula, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -112,24 +120,21 @@ def _product_residues(vec):
 
 
 def _check_generate(vec):
-    """generate's int32 residues and its points equal the product formula's,
-    bit for bit, and the points are built once, freeing the residues."""
+    """generate's points equal the product formula's, bit for bit, and are built once."""
     ps = generate(vec)
-    assert ps._residues.dtype == np.int32
-    assert ps._residues.tobytes() == _product_residues(vec).astype(np.int32).tobytes()
+    assert (ps.n, ps.d) == (vec.n, vec.d)
     points = ps.points
     assert points.tobytes() == _product_formula(vec).tobytes()
-    assert ps.points is points and ps._residues is None
-    assert (ps.n, ps.d) == (vec.n, vec.d)
+    assert ps.points is points
 
 
-def _prime_at_block_rows(offset):
-    """(d, n): a prime n = R + offset, R = _BLOCK // d the rows per block."""
+def _prime_at_block_rows(blocks, offset):
+    """(d, n): a prime n = blocks * R + offset, R = _block_rows(d) the rows per block."""
     for d in range(2, 200):
-        n = _BLOCK // d + offset
+        n = blocks * _block_rows(d) + offset
         if n > 2 * d and is_prime(n):
             return d, n
-    raise AssertionError(f"no prime at block rows {offset:+d}")
+    raise AssertionError(f"no prime at {blocks} blocks {offset:+d} rows")
 
 
 def _explicit(d, n, seed):
@@ -139,9 +144,10 @@ def _explicit(d, n, seed):
 
 def _block_cases():
     cases = {}
-    for offset, name in ((-1, "below"), (0, "equal"), (1, "above")):
-        d, n = _prime_at_block_rows(offset)
-        cases[f"n-{name}-block-rows"] = _explicit(d, n, 2 + offset)
+    # R is a multiple of 64, so a prime n sits an odd number of rows off it
+    for blocks, offset, name in ((1, -1, "below"), (1, 1, "above"), (1, 3, "three-above"), (2, 1, "twice-above")):
+        d, n = _prime_at_block_rows(blocks, offset)
+        cases[f"n-{name}-block-rows"] = _explicit(d, n, blocks + 1 + offset)
     cases["four-blocks-ragged-tail"] = subgroup_generating_vector(16, 8353)  # 8353 = 4 * 2048 + 161
     cases["d1-two-blocks"] = GeneratingVector((12345,), 40009)
     cases["n3"] = GeneratingVector((1, 2), 3)
@@ -161,13 +167,37 @@ def test_generate_matches_product_formula_bitwise(name):
 
 
 def test_block_cases_cover_the_block_edges():
-    for name, blocks in (("n-below-block-rows", 1), ("n-equal-block-rows", 1),
-                         ("n-above-block-rows", 2), ("four-blocks-ragged-tail", 5),
-                         ("d1-two-blocks", 2)):
+    # each case's block sizes in rows of the stream's R; a one-row tail
+    # joins the block before it
+    for name, sizes in (("n-below-block-rows", lambda R: [R - 1]), ("n-above-block-rows", lambda R: [R + 1]),
+                        ("n-three-above-block-rows", lambda R: [R, 3]),
+                        ("n-twice-above-block-rows", lambda R: [R, R + 1]),
+                        ("four-blocks-ragged-tail", lambda R: [R, R, R, R, 161]),
+                        ("d1-two-blocks", lambda R: [R, 40009 - R])):
         vec = _CASES[name]
-        rows = _BLOCK // vec.d
-        assert -(-vec.n // rows) == blocks, name
-    assert _CASES["four-blocks-ragged-tail"].n % (_BLOCK // 16)
+        R = _block_rows(vec.d)
+        assert [s.stop - s.start for s in _spans(vec.n, R)] == sizes(R), name
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_residue_blocks_match_product_residues(name):
+    # the writer's int32 blocks, put together, equal the product formula's
+    # residues: in blocks of the stream's R rows, and of row counts that end
+    # the lattice on a last block of rows + 1 after one full block (its last
+    # row from %), on a short block, and in a single block
+    vec = _CASES[name]
+    n = vec.n
+    expect = _product_residues(vec).astype(np.int32).tobytes()
+    for rows in (_block_rows(vec.d), max(1, (n - 1) // 2), max(1, (n - 2) // 2), n - 1, n):
+        spans, blocks = zip(*[(s, b.copy()) for s, b in _residue_blocks(vec.as_array(), n, rows)])
+        assert list(spans) == list(_spans(n, rows)), rows
+        assert [len(b) for b in blocks] == [s.stop - s.start for s in spans], rows
+        assert blocks[0].dtype == np.int32 and np.concatenate(blocks).tobytes() == expect, rows
+
+
+def test_residue_blocks_of_one_row():
+    ((span, block),) = _residue_blocks(np.zeros(3, dtype=np.int64), 1, 64)
+    assert span == slice(0, 1) and block.tolist() == [[0, 0, 0]]
 
 
 _primes = st.sampled_from([3, 5, 7, 13, 101, 1009, 4099, 8191, 8209, 16411, 32771])
@@ -185,22 +215,22 @@ def test_generate_matches_product_formula_property(vec):
     _check_generate(vec)
 
 
-def test_lattice_rows_near_the_int64_limit():
+def test_lattice_rows_near_the_int64_limit(prime_at_most):
     # the last rows of the largest n below 2**31 (int32 residues), of the
     # first n above it (int64) and of the largest n generate accepts (int64),
-    # against Python ints, with no n x d allocation: one full block ending
-    # three rows short of n, then the ragged tail
-    top = 3037000500
-    while not is_prime(top):
-        top -= 1
-    for n, dtype in ((_INT32_N, np.int32), (_INT64_N, np.int64), (top, np.int64)):
+    # against Python ints, with no n x d allocation: the writer starts near
+    # n and ends on a full block and a last block of R + 1 rows (its last
+    # row from %), or on a full block and a three-row block
+    for n, dtype in ((_INT32_N, np.int32), (_INT64_N, np.int64), (prime_at_most(3037000500), np.int64)):
         z = (1, 2, n - 1, n // 3 + 12345)
-        rows = _BLOCK // len(z) + 3
-        lo = n - rows
-        out = _lattice_rows(np.array(z, dtype=np.int64), n, lo, np.empty((rows, len(z)), dtype))
-        expect = np.array([[(i * zj) % n for zj in z] for i in range(lo, n)], dtype=dtype)
-        assert out.tobytes() == expect.tobytes(), n
-        assert out[-1, 0] == n - 1 and out[-1, 2] == 1
+        R = _block_rows(len(z))
+        for lo, sizes in ((n - 2 * R - 1, [R, R + 1]), (n - R - 3, [R, 3])):
+            blocks = [b.copy() for _, b in _residue_blocks(np.array(z, dtype=np.int64), n, R, lo)]
+            assert [len(b) for b in blocks] == sizes, n
+            out = np.concatenate(blocks)
+            expect = np.array([[(i * zj) % n for zj in z] for i in range(lo, n)], dtype=dtype)
+            assert out.dtype == dtype and out.tobytes() == expect.tobytes(), (n, lo)
+            assert out[-1, 0] == n - 1 and out[-1, 2] == 1
 
 
 def test_add_mod1_zero_is_identity():
@@ -341,10 +371,6 @@ def _streamed_sets(stream_order, d, n, methods, runs, seed, shifted=True, f=lamb
     return sets, vals, means, blocks, addresses
 
 
-def _block_rows(d):
-    return max(64, (_BLOCK // d) & ~63)
-
-
 def _stream_cases():
     """(method, d, n): n mod R in {0, 1, 2, 63, R - 1} for MC, and for each
     lattice the odd residues among them that a small enough prime n hits."""
@@ -433,8 +459,9 @@ def test_replicate_chunks_runs_past_d(reference_sets, stream_order, shifted):
 
 
 def test_replicate_holds_less_than_a_float_base():
-    # a subgroup lattice is streamed from its int32 residues through tiles
-    # of R + 1 rows, so no n x d float base is ever held
+    # a subgroup lattice is streamed through tiles of R + 1 rows, its
+    # residues written one tile at a time, so it holds less than the 4 n d
+    # bytes of its int32 residues, let alone an n x d float base
     d, n = 64, 40961  # 40961 = 320 * 128 + 1
     w = 1.0 / np.arange(1, d + 1) ** 2
     tracemalloc.start()
@@ -443,7 +470,21 @@ def test_replicate_holds_less_than_a_float_base():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 4 * n * d < peak < 8 * n * d
+    assert peak < 4 * n * d
+
+
+def test_points_first_read_holds_one_residue_tile():
+    # generate and the first read of points hold the n x d floats and one
+    # residue tile of R + 1 rows, not the 12 n d bytes of residues and floats
+    d, n = 64, 40961
+    vec = subgroup_generating_vector(d, n)
+    tracemalloc.start()
+    try:
+        generate(vec).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n * d < peak < 9 * n * d
 
 
 def test_replicate_holds_the_values_of_at_most_d_runs():
@@ -474,29 +515,46 @@ def test_replicate_mc_keeps_the_size_check():
         _replicate(2, 0, ("mc",), lambda X: X[:, 0], runs=1, seed_source=0)
 
 
+def test_replicate_checks_arguments_before_its_guard(monkeypatch, first_work):
+    # with no memory at all, inadmissible lattices still raise their own
+    # errors, and an admissible request reaches the guard, not the search
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 0)
+    first_work("lattice_forge.pointset.korobov_search")
+    for method, d, n, error in (("subgroup", 3, 11, AdmissibilityError), ("korobov", 4, 7, AdmissibilityError),
+                                ("korobov", 4, 9, DomainError), ("korobov", 4, 41, SizeLimitError)):
+        with pytest.raises(error):
+            _replicate(d, n, (method,), None, runs=1, seed_source=0)
+
+
 @pytest.mark.parametrize(
-    "method, n, d, runs, need",
+    "method, n, d, runs, shifted, need",
     [
-        # 3 runs of values, more than the two tiles of R + 1 = 1025 rows
-        ("mc", 10**12, 32, 3, 8 * 3 * 10**12),
+        # 3 runs of values and the MC tile of R + 1 = 1025 rows
+        ("mc", 10**12, 32, 3, True, 8 * 3 * 10**12 + 8 * 1025 * 32),
         # 50 runs > d go in chunks of d: the 8 n d bytes mc_points checks
-        ("mc", 10**12, 4, 50, 8 * 4 * 10**12),
-        # a tile of all n = 65 rows of 10**9 columns outweighs the values
-        ("mc", 65, 10**9, 1, 8 * 65 * 10**9),
-        # the lattice's int32 residues (0.36 GiB) are held through the
-        # stream, beside 16 runs of values (0.72 GiB)
-        ("subgroup", 6000481, 16, 16, 4 * 6000481 * 16 + 8 * 16 * 6000481),
+        ("mc", 10**12, 4, 50, True, 8 * 4 * 10**12 + 8 * 8193 * 4),
+        # a tile of all n = 65 rows of 10**9 columns, beside one run's values
+        ("mc", 65, 10**9, 1, True, 8 * 65 * 10**9 + 8 * 65),
+        # a lattice's 16 runs of values, its three float tiles (fold, the
+        # fold's scratch, base) of R + 1 = 2049 rows and the writer's 20 bytes
+        # per tile element (int32 tile, step and scratch, int64 first block)
+        ("subgroup", 6000481, 16, 16, True, 8 * 16 * 6000481 + (24 + 20) * 2049 * 16),
+        # the Korobov search starts only past the same guard
+        ("korobov", 6000481, 16, 16, True, 8 * 16 * 6000481 + (24 + 20) * 2049 * 16),
+        # at d = 65536 (R = 64) the tiles outweigh one run's values; unshifted,
+        # only the base tile and the writer's
+        ("subgroup", 786433, 65536, 1, True, 8 * 786433 + (24 + 20) * 65 * 65536),
+        ("subgroup", 786433, 65536, 1, False, 8 * 786433 + (8 + 20) * 65 * 65536),
+        # the writer's tile, step and scratch are int64 from n = 2**31
+        ("subgroup", 2147483659, 1, 1, True, 8 * 2147483659 + (24 + 32) * 32769),
     ],
-    ids=["values", "runs-past-d", "tile", "residues"],
+    ids=["values", "runs-past-d", "tile", "residue-tile", "korobov", "wide", "wide-no-shift", "int64-tile"],
 )
-def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, monkeypatch, method, n, d, runs, need):
-    # checked before any array is allocated (the seed matrix is the one use
-    # of numpy before it), and never above the bytes of one materialized
-    # set: mc_points' 8 n d, or a lattice's residues and their floats
-    assert need <= (8 if method == "mc" else 12) * n * d
-    # generate's residues are a zero-stride int32 view: nothing n x d is allocated
-    base = LatticePointSet._from_residues(np.broadcast_to(np.int32(0), (n, d)))
-    monkeypatch.setattr("lattice_forge.pointset.generate", lambda z: base)
+def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, first_work, method, n, d, runs, shifted, need):
+    # the chunk's values plus every tile, checked before any array is
+    # allocated (the seed matrix is the one use of numpy before it) and
+    # before the Korobov search
+    first_work("lattice_forge.pointset.korobov_search")
     no_numpy("lattice_forge.pointset", allow=("random", "int64"))
-    guard_threshold(lambda: _replicate(d, n, (method,), None, runs=runs, seed_source=0), need,
+    guard_threshold(lambda: _replicate(d, n, (method,), None, runs=runs, seed_source=0, shifted=shifted), need,
                     rf"^point values for d={d}, n={n}, runs={runs} needs {need / 2**30:.1f} GiB")
