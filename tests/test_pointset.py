@@ -82,20 +82,28 @@ def test_generate_holds_only_its_vector(no_numpy, monkeypatch):
     assert ps._vector is vec and ps._points is None
 
 
-def test_points_first_read_memory_guard_threshold(no_numpy, guard_threshold):
-    # the first read needs its n x d floats and the residue writer's tiles of
-    # R + 1 rows: a tile, its step and scratch, int32 below n = 2**31 and
-    # int64 from there, and the first block's int64 products. R = 1024 at
-    # d = 32 and 32768 at d = 1.
+def test_generate_memory_guard_threshold(no_numpy, guard_threshold):
+    # a generated lattice meets its guard at the first read of points: its
+    # n x d floats and the residue writer's tiles of R + 1 rows, a tile, its
+    # step and scratch, int32 below n = 2**31 and int64 from there, and the
+    # first block's int64 products. R = 32768 at d = 1.
     cases = [
-        (GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N), 8 * _BIG_N * _BIG_D + 20 * 1025 * _BIG_D,
-         r"^points for d=32, n=1000000321 needs 238\.4 GiB"),
         (GeneratingVector((1,), _INT32_N), 8 * _INT32_N + 20 * 32769, r"^points for d=1, n=2147483647 needs 16\.0 GiB"),
         (GeneratingVector((1,), _INT64_N), 8 * _INT64_N + 32 * 32769, r"^points for d=1, n=2147483659 needs 16\.0 GiB"),
     ]
     no_numpy("lattice_forge.pointset")
     for vec, need, line in cases:
         guard_threshold(lambda: generate(vec).points, need, line)
+
+
+def test_points_first_read_memory_guard_threshold(no_numpy, guard_threshold):
+    # generate allocates nothing n x d, so only the first read of points
+    # needs its floats and the writer's int32 tiles; R = 1024 at d = 32
+    ps = generate(GeneratingVector(tuple(range(1, _BIG_D + 1)), _BIG_N))
+    no_numpy("lattice_forge.pointset")
+    assert (ps.n, ps.d) == (_BIG_N, _BIG_D)  # the shape does not build points
+    guard_threshold(lambda: ps.points, 8 * _BIG_N * _BIG_D + 20 * 1025 * _BIG_D,
+                    r"^points for d=32, n=1000000321 needs 238\.4 GiB")
 
 
 def test_mc_points_memory_guard_threshold(no_numpy, guard_threshold):
