@@ -44,8 +44,16 @@ import numpy as np
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError
 from .integration import run_boltzmann_benchmark, run_integration_benchmark
 from .kernels import KernelSpec, run_kernel_benchmark, synthetic_data
-from .lattice import _korobov_args, _subgroup_args, find_admissible_n, korobov_search, subgroup_generating_vector
+from .lattice import (
+    _korobov_args,
+    _korobov_guard,
+    _subgroup_args,
+    find_admissible_n,
+    korobov_search,
+    subgroup_generating_vector,
+)
 from .metrics import _census_limits, lattice_min_distance, min_distance_bounds
+from .numtheory import _subgroup_guard
 from .pointset import generate, load_csv, save_csv
 from .sphere import asymptotic_coherence_bound, mutual_coherence, sphere_frame
 
@@ -140,9 +148,11 @@ def _cmd_construct(args: argparse.Namespace):
         _census_limits(args.d, args.n, 2)
     except SizeLimitError:
         if args.method == "korobov":
-            _korobov_args(args.d, args.n, args.norm)
+            d, n, _ = _korobov_args(args.d, args.n, args.norm)
+            _korobov_guard(d, n)
         else:
-            _subgroup_args(args.d, args.n)
+            d, n = _subgroup_args(args.d, args.n)
+            _subgroup_guard(d, 2 * d, n)
         raise
     if args.method == "korobov":
         res = korobov_search(args.d, args.n, args.norm)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
 from .metrics import _BLOCK, _INT64_MAX, _norm_exponent, _powers
-from .numtheory import _prime_modulus, _subgroup, _subgroup_guard, is_prime, primitive_root
+from .numtheory import _prime_modulus, _subgroup, is_prime, primitive_root
 
 __all__ = [
     "GeneratingVector",
@@ -154,15 +154,14 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
 def _subgroup_args(d: int, n: int) -> tuple[int, int]:
     """d and n as ints, checked as ``subgroup_generating_vector`` takes them.
 
-    Runs every check that refuses before the d powers are listed: d >= 1,
-    2d | n - 1, n prime, and the powers' size guard.
+    Runs every check that refuses before the d powers are listed except
+    their size guard, which ``_subgroup`` runs: d >= 1, 2d | n - 1, n prime.
     """
     d = _at_least(d, 1, "d")
     n = operator.index(n)
     if n >= 2 and (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
     _prime_modulus(n)
-    _subgroup_guard(d, 2 * d, n)
     return d, n
 
 
@@ -277,14 +276,14 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     >>> (res.multiplier, res.score)
     (2, 0.6)
     """
-    d, n, p = _korobov_args(d, n, norm)
-    half = (n - 1) // 2
-    # while the bound is formed the search holds four int64 tables of n
-    # entries (powers, W, steps, the bound), the doubled W and at most three
-    # int64 blocks of scratch; while a key is scored, the four tables, the
-    # order of about n/4 entries and at most four n-entry int64 arrays
-    _require_memory(max(48 * n + 24 * _BLOCK, 66 * n), f"korobov search for d={d}, n={n}")
+    return _korobov_search(*_korobov_args(d, n, norm))
 
+
+def _korobov_search(d: int, n: int, p: int) -> SearchResult:
+    """``korobov_search`` for d, n and the norm's exponent p that
+    ``_korobov_args`` has checked: its memory guard, then the search."""
+    _korobov_guard(d, n)
+    half = (n - 1) // 2
     powers, W, steps = _exponent_tables(n, _weight_table(n, p))
     bound = _korobov_bounds(d, W, np.flatnonzero(powers <= _BOUND_K).tolist())
     # fold v with v + N/2 (a, n - a), then u with -u mod N/2 (a, 1/a): entry
@@ -305,6 +304,15 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     score = best_key / n if p == 1 else float(np.sqrt(best_key)) / n
     z = tuple(pow(best_alpha, j, n) for j in range(d))
     return SearchResult(GeneratingVector(z, n, "korobov"), score, best_alpha)
+
+
+def _korobov_guard(d: int, n: int) -> None:
+    """Raise ``SizeLimitError`` when the search's tables mod n exceed physical memory."""
+    # while the bound is formed the search holds four int64 tables of n
+    # entries (powers, W, steps, the bound), the doubled W and at most three
+    # int64 blocks of scratch; while a key is scored, the four tables, the
+    # order of about n/4 entries and at most four n-entry int64 arrays
+    _require_memory(max(48 * n + 24 * _BLOCK, 66 * n), f"korobov search for d={d}, n={n}")
 
 
 def _korobov_args(d: int, n: int, norm: str) -> tuple[int, int, int]:

@@ -41,7 +41,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .exceptions import DomainError, SizeLimitError, _at_least, _require_memory
-from .lattice import GeneratingVector, _korobov_args, korobov_search, subgroup_generating_vector
+from .lattice import GeneratingVector, _korobov_args, _korobov_search, subgroup_generating_vector
 from .metrics import _INT64_MAX
 
 __all__ = [
@@ -358,7 +358,7 @@ def _replicate(
     if "subgroup" in methods:
         lattices["subgroup"] = generate(subgroup_generating_vector(d, n))
     if "korobov" in methods:
-        _korobov_args(d, n, "l1")  # the search itself runs past the guard
+        d, n, p = _korobov_args(d, n, "l1")  # the search itself runs past the guard
     if "mc" in methods:
         n, d = _mc_shape(n, d)
     block = _block_rows(d)
@@ -370,7 +370,7 @@ def _replicate(
     need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
     _require_memory(need, f"point values for d={d}, n={n}, runs={runs}")
     if "korobov" in methods:
-        lattices["korobov"] = generate(korobov_search(d, n, "l1").vector)
+        lattices["korobov"] = generate(_korobov_search(d, n, p).vector)
     buf = np.empty((chunk, n))
     tile = np.empty((tile_rows, d)) if folds else None
     whole = np.empty((tile_rows, d)) if lattice and shifted else None

@@ -262,6 +262,17 @@ def test_construct_checks_the_census_limits_before_the_vector(no_numpy, first_wo
         main(["construct", "--d", str(d), "--n", str(below), "--method", method])
 
 
+@pytest.mark.parametrize("method, what", [("subgroup", "subgroup of order 200000 for n=21600001"),
+                                          ("korobov", "korobov search for d=100000, n=21600001")])
+def test_construct_refuses_by_the_method_guard_before_the_census_limits(monkeypatch, capsys, method, what):
+    # with no memory at all, a request above the l2 limit still ends on the
+    # method's own size guard, as it did when the vector came first
+    monkeypatch.setattr(exceptions, "_physical_memory", lambda: 0)
+    code, out, err = _run(capsys, "construct", "--d", "100000", "--n", "21600001", "--method", method)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {what} needs ")
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",

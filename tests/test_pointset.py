@@ -527,7 +527,7 @@ def test_replicate_checks_arguments_before_its_guard(monkeypatch, first_work):
     # with no memory at all, inadmissible lattices still raise their own
     # errors, and an admissible request reaches the guard, not the search
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 0)
-    first_work("lattice_forge.pointset.korobov_search")
+    first_work("lattice_forge.pointset._korobov_search")
     for method, d, n, error in (("subgroup", 3, 11, AdmissibilityError), ("korobov", 4, 7, AdmissibilityError),
                                 ("korobov", 4, 9, DomainError), ("korobov", 4, 41, SizeLimitError)):
         with pytest.raises(error):
@@ -562,7 +562,7 @@ def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, first_work,
     # the chunk's values plus every tile, checked before any array is
     # allocated (the seed matrix is the one use of numpy before it) and
     # before the Korobov search
-    first_work("lattice_forge.pointset.korobov_search")
+    first_work("lattice_forge.pointset._korobov_search")
     no_numpy("lattice_forge.pointset", allow=("random", "int64"))
     guard_threshold(lambda: _replicate(d, n, (method,), None, runs=runs, seed_source=0, shifted=shifted), need,
                     rf"^point values for d={d}, n={n}, runs={runs} needs {need / 2**30:.1f} GiB")
