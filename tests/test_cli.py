@@ -245,11 +245,13 @@ def test_construct_checks_the_l2_key_limit_before_any_census(no_numpy, capsys):
         main(["construct", "--d", str(d), "--n", str(below)])
 
 
-@pytest.mark.parametrize("method", ["subgroup", "korobov"])
-def test_construct_checks_the_census_limits_before_the_vector(no_numpy, first_work, capsys, method):
+@pytest.mark.parametrize("method, guard", [("subgroup", "subgroup of order 200000 for n=21600001"),
+                                           ("korobov", "korobov search for d=100000, n=21600001")],
+                         ids=["subgroup", "korobov"])
+def test_construct_checks_the_census_limits_before_the_vector(monkeypatch, no_numpy, first_work, capsys, method, guard):
     # the same pair: above the l2 limit construct refuses after the method's
-    # own argument checks but before its vector is listed or searched for;
-    # below it the vector is built
+    # own argument checks and size guard but before its vector is listed or
+    # searched for; below it the vector is built
     no_numpy("lattice_forge.lattice")
     no_numpy("lattice_forge.metrics")
     first_work(f"lattice_forge.cli.{'korobov_search' if method == 'korobov' else 'subgroup_generating_vector'}")
@@ -260,17 +262,12 @@ def test_construct_checks_the_census_limits_before_the_vector(no_numpy, first_wo
                    "need d*((n-1)//2)**2 < 2**63\n")
     with pytest.raises(AssertionError, match="scan started"):
         main(["construct", "--d", str(d), "--n", str(below), "--method", method])
-
-
-@pytest.mark.parametrize("method, what", [("subgroup", "subgroup of order 200000 for n=21600001"),
-                                          ("korobov", "korobov search for d=100000, n=21600001")])
-def test_construct_refuses_by_the_method_guard_before_the_census_limits(monkeypatch, capsys, method, what):
-    # with no memory at all, a request above the l2 limit still ends on the
-    # method's own size guard, as it did when the vector came first
+    # with no memory at all, the method's guard refuses first, as it did
+    # when the vector was built before the census limits were checked
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 0)
-    code, out, err = _run(capsys, "construct", "--d", "100000", "--n", "21600001", "--method", method)
+    code, out, err = _run(capsys, "construct", "--d", str(d), "--n", str(above), "--method", method)
     assert (code, out) == (4, "")
-    assert err.startswith(f"error: {what} needs ")
+    assert err.startswith(f"error: {guard} needs ")
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])
