@@ -21,7 +21,8 @@ straight into it). Blocks hold a multiple of 64 rows, and a final block
 of one row joins the block before it, so every per-point value equals
 what the same formula gives on the whole matrix, bit for bit (on the
 OpenBLAS kernels ``_replicate`` names). A method's runs go in chunks of
-at most d runs, so their values take no more memory than one n x d set.
+at most d runs, so their values take no more memory than one n x d set;
+when a lattice is streamed, a chunk may instead fill ``_CHUNK_VALUES``.
 The shift fold ``_add_mod1`` works in row blocks of about ``_BLOCK``
 elements too.
 
@@ -58,6 +59,12 @@ __all__ = [
 # cache; of 2**14 .. 2**17, 2**15 was fastest on the sweep benchmark's
 # sizes (n 1e3 .. 1.5e5, d 16 .. 64).
 _BLOCK = 1 << 15
+
+# Values (8 MiB) that one chunk of a lattice's runs may hold when d runs
+# hold fewer. Each chunk writes the lattice's residues again: in chunks of
+# d runs, d = 1, n = 65537 and 40 runs took about 40% longer than with the
+# residues written once. Below n = 2**16 a chunk now holds at least 16 runs.
+_CHUNK_VALUES = 1 << 20
 
 
 class LatticePointSet:
@@ -321,7 +328,9 @@ def _replicate(
     No point set is written whole, and no lattice's residues either. Each
     lattice comes from ``generate``, which holds only its vector; its
     ``points`` are never read. A method's runs go in chunks of at most d
-    runs, whose (chunk, n) values fit in the n x d floats of one point set.
+    runs, whose (chunk, n) values fit in the n x d floats of one point set,
+    or, when a lattice is streamed, of as many runs as ``_CHUNK_VALUES``
+    values hold, if that is more.
     Within a chunk, block by block, ``_residue_blocks`` writes a lattice's
     residue rows into its tile and they are divided by n into one reused
     base tile, the same floats as ``points``. Run by run, the base tile is
@@ -363,8 +372,8 @@ def _replicate(
         n, d = _mc_shape(n, d)
     block = _block_rows(d)
     tile_rows = min(n, block + 1)
-    chunk = min(runs, d)
     lattice = any(m != "mc" for m in methods)
+    chunk = min(runs, max(d, _CHUNK_VALUES // n) if lattice else d)
     folds = "mc" in methods or (lattice and shifted)  # a tile that runs write
     tiles = folds + lattice + (lattice and shifted)  # that tile, the base tile, the fold's scratch
     need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)

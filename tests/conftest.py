@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lattice_forge import exceptions
+from lattice_forge import exceptions, pointset
 from lattice_forge.exceptions import SizeLimitError
 from lattice_forge.lattice import korobov_search, subgroup_generating_vector
 from lattice_forge.numtheory import is_prime
@@ -127,18 +127,21 @@ def stream_order():
     indices into ``lengths``, the row counts of ``_replicate``'s calls.
 
     It decodes the documented call order: method by method, then chunk by
-    chunk (at most d runs each), then block by block, then run by run inside
-    a chunk; an unshifted lattice block is one call for its whole chunk.
+    chunk (at most d runs each, or when a lattice is streamed as many as
+    ``pointset._CHUNK_VALUES`` values hold, if that is more), then block by
+    block, then run by run inside a chunk; an unshifted lattice block is one
+    call for its whole chunk.
     """
 
     def order(lengths, d, n, methods, runs, shifted=True):
         calls = iter(enumerate(lengths))
+        size = min(runs, max(d, pointset._CHUNK_VALUES // n) if set(methods) - {"mc"} else d)
         out = {}
         for method in methods:
             per_run = method == "mc" or shifted
             out[method] = []
-            for first in range(0, runs, min(runs, d)):
-                chunk = [[] for _ in range(min(d, runs - first))]
+            for first in range(0, runs, size):
+                chunk = [[] for _ in range(min(size, runs - first))]
                 rows = 0
                 while rows < n:
                     block = [next(calls) for _ in (chunk if per_run else chunk[:1])]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lattice_forge import exceptions
+from lattice_forge import exceptions, pointset
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
@@ -452,18 +452,35 @@ def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, strea
     assert len(set(addresses)) == (1 if shifted else 2)
 
 
-@pytest.mark.parametrize("shifted", [True, False])
-def test_replicate_chunks_runs_past_d(reference_sets, stream_order, shifted):
-    # 5 runs at d = 2 go in chunks of 2, 2 and 1 runs; each run still
-    # streams its own set's bytes
+def _check_chunks(reference_sets, stream_order, shifted, chunks):
+    # 5 runs at d = 2 in ``chunks`` chunks; each run still streams its own
+    # set's bytes, and an unshifted lattice block is computed once per
+    # chunk, not once per run
     d, n, runs = 2, 101, 5
     sets, vals, means, blocks, _ = _streamed_sets(stream_order, d, n, _METHODS, runs, 4, shifted)
     for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 4, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
             assert means[method][r] == float(vals[method][r].mean()), (method, r)
-    # an unshifted lattice block is computed once per chunk, not once per run
-    assert len(blocks) == (3 * runs if shifted else runs + 2 * 3)
+    assert len(blocks) == (3 * runs if shifted else runs + 2 * chunks)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_replicate_chunks_runs_past_d(monkeypatch, reference_sets, stream_order, shifted):
+    # with no value budget, 5 runs at d = 2 go in chunks of 2, 2 and 1 runs
+    monkeypatch.setattr(pointset, "_CHUNK_VALUES", 0)
+    _check_chunks(reference_sets, stream_order, shifted, 3)
+
+
+@pytest.mark.parametrize("budget, chunks", [(303, 2), (pointset._CHUNK_VALUES, 1)], ids=["chunks-of-3", "default"])
+@pytest.mark.parametrize("shifted", [True, False])
+def test_replicate_chunks_a_lattice_by_its_value_budget(monkeypatch, reference_sets, stream_order, shifted,
+                                                        budget, chunks):
+    # with a lattice streamed, a chunk holds as many runs as the budget's
+    # values do when that is more than d: 303 // 101 = 3 runs, then 2; by
+    # default all 5 runs in one chunk, so each residue block is written once
+    monkeypatch.setattr(pointset, "_CHUNK_VALUES", budget)
+    _check_chunks(reference_sets, stream_order, shifted, chunks)
 
 
 def test_replicate_holds_less_than_a_float_base():
@@ -511,6 +528,22 @@ def test_replicate_holds_the_values_of_at_most_d_runs():
     assert peak < 8 * (d + 1) * n
 
 
+def test_replicate_holds_a_lattice_chunk_of_its_value_budget():
+    # 40 subgroup runs at d = 1, n = 65537 go in chunks of 2**20 // n = 15
+    # runs: 8 * 15 * n bytes of values beside tiles of R + 1 rows (at most
+    # 80 bytes per tile element with one block's values), not the 8 * 40 * n
+    # of every run's values at once
+    d, n, runs = 1, 65537, 40
+    _replicate(d, 13, ("subgroup",), lambda X: X.sum(1), runs=1, seed_source=0)
+    tracemalloc.start()
+    try:
+        _replicate(d, n, ("subgroup",), lambda X: X.sum(1), runs=runs, seed_source=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * 15 * n < peak < 8 * 15 * n + 80 * (_block_rows(d) + 1) * d
+
+
 def test_replicate_is_a_plain_call():
     # a call that runs the whole stream, so a wrapper around _replicate (a
     # profiler's, say) times the stream; a generator's call would return
@@ -555,8 +588,12 @@ def test_replicate_checks_arguments_before_its_guard(monkeypatch, first_work):
         ("subgroup", 786433, 65536, 1, False, 8 * 786433 + (8 + 20) * 65 * 65536),
         # the writer's tile, step and scratch are int64 from n = 2**31
         ("subgroup", 2147483659, 1, 1, True, 8 * 2147483659 + (24 + 32) * 32769),
+        # a lattice's 40 runs past d = 1 go in chunks of the 2**20 values
+        # budget: 2**20 // 65537 = 15 runs of n = 65537
+        ("subgroup", 65537, 1, 40, True, 8 * 15 * 65537 + (24 + 20) * 32769),
     ],
-    ids=["values", "runs-past-d", "tile", "residue-tile", "korobov", "wide", "wide-no-shift", "int64-tile"],
+    ids=["values", "runs-past-d", "tile", "residue-tile", "korobov", "wide", "wide-no-shift", "int64-tile",
+         "lattice-value-budget"],
 )
 def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, first_work, method, n, d, runs, shifted, need):
     # the chunk's values plus every tile, checked before any array is
