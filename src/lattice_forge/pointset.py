@@ -63,7 +63,7 @@ _BLOCK = 1 << 15
 # Values (8 MiB) that one chunk of a lattice's runs may hold when d runs
 # hold fewer. Each chunk writes the lattice's residues again: in chunks of
 # d runs, d = 1, n = 65537 and 40 runs took about 40% longer than with the
-# residues written once. Below n = 2**16 a chunk now holds at least 16 runs.
+# residues written once. Below n = 2**16 such a chunk holds at least 16 runs.
 _CHUNK_VALUES = 1 << 20
 
 
