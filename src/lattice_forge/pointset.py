@@ -373,7 +373,7 @@ def _replicate(
     block = _block_rows(d)
     tile_rows = min(n, block + 1)
     lattice = any(m != "mc" for m in methods)
-    chunk = min(runs, max(d, _CHUNK_VALUES // n) if lattice else d)
+    chunk = min(runs, max(d, _CHUNK_VALUES // n))
     folds = "mc" in methods or (lattice and shifted)  # a tile that runs write
     tiles = folds + lattice + (lattice and shifted)  # that tile, the base tile, the fold's scratch
     need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
@@ -388,8 +388,9 @@ def _replicate(
 
     means = {method: [] for method in methods}
     for method in methods:
-        for first in range(0, runs, chunk):
-            vals = buf[:min(chunk, runs - first)]
+        sets = runs if shifted or method == "mc" else 1  # an unshifted lattice is one set
+        for first in range(0, sets, chunk):
+            vals = buf[:min(chunk, sets - first)]
             rngs = [np.random.default_rng(s) for s in seeds[method][first:first + len(vals)]]
             if method == "mc":
                 for rows in _spans(n, block):
@@ -397,13 +398,11 @@ def _replicate(
                     for r, rng in enumerate(rngs):
                         vals[r, rows] = values(rng.random((h, d), out=tile[:h]))
             else:
-                deltas = [rng.random(d) for rng in rngs] if shifted else []
+                deltas = [rng.random(d) if shifted else None for rng in rngs]
                 for rows, residues in _residue_blocks(lattices[method]._vector.as_array(), n, block):
                     points = np.divide(residues, scale, out=base[:len(residues)])
-                    if shifted:
-                        for r, delta in enumerate(deltas):
-                            vals[r, rows] = values(_fold(points, delta, tile, whole))
-                    else:  # every run sees the same block
-                        vals[:, rows] = values(points)
+                    for r, delta in enumerate(deltas):
+                        vals[r, rows] = values(_fold(points, delta, tile, whole) if shifted else points)
             means[method] += [float(row.mean()) for row in vals]
+        means[method] *= runs // sets
     return means

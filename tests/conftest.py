@@ -127,30 +127,30 @@ def stream_order():
     indices into ``lengths``, the row counts of ``_replicate``'s calls.
 
     It decodes the documented call order: method by method, then chunk by
-    chunk (at most d runs each, or when a lattice is streamed as many as
-    ``pointset._CHUNK_VALUES`` values hold, if that is more), then block by
-    block, then run by run inside a chunk; an unshifted lattice block is one
-    call for its whole chunk.
+    chunk (min(runs, max(d, ``pointset._CHUNK_VALUES`` // n)) runs each),
+    then block by block, then run by run inside a chunk. An unshifted
+    lattice is one set, passed once and repeated for every run.
     """
 
     def order(lengths, d, n, methods, runs, shifted=True):
         calls = iter(enumerate(lengths))
-        size = min(runs, max(d, pointset._CHUNK_VALUES // n) if set(methods) - {"mc"} else d)
+        size = min(runs, max(d, pointset._CHUNK_VALUES // n))
         out = {}
         for method in methods:
-            per_run = method == "mc" or shifted
+            sets = runs if shifted or method == "mc" else 1
             out[method] = []
-            for first in range(0, runs, size):
-                chunk = [[] for _ in range(min(size, runs - first))]
+            for first in range(0, sets, size):
+                chunk = [[] for _ in range(min(size, sets - first))]
                 rows = 0
                 while rows < n:
-                    block = [next(calls) for _ in (chunk if per_run else chunk[:1])]
+                    block = [next(calls) for _ in chunk]
                     assert len({h for _, h in block}) == 1, (method, first, rows)
-                    for r, run in enumerate(chunk):
-                        run.append(block[r if per_run else 0][0])
+                    for run, (k, _) in zip(chunk, block):
+                        run.append(k)
                     rows += block[0][1]
                 assert rows == n, (method, first)
                 out[method] += chunk
+            out[method] *= runs // sets
         assert next(calls, None) is None, "calls left over"
         return out
 

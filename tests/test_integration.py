@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lattice_forge import integration as integ
+from lattice_forge import pointset
 from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
 from lattice_forge.pointset import LatticePointSet, _replicate, generate, mc_points, random_shift
@@ -283,14 +284,17 @@ def test_integration_benchmark_rows_and_determinism():
         )
 
 
-def test_integration_benchmark_unshifted_is_deterministic_per_run():
-    rows = integ.run_integration_benchmark(
-        1, 3, runs=2, seed=0, methods=("subgroup",), shifted=False
-    )
-    # forced zero shift: every run evaluates the raw lattice {0, 1/3, 2/3}
+def test_integration_benchmark_unshifted_is_deterministic_per_run(monkeypatch):
+    # forced zero shift: every run evaluates the raw lattice {0, 1/3, 2/3},
+    # and with no value budget its 5 runs go past the chunk of d = 1 runs
+    monkeypatch.setattr(pointset, "_CHUNK_VALUES", 0)
+    one = integ.run_integration_benchmark(1, 3, runs=1, seed=0, methods=("subgroup",), shifted=False)
+    rows = integ.run_integration_benchmark(1, 3, runs=5, seed=0, methods=("subgroup",), shifted=False)
     expect = (1 + math.exp(1 / 3) + math.exp(2 / 3)) / 3
-    for r in rows:
-        assert r["estimate"] == pytest.approx(expect, rel=1e-15)
+    assert one[0]["estimate"] == pytest.approx(expect, rel=1e-15)
+    for r, row in enumerate(rows):
+        assert row["run"] == r
+        assert repr({**row, "run": 0}) == repr(one[0]), r
 
 
 def test_boltzmann_benchmark_shapes():

@@ -2,6 +2,7 @@
 
 import inspect
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -452,35 +453,62 @@ def test_replicate_reuses_one_buffer_with_fresh_set_values(reference_sets, strea
     assert len(set(addresses)) == (1 if shifted else 2)
 
 
-def _check_chunks(reference_sets, stream_order, shifted, chunks):
-    # 5 runs at d = 2 in ``chunks`` chunks; each run still streams its own
-    # set's bytes, and an unshifted lattice block is computed once per
-    # chunk, not once per run
+def _check_chunks(monkeypatch, reference_sets, stream_order, shifted, chunks):
+    # 5 runs at d = 2, n = 101 in ``chunks`` chunks, in blocks of 64 and 37
+    # rows, so the call lengths show the chunks: a chunk's runs pass their
+    # 64-row blocks, then their 37-row blocks. Each run still streams its
+    # own set's bytes, every method chunks its runs alike, and an unshifted
+    # lattice is one set, passed once whatever the chunks
+    monkeypatch.setattr(pointset, "_BLOCK", 128)
     d, n, runs = 2, 101, 5
     sets, vals, means, blocks, _ = _streamed_sets(stream_order, d, n, _METHODS, runs, 4, shifted)
     for method in _METHODS:
         for r, expect in enumerate(reference_sets(d, n, method, runs, 4, shifted)):
             assert sets[method][r].tobytes() == expect.tobytes(), (method, r)
             assert means[method][r] == float(vals[method][r].mean()), (method, r)
-    assert len(blocks) == (3 * runs if shifted else runs + 2 * chunks)
+    lengths = [len(b) for b in blocks]
+    assert len(lengths) == 2 * (3 * runs if shifted else runs + 2)
+    assert len(list(itertools.groupby(lengths))) == 2 * (3 * chunks if shifted else chunks + 2)
 
 
 @pytest.mark.parametrize("shifted", [True, False])
 def test_replicate_chunks_runs_past_d(monkeypatch, reference_sets, stream_order, shifted):
     # with no value budget, 5 runs at d = 2 go in chunks of 2, 2 and 1 runs
     monkeypatch.setattr(pointset, "_CHUNK_VALUES", 0)
-    _check_chunks(reference_sets, stream_order, shifted, 3)
+    _check_chunks(monkeypatch, reference_sets, stream_order, shifted, 3)
 
 
 @pytest.mark.parametrize("budget, chunks", [(303, 2), (pointset._CHUNK_VALUES, 1)], ids=["chunks-of-3", "default"])
 @pytest.mark.parametrize("shifted", [True, False])
 def test_replicate_chunks_a_lattice_by_its_value_budget(monkeypatch, reference_sets, stream_order, shifted,
                                                         budget, chunks):
-    # with a lattice streamed, a chunk holds as many runs as the budget's
-    # values do when that is more than d: 303 // 101 = 3 runs, then 2; by
-    # default all 5 runs in one chunk, so each residue block is written once
+    # every method's chunk holds as many runs as the budget's values do
+    # when that is more than d: 303 // 101 = 3 runs, then 2; by default all
+    # 5 runs in one chunk, so each residue block is written once
     monkeypatch.setattr(pointset, "_CHUNK_VALUES", budget)
-    _check_chunks(reference_sets, stream_order, shifted, chunks)
+    _check_chunks(monkeypatch, reference_sets, stream_order, shifted, chunks)
+
+
+def test_replicate_streams_an_unshifted_lattice_once(monkeypatch, reference_sets):
+    # past the chunk of d runs, each unshifted lattice is still one set,
+    # passed once block by block, and every run gets its mean; MC in the
+    # same request streams each run's own sample, in chunks of d runs
+    monkeypatch.setattr(pointset, "_CHUNK_VALUES", 0)
+    monkeypatch.setattr(pointset, "_BLOCK", 128)  # blocks of 64 and 37 rows
+    d, n, runs = 2, 101, 5
+    lengths = []
+
+    def values(X):
+        lengths.append(len(X))
+        return X.sum(1)
+
+    means = _replicate(d, n, _METHODS, values, runs=runs, seed_source=4, shifted=False)
+    assert lengths == [64, 37] + [64, 37] + [64, 64, 37, 37] * 2 + [64, 37]
+    for method in ("subgroup", "korobov"):
+        base = next(reference_sets(d, n, method, 1, 4, shifted=False))
+        assert means[method] == [float(base.sum(1).mean())] * runs, method
+    for r, expect in enumerate(reference_sets(d, n, "mc", runs, 4)):
+        assert means["mc"][r] == float(expect.sum(1).mean()), r
 
 
 def test_replicate_holds_less_than_a_float_base():
@@ -512,36 +540,27 @@ def test_points_first_read_holds_one_residue_tile():
     assert 8 * n * d < peak < 9 * n * d
 
 
-def test_replicate_holds_the_values_of_at_most_d_runs():
-    # 50 MC runs at d = 2 go in 25 chunks of 2 runs, so their values take
-    # 8 * 2 * n bytes beside tiles of R + 1 rows, not the 8 * 50 * n of
-    # every run's values at once
-    d, n, runs = 2, 200003, 50
+@pytest.mark.parametrize("method", ["mc", "subgroup"])
+@pytest.mark.parametrize(
+    "d, n, runs, held",
+    [(1, 65537, 40, 15), (2, 1000033, 8, 2)],
+    ids=["budget", "d-runs"],
+)
+def test_replicate_holds_a_chunk_of_its_value_budget(method, d, n, runs, held):
+    # every method holds the values of one chunk of min(runs, max(d,
+    # 2**20 // n)) runs beside tiles of R + 1 rows (at most 80 bytes per tile
+    # element with one block's values), not the 8 * runs * n of every run's
+    # values at once: 2**20 // 65537 = 15 runs at d = 1; past n = 2**20 / d,
+    # d runs
     # a process's first call imports numpy.random, which numpy loads lazily
-    _replicate(d, 1, ("mc",), lambda X: X.sum(1), runs=1, seed_source=0)
+    _replicate(d, 13, (method,), lambda X: X.sum(1), runs=1, seed_source=0)
     tracemalloc.start()
     try:
-        _replicate(d, n, ("mc",), lambda X: X.sum(1), runs=runs, seed_source=0)
+        _replicate(d, n, (method,), lambda X: X.sum(1), runs=runs, seed_source=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (d + 1) * n
-
-
-def test_replicate_holds_a_lattice_chunk_of_its_value_budget():
-    # 40 subgroup runs at d = 1, n = 65537 go in chunks of 2**20 // n = 15
-    # runs: 8 * 15 * n bytes of values beside tiles of R + 1 rows (at most
-    # 80 bytes per tile element with one block's values), not the 8 * 40 * n
-    # of every run's values at once
-    d, n, runs = 1, 65537, 40
-    _replicate(d, 13, ("subgroup",), lambda X: X.sum(1), runs=1, seed_source=0)
-    tracemalloc.start()
-    try:
-        _replicate(d, n, ("subgroup",), lambda X: X.sum(1), runs=runs, seed_source=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 8 * 15 * n < peak < 8 * 15 * n + 80 * (_block_rows(d) + 1) * d
+    assert 8 * held * n < peak < 8 * held * n + 80 * (_block_rows(d) + 1) * d
 
 
 def test_replicate_is_a_plain_call():
