@@ -4,27 +4,22 @@ Lattice points are x_i = (i * z mod n) / n. A rank-1 lattice is defined
 by its vector z and n alone, so ``generate`` holds only z, and no n x d
 array of residues exists anywhere. ``_residue_blocks`` writes the exact
 residues i * z_j mod n block by block into one reused tile (int32 when
-n < 2**31, int64 otherwise): the first block's residues r * z mod n come
-from ``%``; each later block is the one before plus the row R * z mod n,
-with no integer division: a sum of two residues lies in [0, 2n), so one
-branch-free subtraction of n where needed reduces it exactly. A residue
-converts to float64 exactly, so dividing it by n gives the correctly
-rounded value of the exact rational i*z_j mod n / n.
+n < 2**31, int64 otherwise), with no integer division past the first
+block. A residue converts to float64 exactly, so dividing it by n gives
+the correctly rounded value of the exact rational i*z_j mod n / n.
 
 Two users divide the writer's blocks by n: the first read of ``points``
 writes them into the n x d float array, and the benchmark drivers'
 stream, ``_replicate``, into one reused base tile. ``_replicate`` feeds
-each shifted or MC set through the integrand in those row blocks and
-returns each run's mean of the per-point values. It folds each run's
-shift from the base tile into another tile (or draws the MC sample
-straight into it). Blocks hold a multiple of 64 rows, and a final block
-of one row joins the block before it, so every per-point value equals
-what the same formula gives on the whole matrix, bit for bit (on the
-OpenBLAS kernels ``_replicate`` names). A method's runs go in chunks of
-at most d runs, so their values take no more memory than one n x d set;
-when a lattice is streamed, a chunk may instead fill ``_CHUNK_VALUES``.
-The shift fold ``_add_mod1`` works in row blocks of about ``_BLOCK``
-elements too.
+each run's set through the integrand in those row blocks and returns
+each run's mean of the per-point values: a shifted run folds its shift
+from the base tile into another tile, and an MC run draws its sample
+straight into it. Every method streams its runs in chunks of
+min(runs, max(d, ``_CHUNK_VALUES`` // n)) runs; an unshifted lattice is
+one set, passed once. Blocks hold a multiple of 64 rows, and a final
+block of one row joins the block before it, so every per-point value
+equals what the same formula gives on the whole matrix, bit for bit (on
+the OpenBLAS kernels ``_replicate`` names).
 
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
@@ -60,10 +55,12 @@ __all__ = [
 # sizes (n 1e3 .. 1.5e5, d 16 .. 64).
 _BLOCK = 1 << 15
 
-# Values (8 MiB) that one chunk of a lattice's runs may hold when d runs
-# hold fewer. Each chunk writes the lattice's residues again: in chunks of
-# d runs, d = 1, n = 65537 and 40 runs took about 40% longer than with the
-# residues written once. Below n = 2**16 such a chunk holds at least 16 runs.
+# Values (8 MiB) that one chunk of runs may hold when d runs hold fewer:
+# every method streams its runs in chunks of min(runs, max(d,
+# _CHUNK_VALUES // n)), and an unshifted lattice is one set, passed once.
+# Each chunk of shifted runs writes the lattice's residues again: in chunks
+# of d runs, d = 1, n = 65537 and 40 runs took about 40% longer than with
+# the residues written once.
 _CHUNK_VALUES = 1 << 20
 
 
@@ -321,34 +318,32 @@ def _replicate(
     ``_SEED_COLUMNS``. ``values`` maps an (m, d) block of a set to its (m,)
     float64 values; run r's mean ``means[method][r]`` is ``float(row.mean())``
     of its (n,) row of values, the same pairwise sum as on one array.
+
+    Every method streams its runs in chunks of min(runs, max(d,
+    ``_CHUNK_VALUES`` // n)) runs, whose values fit in one n x d set or in
+    ``_CHUNK_VALUES``. An unshifted lattice is one set, passed once: it
+    streams as one chunk of one run, and every run gets its mean.
     ``values`` is called method by method, then chunk by chunk, then block
-    by block, then run by run inside a chunk; an unshifted lattice block is
-    passed once for its whole chunk.
+    by block, then run by run inside a chunk.
 
     No point set is written whole, and no lattice's residues either. Each
     lattice comes from ``generate``, which holds only its vector; its
-    ``points`` are never read. A method's runs go in chunks of at most d
-    runs, whose (chunk, n) values fit in the n x d floats of one point set,
-    or, when a lattice is streamed, of as many runs as ``_CHUNK_VALUES``
-    values hold, if that is more.
-    Within a chunk, block by block, ``_residue_blocks`` writes a lattice's
-    residue rows into its tile and they are divided by n into one reused
-    base tile, the same floats as ``points``. Run by run, the base tile is
-    folded with the run's shift into a second reused tile (``_fold``, as in
-    ``_add_mod1``), or one generator per MC run draws the block into it
-    (PCG64 fills in order, so the blocks concatenate to ``mc_points``'
-    draws), and ``values(tile)`` gives the block's values; unshifted runs
-    all get ``values`` of the base tile at once. Runs are the inner loop,
-    so each residue block is written once per chunk.
+    ``points`` are never read. Block by block, ``_residue_blocks`` writes a
+    lattice's residues into its tile, and they are divided by n into one
+    reused base tile, the same floats as ``points``. Run by run, the base
+    tile is folded with the run's shift into a second reused tile
+    (``_fold``, as in ``_add_mod1``), or one generator per MC run draws the
+    block into it (PCG64 fills in order, so the blocks concatenate to
+    ``mc_points``' draws). Runs are the inner loop, so each residue block
+    is written once per chunk.
 
-    Blocks hold R = ``_block_rows(d)`` rows: ``_BLOCK`` // d rounded down
-    to a multiple of 64, at least 64. A last block of one row joins the
-    block before it, so the tiles hold R + 1 rows. The reason is bit
-    identity: a BLAS
-    matrix-vector product works on groups of rows, so blocks of a multiple
-    of 64 rows, plus the matrix's own tail, give each row the same value
-    as the product over the whole matrix; a product of one row takes a dot
-    product path instead and may differ in the last bit. Of OpenBLAS
+    Blocks hold R = ``_block_rows(d)`` rows, a multiple of 64, and a last
+    block of one row joins the block before it, so the tiles hold R + 1
+    rows. The reason is bit identity: a BLAS matrix-vector product works
+    on groups of rows, so blocks of a multiple of 64 rows, plus the
+    matrix's own tail, give each row the same value as the product over
+    the whole matrix; a product of one row takes a dot product path
+    instead and may differ in the last bit. Of OpenBLAS
     0.3.31's kernels, Haswell, SkylakeX and Zen give every row this bit
     identity; Sandybridge, Nehalem and Prescott give a few lattice rows of
     a whole-matrix product a different last bit, a platform difference,
@@ -376,6 +371,7 @@ def _replicate(
     chunk = min(runs, max(d, _CHUNK_VALUES // n))
     folds = "mc" in methods or (lattice and shifted)  # a tile that runs write
     tiles = folds + lattice + (lattice and shifted)  # that tile, the base tile, the fold's scratch
+    # a whole chunk is counted, although an unshifted lattice fills one row
     need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
     _require_memory(need, f"point values for d={d}, n={n}, runs={runs}")
     if "korobov" in methods:
