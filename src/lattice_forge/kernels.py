@@ -10,10 +10,12 @@ average over a point set (lattice or MC) gives an explicit feature map
 whose Gram matrix approximates K. Gaussian kernels use paired cos/sin
 features; arc-cosine kernels of order 0/1 use step/relu features.
 
-Frequencies come from the normal quantile (``scipy.special.ndtri``)
-applied to the point set, so a randomly shifted lattice yields
-structured (low-discrepancy) spectral samples, and plain MC points
-recover classical random Fourier features.
+Frequencies come from the normal quantile applied to the point set, so a
+randomly shifted lattice yields structured (low-discrepancy) spectral
+samples, and plain MC points recover classical random Fourier features.
+The quantile is ``_ndtri``, a numpy port of Cephes ``ndtri`` (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), the algorithm
+``scipy.special.ndtri`` compiles, with the same bits on the clamped range.
 
 Data matrices are read with ``pointset.load_csv``.
 """
@@ -46,6 +48,23 @@ _FAMILIES = ("gaussian", "arccos0", "arccos1")
 # quantile stays finite even if a coordinate lands exactly on 0.
 _EPS_CLAMP = 1e-10
 
+# Cephes ``ndtri``'s constants: exp(-2), which splits the central part from
+# the tails, sqrt(2 pi), and the rational functions' coefficients, highest
+# power first. Each Q has the leading 1 that Cephes's ``p1evl`` implies.
+_E2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
 # ``synthetic_data`` mixture: component count, spread of the component
 # means, and spread of the points around their mean.
 _COMPONENTS = 10
@@ -53,8 +72,17 @@ _MEAN_STD = 6.0
 _POINT_STD = 1.0
 
 # Per family: the bytes per (sample, point) pair that ``feature_map`` holds
-# at its peak, next to K
-_FEATURE_BYTES = {"gaussian": 40, "arccos0": 17, "arccos1": 24}
+# at its peak, next to K: the float projection, plus the cos/sin features
+# (16) or the step mask (1); the ReLU is taken in the projection itself
+_FEATURE_BYTES = {"gaussian": 24, "arccos0": 9, "arccos1": 8}
+
+# Bytes per point-set coordinate that the kernel benchmark holds at most:
+# the lattice's points, a run's shifted set and its clip (8 each), and
+# ``_ndtri``'s work on the clip. On a set of tail points that work peaks at
+# its second log: the result (8), the central mask (1), the tail indices,
+# their folded points and their roots (8 each), the upper mask (1), and the
+# log's list of floats (8 + 32) and output (8), 82 bytes in all.
+_POINT_BYTES = 106
 
 
 @dataclass(frozen=True)
@@ -156,6 +184,52 @@ def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.multiply(K, theta, out=K)
 
 
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule from ``coefs[0]``, in one buffer."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        np.add(np.multiply(out, x, out=out), c, out=out)
+    return out
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log; numpy's own SIMD log differs from it
+    # in the last bit for some arguments (about 6e-4 of those in [2, 6.8])
+    return np.fromiter(map(math.log, a.tolist()), np.float64, count=a.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each entry of ``y0``, bit for bit Cephes ``ndtri``.
+
+    A numpy port of the algorithm ``scipy.special.ndtri`` compiles, defined
+    on ``feature_map``'s clamp range [1e-10, 1 - 1e-10]. The central part
+    E2 < y <= 1 - E2 (E2 = exp(-2)) is a rational function of (y - 1/2)^2;
+    a tail point is folded to y' = min(y, 1 - y) < E2 (1 - (1 - E2) rounds
+    back to E2, so every folded point is a tail point) and is a rational
+    function of 1 / sqrt(-2 log y'). Cephes's third branch, for y' <
+    exp(-32) = 1.3e-14, lies past the clamp and is left out. Each branch
+    is evaluated on its own entries only.
+    """
+    y = y0.ravel()
+    x = np.empty_like(y)
+    central = (y > _E2) & (y <= 1.0 - _E2)
+    c = np.flatnonzero(central)
+    ym = y[c] - 0.5
+    y2 = ym * ym
+    x[c] = (ym + ym * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    del c, ym, y2  # the central part's arrays go before the tail's are made
+    t = np.flatnonzero(~central)
+    u = y[t]
+    upper = u > 0.5
+    np.subtract(1.0, u, out=u, where=upper)
+    r = np.sqrt(-2.0 * _log(u))
+    x0 = r - _log(r) / r
+    z = np.divide(1.0, r, out=r)
+    x0 -= z * _polevl(z, _P1) / _polevl(z, _Q1)
+    x[t] = np.where(upper, x0, -x0)
+    return x.reshape(y0.shape)
+
+
 def feature_map(
     data: np.ndarray, points: LatticePointSet, spec: KernelSpec
 ) -> np.ndarray:
@@ -190,21 +264,17 @@ def feature_map(
         raise DomainError(
             "point set contains the origin; apply random_shift before mapping"
         )
-    # imported here, not with the package: scipy.special takes about as
-    # long to import as the rest of lattice_forge, and only features use it
-    from scipy.special import ndtri
-
-    W = ndtri(np.clip(eps, _EPS_CLAMP, 1.0 - _EPS_CLAMP))
+    W = _ndtri(np.clip(eps, _EPS_CLAMP, 1.0 - _EPS_CLAMP))
     if spec.family == "gaussian":
         proj = X @ (W / spec.sigma).T
-        feats = np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(n)
-    else:
-        proj = X @ W.T
-        if spec.family == "arccos0":
-            feats = np.sqrt(2.0 / n) * (proj > 0.0)
-        else:
-            feats = np.sqrt(2.0 / n) * np.maximum(proj, 0.0)
-    return feats
+        feats = np.empty((N, 2 * n))
+        np.cos(proj, out=feats[:, :n])
+        np.sin(proj, out=feats[:, n:])
+        return np.divide(feats, np.sqrt(n), out=feats)
+    proj = X @ W.T
+    if spec.family == "arccos0":
+        return np.multiply(np.sqrt(2.0 / n), proj > 0.0, out=proj)
+    return np.multiply(np.sqrt(2.0 / n), np.maximum(proj, 0.0, out=proj), out=proj)
 
 
 def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
@@ -219,13 +289,22 @@ def gram_errors(exact: np.ndarray, approx: np.ndarray) -> GramErrors:
         raise DomainError(f"expected two equal square matrices, got {A.shape} and {B.shape}")
     N = A.shape[0]
     _require_memory(8 * N * N, f"Gram difference for N={N}")
-    denom_f = float(np.linalg.norm(A))
-    denom_m = float(np.abs(A).max())
+    norms = _reference_norms(A)
+    return _relative_errors(B - A, norms)
+
+
+def _reference_norms(exact: np.ndarray) -> tuple[float, float]:
+    """The error denominators: the Frobenius norm and the max |entry| of ``exact``."""
+    denom_f = float(np.linalg.norm(exact))
     if denom_f == 0.0:
         raise DomainError("reference Gram matrix is zero")
-    diff = B - A
-    rel_frobenius = float(np.linalg.norm(diff)) / denom_f
-    return GramErrors(rel_frobenius, float(np.abs(diff, out=diff).max()) / denom_m)
+    return denom_f, float(np.abs(exact).max())
+
+
+def _relative_errors(diff: np.ndarray, norms: tuple[float, float]) -> GramErrors:
+    """Errors from ``diff`` = approx - exact, which is overwritten."""
+    rel_frobenius = float(np.linalg.norm(diff)) / norms[0]
+    return GramErrors(rel_frobenius, float(np.abs(diff, out=diff).max()) / norms[1])
 
 
 def synthetic_data(n_samples: int, dim: int, seed: int) -> np.ndarray:
@@ -267,24 +346,25 @@ def run_kernel_benchmark(
     """
     X = np.asarray(data, dtype=np.float64)
     N, d = X.shape if X.ndim == 2 else (0, 0)
-    # three N x N arrays (exact_gram's work, or a run's K, G and diff) or K
-    # beside the features, whichever is more; the point sets add at most 32
-    # bytes per coordinate: the lattice's points (8) and, while they are
-    # built, one residue tile (at most 24), or later one run's shifted set,
-    # its clip and the normal quantiles (8 each)
-    per_sample = max(24 * N, 8 * N + _FEATURE_BYTES[spec.family] * n)
-    _require_memory(N * per_sample + 32 * n * d, f"kernel benchmark for N={N}, n={n}")
+    # beside K, whichever weighs most: the order-1 arc-cosine exact Gram's
+    # two more N x N arrays, the features being built, or a run's features F
+    # and its Gram G = F @ F.T, in which the difference to K is formed; the
+    # point sets add _POINT_BYTES per coordinate
+    width = 2 if spec.family == "gaussian" else 1  # features per point
+    beside_k = max(16 * N if spec.family == "arccos1" else 0, _FEATURE_BYTES[spec.family] * n,
+                   8 * N + 8 * width * n)
+    _require_memory(N * (8 * N + beside_k) + _POINT_BYTES * n * d, f"kernel benchmark for N={N}, n={n}")
     with np.errstate(all="ignore"):
         K = exact_gram(X, spec)  # also rejects data that is not (N, d)
     if not np.isfinite(K).all():
         raise DomainError("the exact Gram matrix is not finite; rescale the data")
+    norms = _reference_norms(K)
 
     def score(ps: LatticePointSet) -> dict:
         # a run's arrays are freed on return, before the next run's features
         F = feature_map(X, ps, spec)
         G = F @ F.T
-        del F  # free the features before gram_errors allocates its N x N difference
-        errs = gram_errors(K, G)
+        errs = _relative_errors(np.subtract(G, K, out=G), norms)  # gram_errors(K, G), in place
         return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
     # its own two columns: the rows are pinned to this (runs, 2) seed matrix

@@ -352,8 +352,9 @@ def _replicate(
     one-row block unless n = 1.
 
     Raises ``SizeLimitError`` before allocating, and before any Korobov
-    search, when a chunk's values plus every tile exceed physical memory:
-    the fold or MC tile, and when a lattice is streamed its base tile, the
+    search, when a chunk's values (one set's, when every method is an
+    unshifted lattice) plus every tile exceed physical memory: the fold or
+    MC tile, and when a lattice is streamed its base tile, the
     fold's scratch (shifted runs) and the residue writer's tiles. The
     methods' argument checks (``AdmissibilityError`` among them) run first.
     """
@@ -371,12 +372,12 @@ def _replicate(
     chunk = min(runs, max(d, _CHUNK_VALUES // n))
     folds = "mc" in methods or (lattice and shifted)  # a tile that runs write
     tiles = folds + lattice + (lattice and shifted)  # that tile, the base tile, the fold's scratch
-    # a whole chunk is counted, although an unshifted lattice fills one row
-    need = 8 * chunk * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
+    rows = chunk if folds else 1  # unshifted lattices alone stream one set each
+    need = 8 * rows * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
     _require_memory(need, f"point values for d={d}, n={n}, runs={runs}")
     if "korobov" in methods:
         lattices["korobov"] = generate(_korobov_search(d, n, p).vector)
-    buf = np.empty((chunk, n))
+    buf = np.empty((rows, n))
     tile = np.empty((tile_rows, d)) if folds else None
     whole = np.empty((tile_rows, d)) if lattice and shifted else None
     base = np.empty((tile_rows, d)) if lattice else None

@@ -1,6 +1,6 @@
 """The package surface: the namespace re-exports exactly the library
-modules' public names, dropped names stay dropped, and importing it
-leaves scipy unloaded."""
+modules' public names, dropped names stay dropped, and no subcommand
+loads scipy."""
 
 import dataclasses
 import importlib
@@ -58,17 +58,27 @@ def test_results_hold_no_echo_fields():
         assert {f.name for f in dataclasses.fields(cls)} == names, cls
 
 
-def test_scipy_is_loaded_only_for_features():
+def test_no_subcommand_loads_scipy():
     # scipy.special costs about as much to import as the rest of the
-    # package; only kernels.feature_map needs it
+    # package; the normal quantile is the package's own port of it, so no
+    # subcommand imports scipy, and kernel runs with scipy unimportable
+    argvs = [
+        "construct --d 50 --n 101", "admissible --d 3 --count 2", "integrate --d 4 --n 41 --runs 2",
+        "boltzmann --d 2 --n 41 --runs 2 --gt-samples 2000", "kernel --samples 30 --data-dim 4 --n 41 --runs 2",
+        "sphere --d 8 --n 13", "bench-timing --d 4 --n 41",
+    ]
     code = (
-        "import sys, lattice_forge, lattice_forge.cli\n"
+        "import sys, lattice_forge.cli\n"
         "assert 'scipy' not in sys.modules\n"
-        "code = lattice_forge.cli.main(['construct', '--d', '50', '--n', '101', '--deterministic'])\n"
-        "assert code == 0 and 'scipy' not in sys.modules\n"
-        "from lattice_forge import kernels as ker, pointset as ps\n"
-        "ker.feature_map([[1.0]], ps.mc_points(3, 1, seed=0), ker.KernelSpec())\n"
-        "assert 'scipy' in sys.modules\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert lattice_forge.cli.main([*argv.split(), '--deterministic']) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    blocked = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from lattice_forge.cli import main\n"
+        "raise SystemExit(main(['kernel', '--samples', '30', '--data-dim', '4', '--n', '41', '--runs', '2']))\n"
+    )
+    for child in (code, blocked):
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -139,9 +139,9 @@ _CAPPED_ROWS = [
                  id="out-of-memory", marks=pytest.mark.skipif(
                      _PHYSICAL is not None and _PHYSICAL < 8 * _OOM_N,
                      reason="the values guard refuses this request on a machine this small")),
-    # the exact Gram matrix of 200000 samples and a run's two more N x N arrays
+    # the exact Gram matrix of 200000 samples and a run's Gram matrix
     pytest.param("kernel --samples 200000 --data-dim 2 --n 5 --runs 1", 4,
-                 "error: kernel benchmark for N=200000, n=5 needs 894.1 GiB" + _MORE, 60, id="kernel"),
+                 "error: kernel benchmark for N=200000, n=5 needs 596.1 GiB" + _MORE, 60, id="kernel"),
     pytest.param(f"sphere --d 128 --n {_BIG_PRIME}", 4,
                  f"error: sphere frame for m=64, n={_BIG_PRIME} needs 2399.1 GiB" + _MORE, 60,
                  id="sphere-frame"),

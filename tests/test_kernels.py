@@ -2,7 +2,8 @@
 
 The normal quantile inside ``feature_map`` is checked against an
 independent bisection of the erf-based normal CDF, read back from
-arc-cosine order-1 features of the data rows +-e_j; the arc-cosine
+arc-cosine order-1 features of the data rows +-e_j, and ``_ndtri`` against
+``scipy.special.ndtri`` bit for bit when scipy is installed; the arc-cosine
 order-0 kernel is checked against a dense-grid Gaussian quadrature of the
 defining expectation; Gaussian feature Gram matrices are checked for the
 algebraic identities the cos/sin pairing guarantees.
@@ -18,6 +19,7 @@ from lattice_forge.exceptions import DomainError
 from lattice_forge.lattice import subgroup_generating_vector
 from lattice_forge.pointset import (
     LatticePointSet,
+    _seed_matrix,
     generate,
     load_csv,
     mc_points,
@@ -80,6 +82,26 @@ def test_feature_map_quantile_against_bisection_oracle():
 def test_feature_map_quantile_symmetry():
     u = np.array([[0.2, 0.4], [0.6, 0.8], [0.1, 0.9]])
     np.testing.assert_allclose(_frequencies(u), -_frequencies(1.0 - u), atol=1e-12)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    # the port runs Cephes's operations in Cephes's order, with the C
+    # library's log, so every clamped coordinate keeps scipy's bits: 10**6
+    # uniforms, both tails down to the clamp, and the branch edges
+    special = pytest.importorskip("scipy.special")
+    lo, hi = ker._EPS_CLAMP, 1.0 - ker._EPS_CLAMP
+    tails = np.geomspace(lo, ker._E2, 10**5)
+    edges = [lo, hi, 0.5]
+    for edge in (ker._E2, 1.0 - ker._E2):
+        below = above = edge
+        for _ in range(100):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            edges += [below, above]
+        edges.append(edge)
+    y = np.clip(np.concatenate([np.random.default_rng(11).random(10**6), tails, 1.0 - tails, edges]), lo, hi)
+    assert ker._ndtri(y).tobytes() == special.ndtri(y).tobytes()
+    grid = y[:1200].reshape(40, 30)  # any shape, as the clip of a point set
+    assert ker._ndtri(grid).tobytes() == special.ndtri(grid).tobytes()
 
 
 def test_feature_map_clamps_boundary_coordinates():
@@ -181,18 +203,19 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
 @pytest.mark.parametrize(
     "family, N, n, need",
     [
-        # three N x N float64 arrays for every family (a run's K, G and diff,
-        # or the order-1 arc-cosine exact Gram's in-place work), plus four
-        # 5 x 2 arrays
-        ("gaussian", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
-        ("arccos0", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
-        ("arccos1", 200_000, 5, 3 * 8 * 200_000**2 + 32 * 5 * 2),
-        # K with the features being built: a float projection, cos and sin,
-        # their concatenation and its scaled copy (40 bytes per sample and
-        # point), or a projection, its mask or ReLU and the scaled result
-        ("gaussian", 1000, 10**8, 8 * 1000**2 + 40 * 1000 * 10**8 + 32 * 10**8 * 2),
-        ("arccos0", 1000, 10**8, 8 * 1000**2 + 17 * 1000 * 10**8 + 32 * 10**8 * 2),
-        ("arccos1", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 32 * 10**8 * 2),
+        # a run's K and G (the difference is formed in G) beside its features,
+        # 2 or 1 per point, or the order-1 arc-cosine exact Gram's three N x N
+        # arrays; the point sets add 106 bytes per coordinate (5 x 2)
+        ("gaussian", 200_000, 5, 2 * 8 * 200_000**2 + 16 * 200_000 * 5 + 106 * 5 * 2),
+        ("arccos0", 200_000, 5, 2 * 8 * 200_000**2 + 8 * 200_000 * 5 + 106 * 5 * 2),
+        ("arccos1", 200_000, 5, 3 * 8 * 200_000**2 + 106 * 5 * 2),
+        # K with the features being built: a float projection beside the
+        # cos/sin features (24 bytes per sample and point) or its step mask
+        # (9); order-1 arc-cosine features are the projection, so K, F and G
+        # weigh most
+        ("gaussian", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 106 * 10**8 * 2),
+        ("arccos0", 1000, 10**8, 8 * 1000**2 + 9 * 1000 * 10**8 + 106 * 10**8 * 2),
+        ("arccos1", 1000, 10**8, 2 * 8 * 1000**2 + 8 * 1000 * 10**8 + 106 * 10**8 * 2),
     ],
     ids=[f"{f}-{part}" for part in ("gram", "features") for f in ("gaussian", "arccos0", "arccos1")],
 )
@@ -219,10 +242,10 @@ def test_exact_gram_memory_guard_threshold(no_numpy, guard_threshold, family, ar
                     f"^exact Gram for N=200000 needs {need / 2**30:.1f} GiB")
 
 
-@pytest.mark.parametrize("family, per_pair", [("gaussian", 40), ("arccos0", 17), ("arccos1", 24)])
+@pytest.mark.parametrize("family, per_pair", [("gaussian", 24), ("arccos0", 9), ("arccos1", 8)])
 def test_feature_map_memory_guard_threshold(no_numpy, guard_threshold, family, per_pair):
-    # the N x n projection and the features built from it, per (sample,
-    # point) pair, counted before the quantiles are taken
+    # the N x n projection and the cos/sin features or the step mask built
+    # beside it, per (sample, point) pair, counted before the quantiles are taken
     N, n = 10**9, 5
     data = np.broadcast_to(np.ones(2), (N, 2))
     points = LatticePointSet(np.full((n, 2), 0.5))
@@ -271,6 +294,29 @@ def test_arccos0_grid_quadrature_oracle():
 
 def _shifted_lattice(d, n, seed=0):
     return random_shift(generate(subgroup_generating_vector(d, n)), seed)
+
+
+def _textbook_features(X, ps, spec):
+    """Each family's features written out: concatenated, then scaled."""
+    W = ker._ndtri(np.clip(ps.points, ker._EPS_CLAMP, 1.0 - ker._EPS_CLAMP))
+    n = ps.n
+    if spec.family == "gaussian":
+        proj = X @ (W / spec.sigma).T
+        return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(n)
+    proj = X @ W.T
+    if spec.family == "arccos0":
+        return np.sqrt(2.0 / n) * (proj > 0.0)
+    return np.sqrt(2.0 / n) * np.maximum(proj, 0.0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "arccos0", "arccos1"])
+def test_feature_map_in_place_matches_textbook_formula_bit_for_bit(family):
+    # feature_map writes cos and sin into the halves of one array and
+    # scales the features in place, with each float operation unchanged
+    X = ker.synthetic_data(70, 5, seed=8)
+    spec = ker.KernelSpec(family, sigma=6.0)
+    for ps in (_shifted_lattice(5, 101, seed=2), mc_points(37, 5, seed=4)):
+        assert ker.feature_map(X, ps, spec).tobytes() == _textbook_features(X, ps, spec).tobytes()
 
 
 def test_feature_map_shapes_and_dims():
@@ -354,7 +400,10 @@ def test_gram_errors_identities():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     z = ker.gram_errors(A, A)
     assert z.rel_frobenius == 0.0 and z.rel_max == 0.0
-    e = ker.gram_errors(A, A + 0.1)
+    B = A + 0.1
+    e = ker.gram_errors(A, B)
+    np.testing.assert_array_equal(B, A + 0.1)  # neither input is overwritten
+    np.testing.assert_array_equal(A, [[2.0, 1.0], [1.0, 2.0]])
     assert e.rel_frobenius == pytest.approx(0.2 / math.sqrt(10.0), rel=1e-12)
     assert e.rel_max == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(DomainError):
@@ -402,3 +451,20 @@ def test_kernel_benchmark_rows():
                 data, 13, ker.KernelSpec("gaussian"), runs=2, seed=1, methods=methods
             )
             assert [r for r in both if r["method"] == method] == alone
+
+
+@pytest.mark.parametrize("family", ["gaussian", "arccos0", "arccos1"])
+def test_kernel_benchmark_errors_equal_gram_errors(family):
+    # the benchmark takes K's norms once and forms each run's difference in
+    # its Gram matrix; every error keeps gram_errors' bits on the same features
+    data = ker.synthetic_data(60, 3, seed=2)
+    spec = ker.KernelSpec(family, sigma=5.0)
+    rows = ker.run_kernel_benchmark(data, 31, spec, runs=3, seed=9)
+    K = ker.exact_gram(data, spec)
+    _, _, seeds = _seed_matrix(("subgroup", "mc"), ("subgroup", "mc"), 3, 9)
+    base = generate(subgroup_generating_vector(3, 31))
+    for row in rows:
+        s = seeds[row["method"]][row["run"]]
+        F = ker.feature_map(data, mc_points(31, 3, s) if row["method"] == "mc" else random_shift(base, s), spec)
+        errs = ker.gram_errors(K, F @ F.T)
+        assert (row["rel_frobenius"], row["rel_max"]) == (errs.rel_frobenius, errs.rel_max)

@@ -610,9 +610,14 @@ def test_replicate_checks_arguments_before_its_guard(monkeypatch, first_work):
         # a lattice's 40 runs past d = 1 go in chunks of the 2**20 values
         # budget: 2**20 // 65537 = 15 runs of n = 65537
         ("subgroup", 65537, 1, 40, True, 8 * 15 * 65537 + (24 + 20) * 32769),
+        # an unshifted lattice is one set: one run's values whatever the runs,
+        # beside the base tile and the writer's (R + 1 = 513 rows at d = 64);
+        # MC runs still hold a chunk's values unshifted
+        ("subgroup", 7000577, 64, 64, False, 8 * 7000577 + (8 + 20) * 513 * 64),
+        ("mc", 10**12, 32, 3, False, 8 * 3 * 10**12 + 8 * 1025 * 32),
     ],
     ids=["values", "runs-past-d", "tile", "residue-tile", "korobov", "wide", "wide-no-shift", "int64-tile",
-         "lattice-value-budget"],
+         "lattice-value-budget", "no-shift-runs", "mc-no-shift"],
 )
 def test_replicate_memory_guard_threshold(no_numpy, guard_threshold, first_work, method, n, d, runs, shifted, need):
     # the chunk's values plus every tile, checked before any array is
