@@ -53,7 +53,6 @@ from .lattice import (
     subgroup_generating_vector,
 )
 from .metrics import _census_limits, lattice_min_distance, min_distance_bounds
-from .numtheory import _subgroup_guard
 from .pointset import generate, load_csv, save_csv
 from .sphere import asymptotic_coherence_bound, mutual_coherence, sphere_frame
 
@@ -141,25 +140,19 @@ def _estimator_table(args: argparse.Namespace, run, value_cols: tuple[str, ...])
 
 
 def _cmd_construct(args: argparse.Namespace):
-    # the census limits (l2's covers l1's) refuse before the vector is
-    # listed or searched for; the method's own argument checks and guards
-    # still come first, so a refused request runs them before it re-raises
-    try:
-        _census_limits(args.d, args.n, 2)
-    except SizeLimitError:
-        if args.method == "korobov":
-            d, n, _ = _korobov_args(args.d, args.n, args.norm)
-            _korobov_guard(d, n)
-        else:
-            d, n = _subgroup_args(args.d, args.n)
-            _subgroup_guard(d, 2 * d, n)
-        raise
+    # the method's checks and size guard, the census limits (l2's covers l1's), the vector
     if args.method == "korobov":
-        res = korobov_search(args.d, args.n, args.norm)
+        d, n, _ = _korobov_args(args.d, args.n, args.norm)
+        _korobov_guard(d, n)
+    else:
+        d, n = _subgroup_args(args.d, args.n)
+    _census_limits(d, n, 2)
+    if args.method == "korobov":
+        res = korobov_search(d, n, args.norm)
         vec, multiplier = res.vector, res.multiplier
     else:
-        vec, multiplier = subgroup_generating_vector(args.d, args.n), ""
-    bounds = min_distance_bounds(args.d, args.n)
+        vec, multiplier = subgroup_generating_vector(d, n), ""
+    bounds = min_distance_bounds(d, n)
     # the first read of points (8*n*d bytes and one residue tile) refuses
     # oversized points before the census runs
     points = generate(vec).points if args.points_out else None

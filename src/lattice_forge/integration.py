@@ -351,7 +351,7 @@ def run_boltzmann_benchmark(
     The ground truth is computed once with ``gt_samples`` i.i.d. draws;
     every method row carries its relative error against it. Methods
     and seeding are as in ``run_integration_benchmark``. Returns
-    (rows, ground_truth).
+    (rows, ground_truth). The stream, its checks first, runs before the ground truth.
     """
     if target not in ("partition", "marginal"):
         raise DomainError(f"target must be 'partition' or 'marginal', got {target!r}")
@@ -359,15 +359,16 @@ def run_boltzmann_benchmark(
     ss = np.random.SeedSequence(seed)
     s_model, s_obs, s_gt, s_gt2, s_runs = ss.spawn(5)
     model = random_boltzmann_model(d, s_model)
+    _at_least(gt_samples, 1, "n_samples")
+    if target == "partition":
+        values = lambda x: _partition_values(x, model)
+    else:
+        v = np.random.default_rng(s_obs).random(d)
+        values = lambda h: _marginal_values(v, h, model)
+    means = _replicate(d, n, methods, values, runs=runs, seed_source=s_runs)
 
     ground_truth = Z = mc_partition(model, gt_samples, s_gt)
+    divisor = 1.0
     if target == "marginal":
-        v = np.random.default_rng(s_obs).random(d)
-        ground_truth = mc_marginal(v, model, Z, gt_samples, s_gt2)
-
-    if target == "partition":
-        values, divisor = (lambda x: _partition_values(x, model)), 1.0
-    else:
-        values, divisor = (lambda h: _marginal_values(v, h, model)), Z
-    means = _replicate(d, n, methods, values, runs=runs, seed_source=s_runs)
+        ground_truth, divisor = mc_marginal(v, model, Z, gt_samples, s_gt2), Z
     return _mean_rows(d, n, seed, methods, runs, means, ground_truth, divisor), ground_truth

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import DomainError, _require_memory
 from .lattice import subgroup_generating_vector
-from .pointset import LatticePointSet, _seed_matrix, generate, mc_points, random_shift
+from .pointset import LatticePointSet, _mc_shape, _seed_matrix, generate, mc_points, random_shift
 
 __all__ = [
     "KernelSpec",
@@ -148,6 +148,14 @@ def _exact_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     return nx * ny / np.pi * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
 
 
+def _data_matrix(data: np.ndarray) -> np.ndarray:
+    """``data`` as float64; ``DomainError`` unless it is an (N, d) matrix."""
+    X = np.asarray(data, dtype=np.float64)
+    if X.ndim != 2:
+        raise DomainError(f"data must be (N, d), got shape {X.shape}")
+    return X
+
+
 def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Dense exact Gram matrix K[i, j] = K(data_i, data_j).
 
@@ -157,9 +165,7 @@ def exact_gram(data: np.ndarray, spec: KernelSpec) -> np.ndarray:
     Raises ``SizeLimitError`` before allocating when they exceed physical
     memory.
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DomainError(f"data must be (N, d), got shape {X.shape}")
+    X = _data_matrix(data)
     N = X.shape[0]
     _require_memory((3 if spec.family == "arccos1" else 2) * 8 * N * N, f"exact Gram for N={N}")
     if spec.family == "gaussian":
@@ -250,9 +256,7 @@ def feature_map(
     before allocating when the N x n projection and the features exceed
     physical memory.
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DomainError(f"data must be (N, d), got shape {X.shape}")
+    X = _data_matrix(data)
     eps = points.points
     if eps.shape[1] != X.shape[1]:
         raise DomainError(
@@ -340,12 +344,12 @@ def run_kernel_benchmark(
     one fixed column per method, and records relative Frobenius / max
     errors. Methods are "subgroup" and "mc"; ``runs`` must be >= 1. One
     row dict per (run, method). An exact Gram matrix that is not finite
-    raises ``DomainError``, with no floating-point warning. Before the exact
-    Gram matrix, ``SizeLimitError`` is raised when the arrays held at the
-    benchmark's peak exceed physical memory.
+    raises ``DomainError``, with no floating-point warning. Every check
+    refuses before the exact Gram matrix: the data's shape, the peak's
+    memory guard, then the methods, ``runs`` and each method's (d, n).
     """
-    X = np.asarray(data, dtype=np.float64)
-    N, d = X.shape if X.ndim == 2 else (0, 0)
+    X = _data_matrix(data)
+    N, d = X.shape
     # beside K, whichever weighs most: the order-1 arc-cosine exact Gram's
     # two more N x N arrays, the features being built, or a run's features F
     # and its Gram G = F @ F.T, in which the difference to K is formed; the
@@ -354,8 +358,14 @@ def run_kernel_benchmark(
     beside_k = max(16 * N if spec.family == "arccos1" else 0, _FEATURE_BYTES[spec.family] * n,
                    8 * N + 8 * width * n)
     _require_memory(N * (8 * N + beside_k) + _POINT_BYTES * n * d, f"kernel benchmark for N={N}, n={n}")
+    # its own two columns: the rows are pinned to this (runs, 2) seed matrix
+    methods, runs, seeds = _seed_matrix(methods, ("subgroup", "mc"), runs, seed)
+    if "subgroup" in methods:
+        base = generate(subgroup_generating_vector(d, n))
+    if "mc" in methods:
+        _mc_shape(n, d)
     with np.errstate(all="ignore"):
-        K = exact_gram(X, spec)  # also rejects data that is not (N, d)
+        K = exact_gram(X, spec)
     if not np.isfinite(K).all():
         raise DomainError("the exact Gram matrix is not finite; rescale the data")
     norms = _reference_norms(K)
@@ -367,10 +377,6 @@ def run_kernel_benchmark(
         errs = _relative_errors(np.subtract(G, K, out=G), norms)  # gram_errors(K, G), in place
         return {"rel_frobenius": errs.rel_frobenius, "rel_max": errs.rel_max}
 
-    # its own two columns: the rows are pinned to this (runs, 2) seed matrix
-    methods, runs, seeds = _seed_matrix(methods, ("subgroup", "mc"), runs, seed)
-    if "subgroup" in methods:
-        base = generate(subgroup_generating_vector(d, n))
     rows = []
     for r in range(runs):
         for method in methods:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AdmissibilityError, DomainError, SizeLimitError, _at_least, _require_memory
-from .metrics import _BLOCK, _INT64_MAX, _norm_exponent, _powers
-from .numtheory import _prime_modulus, _subgroup, is_prime, primitive_root
+from .metrics import _BLOCK, _INT64_MAX, _nondegenerate, _norm_exponent, _powers
+from .numtheory import _prime_modulus, _subgroup, _subgroup_guard, is_prime, primitive_root
 
 __all__ = [
     "GeneratingVector",
@@ -152,16 +152,13 @@ def subgroup_generating_vector(d: int, n: int) -> GeneratingVector:
 
 
 def _subgroup_args(d: int, n: int) -> tuple[int, int]:
-    """d and n as ints, checked as ``subgroup_generating_vector`` takes them.
-
-    Runs every check that refuses before the d powers are listed except
-    their size guard, which ``_subgroup`` runs: d >= 1, 2d | n - 1, n prime.
-    """
+    """d and n as ints, checked as ``subgroup_generating_vector`` takes them:
+    d >= 1, 2d | n - 1, n prime, then the d powers' size guard."""
     d = _at_least(d, 1, "d")
     n = operator.index(n)
     if n >= 2 and (n - 1) % (2 * d) != 0:
         raise AdmissibilityError(f"2d does not divide n-1 (d={d}, n={n})")
-    _prime_modulus(n)
+    _subgroup_guard(d, 2 * d, _prime_modulus(n))
     return d, n
 
 
@@ -276,12 +273,7 @@ def korobov_search(d: int, n: int, norm: str = "l1") -> SearchResult:
     >>> (res.multiplier, res.score)
     (2, 0.6)
     """
-    return _korobov_search(*_korobov_args(d, n, norm))
-
-
-def _korobov_search(d: int, n: int, p: int) -> SearchResult:
-    """``korobov_search`` for d, n and the norm's exponent p that
-    ``_korobov_args`` has checked: its memory guard, then the search."""
+    d, n, p = _korobov_args(d, n, norm)
     _korobov_guard(d, n)
     half = (n - 1) // 2
     powers, W, steps = _exponent_tables(n, _weight_table(n, p))
@@ -322,12 +314,8 @@ def _korobov_args(d: int, n: int, norm: str) -> tuple[int, int, int]:
     memory guard: the norm, d >= 1, n prime, n >= 2d + 1 and the int64
     bound on the search's intermediates.
     """
-    d, n = operator.index(d), operator.index(n)
     p = _norm_exponent(norm)
-    _at_least(d, 1, "d")
-    _prime_modulus(n)
-    if n < 2 * d + 1:
-        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    d, n = _nondegenerate(d, n)
     half = (n - 1) // 2
     max_w = half if p == 1 else half * half
     if (n - 1) * max(n - 1, max_w) > _INT64_MAX:
@@ -337,6 +325,8 @@ def _korobov_args(d: int, n: int, norm: str) -> tuple[int, int, int]:
 
 def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:
     """First ``count`` primes n >= start with 2d | n - 1 (and n >= 2d+1).
+
+    Raises ``SizeLimitError`` first if 50 bytes per modulus exceed physical memory.
 
     Examples
     --------
@@ -349,6 +339,7 @@ def find_admissible_n(d: int, count: int, start: int = 2) -> list[int]:
     first = max(operator.index(start), step + 1)
     t = -(-(first - 1) // step)  # ceil((first-1)/step)
     candidate = step * t + 1
+    _require_memory(50 * count, f"admissible list of {count} moduli for d={d}")
     out: list[int] = []
     while len(out) < count:
         if is_prime(candidate):

@@ -340,16 +340,22 @@ def min_distance_bounds(d: int, n: int) -> DistanceBounds:
     satisfy the stronger condition because {+-z_j} forms a full order-2d
     subgroup.
     """
-    d = _at_least(d, 1, "d")
-    n = _prime_modulus(n)
-    if n < 2 * d + 1:
-        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    d, n = _nondegenerate(d, n)
     return DistanceBounds(
         l1_lower=d * (d + 1) / (2 * n),
         l1_upper=(n + 1) * d / (4 * n),
         l2_lower=math.sqrt(6 * d * (d + 1) * (2 * d + 1)) / (6 * n),
         l2_upper=math.sqrt((n + 1) * d / (12 * n)),
     )
+
+
+def _nondegenerate(d: int, n: int) -> tuple[int, int]:
+    """d and n as ints, once d >= 1, n is prime and n >= 2d + 1."""
+    d = _at_least(d, 1, "d")
+    n = _prime_modulus(n)
+    if n < 2 * d + 1:
+        raise AdmissibilityError(f"need n >= 2d + 1, got d={d}, n={n}")
+    return d, n
 
 
 def optimal_distances(d: int) -> OptimalDistances:

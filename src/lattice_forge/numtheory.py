@@ -14,7 +14,7 @@ subgroup construction built on it -- stays fast at 64-bit moduli.
 
 ``_prime_modulus`` is the package's one check that a modulus is prime;
 ``_subgroup(order, n, count)`` lists only the ``count`` subgroup powers a
-caller keeps, after ``_subgroup_guard`` checks them against physical memory.
+caller keeps; its callers' argument checks end with their ``_subgroup_guard``.
 """
 
 from __future__ import annotations
@@ -208,9 +208,8 @@ def _subgroup(order: int, n: int, count: int) -> tuple[int, ...]:
 
     h = g**((n-1)//order) with g the smallest primitive root, so count = order lists
     the whole subgroup mod prime n, as Python ints for any n < 2**64. Callers check
-    that n is prime, order | n - 1 and count <= order; the size guard runs first.
+    that n is prime, order | n - 1 and count <= order, then run ``_subgroup_guard``.
     """
-    _subgroup_guard(count, order, n)
     h = pow(primitive_root(n), (n - 1) // order, n)
     out = [1] * count
     for k in range(1, count):

@@ -14,12 +14,13 @@ stream, ``_replicate``, into one reused base tile. ``_replicate`` feeds
 each run's set through the integrand in those row blocks and returns
 each run's mean of the per-point values: a shifted run folds its shift
 from the base tile into another tile, and an MC run draws its sample
-straight into it. Every method streams its runs in chunks of
-min(runs, max(d, ``_CHUNK_VALUES`` // n)) runs; an unshifted lattice is
-one set, passed once. Blocks hold a multiple of 64 rows, and a final
-block of one row joins the block before it, so every per-point value
-equals what the same formula gives on the whole matrix, bit for bit (on
-the OpenBLAS kernels ``_replicate`` names).
+straight into it. It checks its arguments, then its size guard, then
+runs any Korobov search, before its first block. Every method streams
+its runs in chunks of min(runs, max(d, ``_CHUNK_VALUES`` // n)) runs; an
+unshifted lattice is one set, passed once. Blocks hold a multiple of 64
+rows, and a final block of one row joins the block before it, so every
+per-point value equals what the same formula gives on the whole matrix,
+bit for bit (on the OpenBLAS kernels ``_replicate`` names).
 
 Randomness contract: every stochastic operation takes an explicit seed
 and draws from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
@@ -37,7 +38,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .exceptions import DomainError, SizeLimitError, _at_least, _require_memory
-from .lattice import GeneratingVector, _korobov_args, _korobov_search, subgroup_generating_vector
+from .lattice import GeneratingVector, _korobov_args, korobov_search, subgroup_generating_vector
 from .metrics import _INT64_MAX
 
 __all__ = [
@@ -351,19 +352,19 @@ def _replicate(
     ``values`` must compute each row from that row alone; it never sees a
     one-row block unless n = 1.
 
-    Raises ``SizeLimitError`` before allocating, and before any Korobov
-    search, when a chunk's values (one set's, when every method is an
-    unshifted lattice) plus every tile exceed physical memory: the fold or
-    MC tile, and when a lattice is streamed its base tile, the
-    fold's scratch (shifted runs) and the residue writer's tiles. The
-    methods' argument checks (``AdmissibilityError`` among them) run first.
+    Checks run in one order before anything is allocated: the methods'
+    arguments (``AdmissibilityError`` among them), then ``SizeLimitError``
+    when a chunk's values (one set's, when every method is an unshifted
+    lattice) plus every tile exceed physical memory (the fold or MC tile,
+    and for a streamed lattice its base tile, the fold's scratch when
+    shifted and the residue writer's tiles), then the Korobov search's own.
     """
     methods, runs, seeds = _seed_matrix(methods, _SEED_COLUMNS, runs, seed_source)
     lattices = {}
     if "subgroup" in methods:
         lattices["subgroup"] = generate(subgroup_generating_vector(d, n))
     if "korobov" in methods:
-        d, n, p = _korobov_args(d, n, "l1")  # the search itself runs past the guard
+        d, n, _ = _korobov_args(d, n, "l1")  # the search runs past the guard
     if "mc" in methods:
         n, d = _mc_shape(n, d)
     block = _block_rows(d)
@@ -376,7 +377,7 @@ def _replicate(
     need = 8 * rows * n + 8 * tiles * tile_rows * d + (_tile_bytes(n, d) if lattice else 0)
     _require_memory(need, f"point values for d={d}, n={n}, runs={runs}")
     if "korobov" in methods:
-        lattices["korobov"] = generate(_korobov_search(d, n, p).vector)
+        lattices["korobov"] = generate(korobov_search(d, n, "l1").vector)
     buf = np.empty((rows, n))
     tile = np.empty((tile_rows, d)) if folds else None
     whole = np.empty((tile_rows, d)) if lattice and shifted else None

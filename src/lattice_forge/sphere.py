@@ -122,12 +122,14 @@ def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
 
 
 def _subgroup_args(m: int, n: int) -> tuple[int, int]:
-    """m and n as ints, once n is prime and m | n - 1 (n < 2 fails as not prime)."""
+    """m and n as ints, once m | n - 1, n is prime (n < 2 fails as not
+    prime) and the size guard of the m subgroup powers passes."""
     m = _at_least(m, 1, "m")
     n = operator.index(n)
     if n >= 2 and (n - 1) % m != 0:
         raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
-    return m, _prime_modulus(n)
+    _subgroup_guard(m, m, _prime_modulus(n))
+    return m, n
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +154,6 @@ def sphere_frame(m: int, n: int) -> SphericalFrame:
     matrix and the two length-n tables together exceed physical memory.
     """
     m, n = _subgroup_args(m, n)
-    _subgroup_guard(m, m, n)
     # k <= n - 1 and j <= n; no odd n separates this bound from the
     # (n-1)**2 < 2**63 bound of pointset.generate
     if (n - 1) * n > _INT64_MAX:

@@ -117,6 +117,10 @@ _ROWS = [
                  "error: mc std of estimate: ...", id="std-overflow"),
     # weights that underflow to 0 leave a valid reference
     pytest.param("integrate --d 3 --n 7 --runs 1 --b 2000 --deterministic", 0, None, id="weights-underflow"),
+    # 10**11 moduli would take 50 bytes each: refused before the search
+    pytest.param("admissible --d 1 --count 100000000000", 4,
+                 "error: admissible list of 100000000000 moduli for d=1 needs 4656.6 GiB" + _MORE,
+                 id="admissible-count"),
 ]
 
 # a prime with 64 | n - 1: sphere --d 128 asks for 2.6e12 bytes, a 2 TB
@@ -270,6 +274,70 @@ def test_construct_checks_the_census_limits_before_the_vector(monkeypatch, no_nu
     assert err.startswith(f"error: {guard} needs ")
 
 
+# Fail-fast rows: (argv, exit code, stderr line, flag, valid value). Each
+# subcommand's first expensive call is stubbed to raise; the argv must exit
+# with its line before reaching it, and the same argv with the flag's
+# valid value must reach it.
+_FIRST_WORK = {
+    "kernel": ("lattice_forge.kernels.exact_gram",),
+    "boltzmann": ("lattice_forge.integration.mc_partition",),
+    "admissible": ("lattice_forge.lattice.is_prime",),
+    "integrate": ("lattice_forge.integration._replicate",),
+    "construct": ("lattice_forge.cli.subgroup_generating_vector", "lattice_forge.cli.korobov_search"),
+}
+_KERNEL_8 = "kernel --samples 8000 --data-dim 8 --runs 1 --n"
+_FAIL_FAST = [
+    pytest.param(f"{_KERNEL_8} 9", 3, "error: 2d does not divide n-1 (d=8, n=9)", "--n", "17", id="kernel-2d"),
+    pytest.param(f"{_KERNEL_8} 33", 4, "error: n must be prime, got 33", "--n", "17", id="kernel-prime"),
+    pytest.param(f"{_KERNEL_8} 17 --runs 0", 4, "error: runs must be >= 1, got 0", "--runs", "1",
+                 id="kernel-runs"),
+    pytest.param(f"{_KERNEL_8} 0 --method mc", 4, "error: need n >= 1 and d >= 1, got n=0, d=8", "--n", "5",
+                 id="kernel-mc-n"),
+    pytest.param("boltzmann --d 5 --n 12 --runs 1", 3, "error: 2d does not divide n-1 (d=5, n=12)", "--n", "11",
+                 id="boltzmann-2d"),
+    pytest.param("boltzmann --d 5 --n 13 --runs 1 --target marginal", 3,
+                 "error: 2d does not divide n-1 (d=5, n=13)", "--n", "11", id="boltzmann-marginal-2d"),
+    pytest.param("boltzmann --d 5 --n 11 --runs 0", 4, "error: runs must be >= 1, got 0", "--runs", "1",
+                 id="boltzmann-runs"),
+    pytest.param("boltzmann --d 5 --n 11 --runs 1 --gt-samples 0", 4, "error: n_samples must be >= 1, got 0",
+                 "--gt-samples", "10", id="boltzmann-gt-samples"),
+    pytest.param("boltzmann --d 5 --n 9 --runs 1 --method korobov", 4, "error: n must be prime, got 9",
+                 "--n", "11", id="boltzmann-korobov"),
+    pytest.param("admissible --d 1 --count 100000000000", 4,
+                 "error: admissible list of 100000000000 moduli for d=1 needs 4656.6 GiB" + _MORE,
+                 "--count", "5", id="admissible-count"),
+    pytest.param("admissible --d 0", 4, "error: d must be >= 1, got 0", "--d", "1", id="admissible-d"),
+    pytest.param("admissible --d 1 --count 0", 4, "error: count must be >= 1, got 0", "--count", "1",
+                 id="admissible-zero"),
+    pytest.param("integrate --d 3 --n 7 --runs 1 --c 800", 4,
+                 "error: reference value must be finite and nonzero, got inf", "--c", "1", id="integrate-reference"),
+    pytest.param("integrate --d 2 --n 13 --runs 1 --c nan", 4, "error: b and c must be finite, got b=2.0, c=nan",
+                 "--c", "1", id="integrate-c"),
+    pytest.param("construct --d 3 --n 12", 3, "error: 2d does not divide n-1 (d=3, n=12)", "--n", "13",
+                 id="construct-2d"),
+    pytest.param("construct --d 2 --n 9", 4, "error: n must be prime, got 9", "--n", "5", id="construct-prime"),
+    pytest.param("construct --d 100000 --n 21600001", 4,
+                 "error: l2 keys overflow int64 for d=100000, n=21600001; need d*((n-1)//2)**2 < 2**63",
+                 "--n", "17800001", id="construct-l2-limit"),
+    pytest.param("construct --method korobov --d 4 --n 7", 3, "error: need n >= 2d + 1, got d=4, n=7",
+                 "--n", "11", id="construct-korobov-2d"),
+    pytest.param("construct --method korobov --norm l2 --d 1 --n 3037000493", 4,
+                 "error: korobov_search overflows int64 for n=3037000493, l2 norm", "--n", "5",
+                 id="construct-korobov-int64"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line, flag, valid", _FAIL_FAST)
+def test_bad_argv_exits_before_the_first_work(capsys, first_work, argv, code, line, flag, valid):
+    argv = argv.split()
+    for target in _FIRST_WORK[argv[0]]:
+        first_work(target)
+    _check_row(*_run(capsys, *argv), code, line)
+    # argparse keeps the last value of a repeated flag
+    with pytest.raises(AssertionError, match="scan started"):
+        main([*argv, flag, valid])
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",
@@ -319,6 +387,17 @@ def test_exit_four_on_malformed_data(capsys, tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
     _check_row(*_run(capsys, *_KERNEL, "--data", str(path)), 4, "error: ...")
+
+
+@pytest.mark.parametrize("extra, line", [(("--n", "9"), "error: n must be prime, got 9"),
+                                         (("--runs", "0"), "error: runs must be >= 1, got 0")],
+                         ids=["n", "runs"])
+def test_kernel_reports_a_bad_argument_before_a_non_finite_gram(capsys, tmp_path, extra, line):
+    # the arguments are checked before the exact Gram matrix is computed,
+    # so data whose Gram matrix overflows does not hide them
+    path = tmp_path / "data.csv"
+    path.write_text("1e200,1\n2,3\n")
+    _check_row(*_run(capsys, *_KERNEL, "--data", str(path), *extra), 4, line)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,10 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
             ker.run_kernel_benchmark(data, 13, ker.KernelSpec(family), runs=1)
 
 
+# the first prime above 10**8 with 4 | n - 1
+_N8 = 100000037
+
+
 @pytest.mark.parametrize(
     "family, N, n, need",
     [
@@ -212,10 +216,11 @@ def test_kernel_benchmark_rejects_non_finite_exact_gram():
         # K with the features being built: a float projection beside the
         # cos/sin features (24 bytes per sample and point) or its step mask
         # (9); order-1 arc-cosine features are the projection, so K, F and G
-        # weigh most
-        ("gaussian", 1000, 10**8, 8 * 1000**2 + 24 * 1000 * 10**8 + 106 * 10**8 * 2),
-        ("arccos0", 1000, 10**8, 8 * 1000**2 + 9 * 1000 * 10**8 + 106 * 10**8 * 2),
-        ("arccos1", 1000, 10**8, 2 * 8 * 1000**2 + 8 * 1000 * 10**8 + 106 * 10**8 * 2),
+        # weigh most. n is admissible at d = 2, so past the guard and the
+        # subgroup vector's checks the exact Gram starts
+        ("gaussian", 1000, _N8, 8 * 1000**2 + 24 * 1000 * _N8 + 106 * _N8 * 2),
+        ("arccos0", 1000, _N8, 8 * 1000**2 + 9 * 1000 * _N8 + 106 * _N8 * 2),
+        ("arccos1", 1000, _N8, 2 * 8 * 1000**2 + 8 * 1000 * _N8 + 106 * _N8 * 2),
     ],
     ids=[f"{f}-{part}" for part in ("gram", "features") for f in ("gaussian", "arccos0", "arccos1")],
 )

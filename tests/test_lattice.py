@@ -11,6 +11,7 @@ mod n) is checked for every admissible pair with n <= 500.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,30 @@ def test_find_admissible_validation():
         find_admissible_n(0, 1)
     with pytest.raises(DomainError):
         find_admissible_n(3, 0)
+
+
+def test_find_admissible_memory_guard_threshold(first_work, guard_threshold):
+    # 50 bytes per listed modulus, checked before the first primality test:
+    # 10**11 moduli would need 4656.6 GiB
+    first_work("lattice_forge.lattice.is_prime")
+    for count, gib in ((10**11, "4656.6"), (1, "0.0")):
+        guard_threshold(lambda: find_admissible_n(1, count, start=2**62), 50 * count,
+                        f"^admissible list of {count} moduli for d=1 needs {gib} GiB")
+
+
+def test_find_admissible_list_stays_within_its_guard(monkeypatch):
+    # the guard's 50 bytes per modulus hold at the largest ints the list
+    # takes (36 bytes each, moduli near 2**62), measured as the list grows;
+    # every candidate counts as prime, so only the list is traced
+    monkeypatch.setattr("lattice_forge.lattice.is_prime", lambda n: True)
+    for count in (100, 20000):
+        tracemalloc.start()
+        try:
+            find_admissible_n(1, count, start=2**62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 44 * count < peak <= 50 * count
 
 
 # ---------------------------------------------------------------------------
