@@ -10,15 +10,17 @@ closure of the index set) are asserted directly.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lattice_forge import exceptions
+from lattice_forge import exceptions, sphere
 from lattice_forge.exceptions import AdmissibilityError, DomainError, SizeLimitError
 from lattice_forge.numtheory import is_prime
 from lattice_forge.pointset import load_csv, save_csv
 from lattice_forge.sphere import (
+    SphericalFrame,
     asymptotic_coherence_bound,
     mutual_coherence,
     sphere_frame,
@@ -139,6 +141,59 @@ def test_table_gather_matches_direct_formula_bit_for_bit(pairs):
         frame = sphere_frame(m, n)
         assert frame.V.tobytes() == _direct_frame(m, n).tobytes(), (m, n)
         assert mutual_coherence(frame).mu == _direct_character_sum_mu(m, n), (m, n)
+
+
+def test_coset_walk_across_blocks_matches_direct_formula_bit_for_bit(monkeypatch):
+    # a block of 16 elements holds at most 16 // m cosets (one once m > 8),
+    # so every frame with e = (n-1)/m > 16 // m walks several blocks
+    monkeypatch.setattr(sphere, "_BLOCK", 16)
+    pairs = [(m, n) for m, n in _admissible_mn(399) if (n - 1) // m > max(1, 16 // m)]
+    assert len(pairs) > 500
+    for m, n in pairs:
+        assert mutual_coherence(sphere_frame(m, n)).mu == _direct_character_sum_mu(m, n), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2, 50021), (8, 50033), (24, 50329)])
+def test_mid_size_coherence_matches_direct_formula_bit_for_bit(m, n):
+    assert mutual_coherence(sphere_frame(m, n)).mu == _direct_character_sum_mu(m, n)
+
+
+def test_coherence_memory_is_one_block():
+    # n - 1 cosets of two elements: a length-n cos/sin table or a list of
+    # the e coset representatives would take 8 n bytes or more
+    n = 2000003
+    frame = sphere_frame(2, n)
+    bound = 10 * 8 * sphere._BLOCK
+    assert bound < 8 * n
+    tracemalloc.start()
+    try:
+        mutual_coherence(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("order", [sorted, lambda lam: lam[::-1], lambda lam: lam[:1] + lam[2:] + lam[1:2]],
+                         ids=["sorted", "reversed", "rotated"])
+def test_character_sum_needs_the_generator_powers(order):
+    m, n = 4, 13
+    built = sphere_frame(m, n)
+    frame = SphericalFrame(m=m, n=n, index_set=tuple(order(list(built.index_set))))
+    assert set(frame.index_set) == set(built.index_set)
+    assert frame.index_set != built.index_set
+    with pytest.raises(DomainError, match="successive powers"):
+        mutual_coherence(frame)
+    # the pairwise oracle takes any index set: a reordered one is the same frame
+    slow = mutual_coherence(frame, method="pairwise").mu
+    assert slow == pytest.approx(mutual_coherence(built).mu, abs=1e-12)
+
+
+def test_character_sum_refuses_a_set_that_is_no_subgroup():
+    with pytest.raises(DomainError, match="successive powers"):
+        mutual_coherence(SphericalFrame(m=5, n=13, index_set=(1, 2, 4, 8, 3)))
+    with pytest.raises(DomainError, match="successive powers"):
+        mutual_coherence(SphericalFrame(m=2, n=13, index_set=(1, 5)))
 
 
 def test_coherence_bound_holds_on_admissible_grid():
