@@ -28,8 +28,9 @@ V = frame.V
 print(f"frame: {V.shape[0]} ambient dims, {V.shape[1]} sphere points, "
       f"column norms all 1: {np.allclose(np.linalg.norm(V, axis=0), 1.0)}")
 
-# Coherence via the character-sum shortcut (O(n^2 / m) instead of a dense
-# Gram matrix), then the certified bound sqrt(n)/m.
+# Coherence via the character-sum shortcut (n - 1 cos/sin values and m(n - 1)
+# adds, O(nm), instead of an O(n^2 m) dense Gram matrix), then the certified
+# bound sqrt(n)/m.
 rep = mutual_coherence(frame)
 print(f"\nmu = {rep.mu:.6f}")
 print(f"sqrt(n)/m bound = {rep.bound:.6f}, holds: {rep.bound_holds}")

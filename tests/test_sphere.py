@@ -1,6 +1,6 @@
 """Spherical frame tests.
 
-The table-gathered frame and character sums are checked bit for bit
+The table-gathered frame and the coset-walk character sums are checked bit for bit
 against the direct per-entry cos/sin formula, the character-sum
 coherence (production path) is cross-checked against the full pairwise
 Gram maximum (oracle) on a range of admissible pairs, and the frame's
@@ -159,12 +159,12 @@ def test_mid_size_coherence_matches_direct_formula_bit_for_bit(m, n):
 
 
 def test_coherence_memory_is_one_block():
-    # n - 1 cosets of two elements: a length-n cos/sin table or a list of
-    # the e coset representatives would take 8 n bytes or more
+    # (n - 1)/2 cosets of two elements: a length-n cos/sin table or a list
+    # of the coset representatives would take 4 n bytes or more
     n = 2000003
     frame = sphere_frame(2, n)
     bound = 10 * 8 * sphere._BLOCK
-    assert bound < 8 * n
+    assert bound < 4 * n
     tracemalloc.start()
     try:
         mutual_coherence(frame)
@@ -175,7 +175,7 @@ def test_coherence_memory_is_one_block():
 
 
 @pytest.mark.parametrize("order", [sorted, lambda lam: lam[::-1], lambda lam: lam[:1] + lam[2:] + lam[1:2]],
-                         ids=["sorted", "reversed", "rotated"])
+                         ids=["sorted", "reversed", "moved"])
 def test_character_sum_needs_the_generator_powers(order):
     m, n = 4, 13
     built = sphere_frame(m, n)
