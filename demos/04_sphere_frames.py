@@ -13,12 +13,11 @@ from lattice_forge import (
     asymptotic_coherence_bound,
     mutual_coherence,
     sphere_frame,
-    sphere_index_set,
 )
 
 # The index set is the order-m subgroup of the nonzero residues mod n
-# (m must divide n - 1, n prime).
-lam = sphere_index_set(25, 101)
+# (m must divide n - 1, n prime); the frame lists it on its first read.
+lam = sphere_frame(25, 101).index_set
 print(f"m=25, n=101, subgroup: {lam[:8]} ... ({len(lam)} elements)")
 
 # Each residue contributes one frequency; stacking cosine and sine blocks

@@ -14,15 +14,17 @@ the mutual coherence is  mu = max_t max(|Re S_t|, |Im S_t|) / m  over
 t = 1..n-1, and it never exceeds sqrt(n)/m.
 
 Every entry of V and every term of S_t is cos or sin of 2 pi r / n for a
-residue r = (k j) mod n. ``V`` gathers them from one length-n cos/sin
-table. The coherence walks the cosets g^i Lambda, i < e: the m sums of a
-coset are the rotations of one column of m cos/sin values, so it takes
-n - 1 cos/sin evaluations, no gathers and m (n-1) adds, with the bits of
-the direct formula.
+residue r = (k j) mod n, evaluated as 2.0 * pi * r / n. ``V`` evaluates
+its m n residues in place in its cos block. The coherence walks the
+cosets g^i Lambda, i < e: the m sums of a coset are the rotations of one
+column of m cos/sin values, so it takes n - 1 cos/sin evaluations, no
+gathers and m (n-1) adds, with the bits of the direct formula.
 
-``sphere_frame`` refuses a frame larger than physical memory up front and
-builds ``V`` on its first read; the character sums never read it. Write a
-frame matrix with ``pointset.save_csv(frame.V, path)``.
+A ``SphericalFrame`` is its (m, n): it checks them when it is made and
+lists Lambda on the first read of ``index_set``. ``sphere_frame`` also
+refuses a frame larger than physical memory up front; ``V`` is built on
+its first read, and the character sums never read it. Write a frame
+matrix with ``pointset.save_csv(frame.V, path)``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "SphericalFrame",
     "CoherenceReport",
     "AsymptoticCoherenceBound",
-    "sphere_index_set",
     "sphere_frame",
     "mutual_coherence",
     "asymptotic_coherence_bound",
@@ -54,30 +55,60 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class SphericalFrame:
-    """2n unit-norm frame vectors in R^(2m), as columns of ``V`` (built on first read)."""
+    """2n unit-norm frame vectors in R^(2m), as columns of ``V`` (built on first read).
+
+    Making one checks m >= 1, m | n - 1, n prime (n < 2 fails as not
+    prime), the size guard of the index set, and (n-1) * n < 2**63, so
+    that no product k * j of an index and a column wraps in int64. It
+    lists nothing: ``index_set``, the order-m subgroup h**0, ..., h**(m-1)
+    mod n with h its generator, is listed on its first read.
+
+    Examples
+    --------
+    >>> sorted(SphericalFrame(2, 5).index_set)
+    [1, 4]
+    """
 
     m: int
     n: int
-    index_set: tuple[int, ...]
+
+    def __post_init__(self):
+        m = _at_least(self.m, 1, "m")
+        n = operator.index(self.n)
+        if n >= 2 and (n - 1) % m != 0:
+            raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
+        _subgroup_guard(m, m, _prime_modulus(n))
+        # k <= n - 1 and j <= n; no odd n separates this bound from the
+        # (n-1)**2 < 2**63 bound of pointset.generate
+        if (n - 1) * n > _INT64_MAX:
+            raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    @functools.cached_property
+    def index_set(self) -> tuple[int, ...]:
+        return _subgroup(self.m, self.n, self.m)
 
     @functools.cached_property
     def V(self) -> np.ndarray:
         m, n = self.m, self.n
-        c, s = _unit_circle(n)
-        scale = math.sqrt(m)
-        c /= scale
-        s /= scale
         lam = np.asarray(self.index_set, dtype=np.int64)
         r = lam[:, None] * np.arange(1, n + 1, dtype=np.int64)[None, :]
         np.remainder(r, n, out=r)
-        # residues lie in [0, n), and mode="clip" lets take write into the
-        # views of V without an intermediate buffer; (-s)/sqrt(m) equals
+        # the angles 2.0 * pi * r / n fill the cos block, sin reads them into
+        # the sin block and cos then overwrites them; (-s)/sqrt(m) equals
         # -(s/sqrt(m)) exactly, so the negated copy keeps the block's bits
         V = np.empty((2 * m, 2 * n))
-        np.take(c, r, out=V[:m, :n], mode="clip")
-        np.take(s, r, out=V[m:, :n], mode="clip")
-        V[m:, n:] = V[:m, :n]
-        np.negative(V[m:, :n], out=V[:m, n:])
+        c, s = V[:m, :n], V[m:, :n]
+        np.multiply(2.0 * np.pi, r, out=c)
+        c /= n
+        np.sin(c, out=s)
+        np.cos(c, out=c)
+        scale = math.sqrt(m)
+        c /= scale
+        s /= scale
+        V[m:, n:] = c
+        np.negative(s, out=V[:m, n:])
         return V
 
     @property
@@ -115,57 +146,18 @@ class AsymptoticCoherenceBound:
     applicable: bool
 
 
-def sphere_index_set(m: int, n: int) -> tuple[int, ...]:
-    """The order-m multiplicative subgroup of the nonzero residues mod n.
-
-    Examples
-    --------
-    >>> sorted(sphere_index_set(2, 5))
-    [1, 4]
-    """
-    m, n = _subgroup_args(m, n)
-    return _subgroup(m, n, m)
-
-
-def _subgroup_args(m: int, n: int) -> tuple[int, int]:
-    """m and n as ints, once m | n - 1, n is prime (n < 2 fails as not
-    prime) and the size guard of the m subgroup powers passes."""
-    m = _at_least(m, 1, "m")
-    n = operator.index(n)
-    if n >= 2 and (n - 1) % m != 0:
-        raise AdmissibilityError(f"m does not divide n-1 (m={m}, n={n})")
-    _subgroup_guard(m, m, _prime_modulus(n))
-    return m, n
-
-
-def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi r / n for r = 0..n-1.
-
-    The angle of residue r is 2.0 * pi * r / n, the float expression of
-    the per-entry formula, so gathering these tables by residue gives the
-    bits of evaluating cos/sin entry by entry.
-    """
-    ang = 2.0 * np.pi * np.arange(n, dtype=np.int64) / n
-    return np.cos(ang), np.sin(ang)
-
-
 def sphere_frame(m: int, n: int) -> SphericalFrame:
     """The 2m x 2n frame of the order-m subgroup rows.
 
     Columns j and j + n are orthogonal by construction, and every
-    column has unit norm. ``V`` is built on its first read, but
-    ``SizeLimitError`` is raised up front, before the index set is
-    listed, when the index set exceeds physical memory, when a product
-    k * j could pass 2**63 - 1, or when the frame, its m x n residue
-    matrix and the two length-n tables together exceed physical memory.
+    column has unit norm. ``SphericalFrame(m, n)`` checks m and n; on
+    top of that, ``SizeLimitError`` is raised up front when the frame and
+    its m x n residue matrix together exceed physical memory. Nothing is
+    listed or built until ``index_set`` or ``V`` is read.
     """
-    m, n = _subgroup_args(m, n)
-    # k <= n - 1 and j <= n; no odd n separates this bound from the
-    # (n-1)**2 < 2**63 bound of pointset.generate
-    if (n - 1) * n > _INT64_MAX:
-        raise SizeLimitError(f"k * j overflows int64 for n={n}; need (n-1)*n < 2**63")
-    _require_memory(8 * (4 * m * n + m * n + 2 * n), f"sphere frame for m={m}, n={n}")
-    return SphericalFrame(m=m, n=n, index_set=_subgroup(m, n, m))
+    frame = SphericalFrame(m, n)
+    _require_memory(8 * 5 * frame.m * frame.n, f"sphere frame for m={frame.m}, n={frame.n}")
+    return frame
 
 
 def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> CoherenceReport:
@@ -173,9 +165,8 @@ def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> Co
 
     method="character_sum" (default) evaluates max over t = 1..n-1 of
     max(|Re S_t|, |Im S_t|)/m with S_t the subgroup character sum, in
-    blocks of cosets (see the module docstring). It needs the index set
-    ``sphere_frame`` lists, h**0, ..., h**(m-1) with h the subgroup's
-    generator, and raises ``DomainError`` for any other.
+    blocks of cosets (see the module docstring); it never reads
+    ``frame.index_set`` or ``frame.V``.
     method="pairwise" forms the full Gram matrix of V and takes the
     off-diagonal maximum -- the O(n^2 m) reference oracle, which builds
     ``frame.V``; it raises ``SizeLimitError`` before allocating when its
@@ -193,11 +184,8 @@ def mutual_coherence(frame: SphericalFrame, method: str = "character_sum") -> Co
         # with t = h**k g**i, lambda_j t = h**(j+k) g**i: coset g**i's m sums are
         # the rotations ring[k : k + m] of one column, each added in index-set order
         g = primitive_root(n)
-        lam = np.asarray(frame.index_set, dtype=np.int64)
-        e, rest = divmod(n - 1, m)
-        if rest or not np.array_equal(lam, _powers(pow(g, e, n), m, n)):
-            raise DomainError("character_sum needs index_set to list the successive powers "
-                              "of the order-m subgroup's generator, as sphere_frame does")
+        e = (n - 1) // m
+        lam = _powers(pow(g, e, n), m, n)
         cols = min(e, max(1, _BLOCK // m))
         g_i = _powers(g, cols, n)
         mu_num = 0.0

@@ -65,14 +65,20 @@ def guard_threshold(monkeypatch):
     get past the guard to its first work, which ``no_numpy`` or
     ``first_work`` makes raise ``AssertionError("the scan started")``.
     ``past`` = (exception, match) names what it reaches there instead,
-    such as a later guard. Physical memory stays stubbed at ``need``.
+    such as a later guard; with ``past=None`` the call must return there,
+    and ``check`` returns what it returned. Physical memory stays stubbed
+    at ``need``.
     """
 
     def check(call, need, line, past=(AssertionError, "scan started")):
-        for memory, (error, match) in ((need - 1, (SizeLimitError, line)), (need, past)):
-            monkeypatch.setattr(exceptions, "_physical_memory", lambda: memory)
-            with pytest.raises(error, match=match):
-                call()
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match=line):
+            call()
+        monkeypatch.setattr(exceptions, "_physical_memory", lambda: need)
+        if past is None:
+            return call()
+        with pytest.raises(past[0], match=past[1]):
+            call()
 
     return check
 

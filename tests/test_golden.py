@@ -5,6 +5,9 @@
 digest below covers stdout followed by the ``--points-out`` file, if any.
 A change that moves a vector, a census, a float repr or the table layout
 changes a digest; such a change must say why and update the digest.
+The two ``sphere`` rows pin floats as well: mu and the frame matrix are
+numpy's cos and sin of 2.0 * pi * r / n at integer residues r, so a numpy
+whose cos or sin rounds differently changes their digests.
 
 The estimators' float output is not pinned here: numpy's SIMD ``exp``
 may differ in the last bit between CPUs, and so do BLAS matrix-vector
@@ -62,6 +65,14 @@ _CASES = {
     "subgroup-16-80449": (
         ["construct", "--d", "16", "--n", "80449"],
         "c4ba51c925cc0c25235164709dc6080ad9cf95c37cd6938d5820cd712099ddd2",
+    ),
+    "sphere": (
+        ["sphere", "--d", "50", "--n", "101"],
+        "9af46b648e7785c2de9571a1142688b72f68c1a64690a5f6b949f81d71d9dcd8",
+    ),
+    "sphere-frame-out": (
+        ["sphere", "--d", "8", "--n", "13", "--frame-out", "{pts}"],
+        "f8b35916903f9f7c631459a17d948c09de7749dbb2ae4f360b0b45820fe2475d",
     ),
     "admissible-csv": (
         ["admissible", "--d", "100", "--count", "3"],

@@ -34,7 +34,7 @@ from lattice_forge.metrics import (
     toroidal_distance,
 )
 from lattice_forge.pointset import generate
-from lattice_forge.sphere import sphere_index_set
+from lattice_forge.sphere import SphericalFrame
 
 # ---------------------------------------------------------------------------
 # toroidal_distance
@@ -285,7 +285,7 @@ def _near_subgroup_vectors(draw):
     sign-flipped or replaced by arbitrary residues; n may be inadmissible."""
     d = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 13]))
     n = draw(st.sampled_from(find_admissible_n(d, 3) + [5, 7, 13, 29, 97]))
-    group = sphere_index_set(2 * d, n) if (n - 1) % (2 * d) == 0 else tuple(range(1, n))
+    group = SphericalFrame(2 * d, n).index_set if (n - 1) % (2 * d) == 0 else tuple(range(1, n))
     z = []
     for c in draw(st.permutations(group))[:d]:
         action = draw(st.sampled_from(["keep", "keep", "flip", "repeat", "any"]))

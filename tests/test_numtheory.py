@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_forge.exceptions import DomainError
+from lattice_forge.exceptions import DomainError, SizeLimitError
 from lattice_forge.lattice import (
     GeneratingVector,
     korobov_search,
@@ -23,7 +23,7 @@ from lattice_forge.lattice import (
 )
 from lattice_forge.metrics import min_distance_bounds
 from lattice_forge.numtheory import factorize, is_prime, primitive_root
-from lattice_forge.sphere import sphere_index_set
+from lattice_forge.sphere import SphericalFrame
 
 
 def _sieve(limit):
@@ -254,7 +254,7 @@ _TAKES_A_MODULUS = {
     "subgroup_generating_vector": lambda n: subgroup_generating_vector(1, n),
     "korobov_search": lambda n: korobov_search(1, n),
     "min_distance_bounds": lambda n: min_distance_bounds(1, n),
-    "sphere_index_set": lambda n: sphere_index_set(1, n),
+    "SphericalFrame": lambda n: SphericalFrame(1, n),
 }
 
 
@@ -270,12 +270,12 @@ def test_subgroup_memory_guard_threshold(first_work, guard_threshold):
     # each listed power of an order-2*10**9 subgroup's generator mod
     # 6000000001 holds 16 bytes of pointers and a 32-byte int: the vector
     # lists d = 10**9 of them (48 GB), the index set all 2*10**9 (96 GB).
-    # primitive_root is the first work after the guard, so it stands in for
-    # the list being built.
+    # primitive_root is the vector's first work after the guard, so it stands
+    # in for the list being built; a frame meets its int64 bound there.
     first_work("lattice_forge.numtheory.primitive_root")
     n, order = 6000000001, 2 * 10**9
-    for call, need, gib in (
-        (lambda: subgroup_generating_vector(order // 2, n), 48 * (order // 2), "44.7"),
-        (lambda: sphere_index_set(order, n), 48 * order, "89.4"),
-    ):
-        guard_threshold(call, need, f"subgroup of order {order} for n={n} needs {gib} GiB")
+    guard_threshold(lambda: subgroup_generating_vector(order // 2, n), 48 * (order // 2),
+                    f"subgroup of order {order} for n={n} needs 44.7 GiB")
+    guard_threshold(lambda: SphericalFrame(order, n), 48 * order,
+                    f"subgroup of order {order} for n={n} needs 89.4 GiB",
+                    past=(SizeLimitError, "overflows int64"))

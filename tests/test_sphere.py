@@ -1,6 +1,6 @@
 """Spherical frame tests.
 
-The table-gathered frame and the coset-walk character sums are checked bit for bit
+The frame and the coset-walk character sums are checked bit for bit
 against the direct per-entry cos/sin formula, the character-sum
 coherence (production path) is cross-checked against the full pairwise
 Gram maximum (oracle) on a range of admissible pairs, and the frame's
@@ -24,7 +24,6 @@ from lattice_forge.sphere import (
     asymptotic_coherence_bound,
     mutual_coherence,
     sphere_frame,
-    sphere_index_set,
 )
 
 
@@ -53,7 +52,7 @@ def _benchmark_size_mn():
 
 
 def _direct_frame(m, n):
-    lam = np.asarray(sphere_index_set(m, n), dtype=np.int64)
+    lam = np.asarray(SphericalFrame(m, n).index_set, dtype=np.int64)
     j = np.arange(1, n + 1, dtype=np.int64)
     ang = 2.0 * np.pi * ((lam[:, None] * j[None, :]) % n) / n
     c, s = np.cos(ang), np.sin(ang)
@@ -61,7 +60,7 @@ def _direct_frame(m, n):
 
 
 def _direct_character_sum_mu(m, n):
-    lam = np.asarray(sphere_index_set(m, n), dtype=np.int64)
+    lam = np.asarray(SphericalFrame(m, n).index_set, dtype=np.int64)
     t = np.arange(1, n, dtype=np.int64)
     ang = 2.0 * np.pi * ((lam[:, None] * t[None, :]) % n) / n
     s_re = np.cos(ang).sum(axis=0)
@@ -75,14 +74,14 @@ def _direct_character_sum_mu(m, n):
 
 
 def test_index_set_examples():
-    assert set(sphere_index_set(2, 5)) == {1, 4}
-    assert sphere_index_set(1, 7) == (1,)
-    assert set(sphere_index_set(6, 7)) == {1, 2, 3, 4, 5, 6}
+    assert set(SphericalFrame(2, 5).index_set) == {1, 4}
+    assert SphericalFrame(1, 7).index_set == (1,)
+    assert set(SphericalFrame(6, 7).index_set) == {1, 2, 3, 4, 5, 6}
 
 
 def test_index_set_is_multiplicative_subgroup():
     for m, n in [(2, 5), (3, 7), (4, 13), (5, 11), (25, 101)]:
-        idx = set(sphere_index_set(m, n))
+        idx = set(SphericalFrame(m, n).index_set)
         assert len(idx) == m
         for a in idx:
             for b in idx:
@@ -91,11 +90,11 @@ def test_index_set_is_multiplicative_subgroup():
 
 def test_index_set_validation():
     with pytest.raises(AdmissibilityError, match="does not divide"):
-        sphere_index_set(3, 5)
+        SphericalFrame(3, 5)
     with pytest.raises(DomainError):
-        sphere_index_set(2, 9)
+        SphericalFrame(2, 9)
     with pytest.raises(DomainError):
-        sphere_index_set(0, 5)
+        SphericalFrame(0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +173,17 @@ def test_coherence_memory_is_one_block():
     assert peak < bound
 
 
-@pytest.mark.parametrize("order", [sorted, lambda lam: lam[::-1], lambda lam: lam[:1] + lam[2:] + lam[1:2]],
-                         ids=["sorted", "reversed", "moved"])
-def test_character_sum_needs_the_generator_powers(order):
-    m, n = 4, 13
-    built = sphere_frame(m, n)
-    frame = SphericalFrame(m=m, n=n, index_set=tuple(order(list(built.index_set))))
-    assert set(frame.index_set) == set(built.index_set)
-    assert frame.index_set != built.index_set
-    with pytest.raises(DomainError, match="successive powers"):
-        mutual_coherence(frame)
-    # the pairwise oracle takes any index set: a reordered one is the same frame
-    slow = mutual_coherence(frame, method="pairwise").mu
-    assert slow == pytest.approx(mutual_coherence(built).mu, abs=1e-12)
-
-
-def test_character_sum_refuses_a_set_that_is_no_subgroup():
-    with pytest.raises(DomainError, match="successive powers"):
-        mutual_coherence(SphericalFrame(m=5, n=13, index_set=(1, 2, 4, 8, 3)))
-    with pytest.raises(DomainError, match="successive powers"):
-        mutual_coherence(SphericalFrame(m=2, n=13, index_set=(1, 5)))
+@pytest.mark.parametrize("m, n, error, match", [
+    (5, 13, AdmissibilityError, r"^m does not divide n-1 \(m=5, n=13\)$"),
+    (3, 21, AdmissibilityError, "m does not divide"),  # checked before primality
+    (4, 21, DomainError, "^n must be prime, got 21$"),
+    (4, 3100000061, SizeLimitError, "overflows int64"),  # 3100000060 * 3100000061 > 2**63 - 1
+    (np.int64(4), np.int64(3100000061), SizeLimitError, "overflows int64"),  # checked on ints
+], ids=["not-divisor", "not-divisor-composite", "composite", "int64", "int64-numpy"])
+def test_frame_refuses_bad_arguments_before_any_work(first_work, m, n, error, match):
+    first_work("lattice_forge.numtheory.primitive_root")
+    with pytest.raises(error, match=match):
+        SphericalFrame(m, n)
 
 
 def test_coherence_bound_holds_on_admissible_grid():
@@ -214,19 +204,20 @@ def test_coherence_method_validation():
 
 
 def test_frame_memory_guard_threshold(no_numpy, first_work, guard_threshold):
-    # the frame is built on its first read, so the accepted side trips on
-    # primitive_root, the index set's first work
+    # the frame lists nothing and builds V on its first read, so the
+    # accepted side returns a frame without computing a primitive root
     m, n = 64, 1000000321  # 64 | n - 1
     first_work("lattice_forge.numtheory.primitive_root")
     no_numpy("lattice_forge.sphere")
-    guard_threshold(lambda: sphere_frame(m, n),
-                    8 * (4 * m * n + m * n + 2 * n),  # frame, int64 residues, two tables
-                    r"sphere frame for m=64, n=1000000321 needs 2399\.1 GiB")
+    frame = guard_threshold(lambda: sphere_frame(m, n),
+                            8 * 5 * m * n,  # frame and its int64 residues
+                            r"sphere frame for m=64, n=1000000321 needs 2384\.2 GiB", past=None)
+    assert (frame.m, frame.n) == (m, n)
 
 
 def test_frame_checks_every_size_before_building(no_numpy, first_work, guard_threshold):
     # the index set's guard, the int64 bound and the frame's guard all run
-    # before the index set is listed; primitive_root is its first work
+    # before anything is listed or built
     first_work("lattice_forge.numtheory.primitive_root")
     no_numpy("lattice_forge.sphere")
     guard_threshold(lambda: sphere_frame(2 * 10**9, 6000000001),
@@ -234,8 +225,10 @@ def test_frame_checks_every_size_before_building(no_numpy, first_work, guard_thr
                     "subgroup of order 2000000000 for n=6000000001 needs",
                     past=(SizeLimitError, "overflows int64"))
     # an index set that fits, of a frame that does not
-    with pytest.raises(SizeLimitError, match="sphere frame for m=100000000, n=600000001 needs"):
-        sphere_frame(10**8, 600000001)
+    m, n = 10**8, 600000001
+    frame = guard_threshold(lambda: sphere_frame(m, n), 8 * 5 * m * n,
+                            "sphere frame for m=100000000, n=600000001 needs", past=None)
+    assert (frame.m, frame.n) == (m, n)
 
 
 def test_frame_int64_guard_threshold(no_numpy, first_work, prime_at_most, monkeypatch):
@@ -251,8 +244,7 @@ def test_frame_int64_guard_threshold(no_numpy, first_work, prime_at_most, monkey
     monkeypatch.setattr(exceptions, "_physical_memory", lambda: 2**80)
     with pytest.raises(SizeLimitError, match="overflows int64"):
         sphere_frame(1, n_bad)
-    with pytest.raises(AssertionError, match="scan started"):
-        sphere_frame(1, n_ok)
+    assert sphere_frame(1, n_ok).n == n_ok
 
 
 def test_pairwise_memory_guard_threshold(no_numpy, guard_threshold):
